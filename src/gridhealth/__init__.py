@@ -48,6 +48,7 @@ from .health import (
     ReceptorProfile,
     delta_health,
     impact_per_mwh,
+    impacts,
     monetize,
     split_internal_external,
 )
@@ -81,7 +82,8 @@ __all__ = [
     "TrainingData", "beta_sweep", "composite_loss", "evaluate", "forward", "nmae",
     "predict_heldout", "train",
     "ConcentrationResponse", "HealthSignal", "HealthValuation", "PipelineConfig",
-    "ReceptorProfile", "delta_health", "impact_per_mwh", "monetize", "split_internal_external",
+    "ReceptorProfile", "delta_health", "impact_per_mwh", "impacts", "monetize",
+    "split_internal_external",
     "FuelCategoryMap", "FuelMixRecord", "FuelMixSeries", "PlantRecord",
     "allocate_generation", "impute_missing", "load_fuel_mix", "normalize_mix",
     "ChargingSession", "Schedule", "StrategyResult", "baseline_schedule",

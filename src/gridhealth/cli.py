@@ -182,13 +182,11 @@ def cmd_synth(args, ctx: CommandContext) -> None:
     config = load_config_dir(ctx.out_dir)
     labels = oracle_labels(series, config)
     write_signals_csv(ctx.output("labels.csv"), labels)
-    internal = np.array([s.internal_cost for s in labels])
-    external = np.array([s.external_cost for s in labels])
+    costs = np.array([(s.internal_cost, s.external_cost) for s in labels])
     print(f"hours: {args.hours}")
-    print(f"internal_usd_per_mwh: mean={internal.mean():.3f} min={internal.min():.3f} "
-          f"max={internal.max():.3f}")
-    print(f"external_usd_per_mwh: mean={external.mean():.3f} min={external.min():.3f} "
-          f"max={external.max():.3f}")
+    for name, column in zip(("internal", "external"), costs.T):
+        print(f"{name}_usd_per_mwh: mean={column.mean():.3f} min={column.min():.3f} "
+              f"max={column.max():.3f}")
 
 
 def _load_training_data(args, ctx) -> TrainingData:

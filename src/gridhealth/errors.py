@@ -96,6 +96,10 @@ class ZeroNormalizer(GridHealthError):
     """NMAE normalizer (mean absolute truth) is zero."""
 
 
+class CorruptCheckpoint(GridHealthError, ValueError):
+    """A checkpoint file is unreadable or does not match the networks it declares."""
+
+
 # --- scheduler ------------------------------------------------------------
 
 class InfeasibleSession(GridHealthError):

@@ -25,6 +25,7 @@ from . import autodiff
 from .autodiff import SGD, Tensor
 from .errors import (
     BetaOutOfRange,
+    CorruptCheckpoint,
     DivergedLoss,
     InsufficientData,
     ShapeMismatch,
@@ -617,21 +618,52 @@ def save_checkpoint(path: str | Path, model: ForecastModel,
     Path(path).write_text(json.dumps(payload, sort_keys=True))
 
 
+def _restore_params(path: str | Path, section: str, stored, params: dict[str, Tensor]) -> None:
+    """Set each of `params` from the array of the same name and shape under `section`."""
+    if not isinstance(stored, dict):
+        raise CorruptCheckpoint(f"{path}: key {section!r} must map parameter names to arrays")
+    unmatched = sorted(set(params) ^ set(stored))
+    if unmatched:
+        problem = "lacks" if unmatched[0] in params else "has unknown"
+        raise CorruptCheckpoint(f"{path}: {section} {problem} parameter {unmatched[0]!r}")
+    for name, tensor in params.items():
+        try:
+            value = np.asarray(stored[name], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise CorruptCheckpoint(
+                f"{path}: {section} parameter {name!r} is not a numeric array") from exc
+        if value.shape != tensor.data.shape:
+            raise CorruptCheckpoint(f"{path}: {section} parameter {name!r} has shape "
+                                    f"{value.shape}, expected {tensor.data.shape}")
+        tensor.data = value
+
+
 def load_checkpoint(path: str | Path) -> tuple[ForecastModel, HealthConverterNet]:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path} is not a recognized checkpoint")
-    m = payload["model"]
-    model = ForecastModel(m["architecture"], m["n_fuels"], m["window"],
-                          embed_dim=m["embed_dim"], heads=m["heads"],
-                          encoder_layers=m["encoder_layers"],
-                          decoder_layers=m["decoder_layers"], ff_dim=m["ff_dim"],
-                          dropout=m["dropout"], seed=m["seed"])
-    for k, v in payload["params"].items():
-        model.params[k].data = np.asarray(v, dtype=np.float64)
-    c = payload["converter"]
-    converter = HealthConverterNet(c["n_fuels"], hidden=c["hidden"],
-                                   feature_dim=c["feature_dim"], seed=c["seed"])
-    for k, v in payload["converter_params"].items():
-        converter.params[k].data = np.asarray(v, dtype=np.float64)
+    """Rebuild both networks from `save_checkpoint` output.
+
+    Every parameter must be present under its exact name and shape;
+    anything else raises CorruptCheckpoint naming the path and the key.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CorruptCheckpoint(f"{path}: not a JSON checkpoint ({exc})") from exc
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+        raise CorruptCheckpoint(f"{path}: key 'format' is not {CHECKPOINT_FORMAT!r}")
+    try:
+        m = payload["model"]
+        model = ForecastModel(m["architecture"], m["n_fuels"], m["window"],
+                              embed_dim=m["embed_dim"], heads=m["heads"],
+                              encoder_layers=m["encoder_layers"],
+                              decoder_layers=m["decoder_layers"], ff_dim=m["ff_dim"],
+                              dropout=m["dropout"], seed=m["seed"])
+        c = payload["converter"]
+        converter = HealthConverterNet(c["n_fuels"], hidden=c["hidden"],
+                                       feature_dim=c["feature_dim"], seed=c["seed"])
+    except KeyError as exc:
+        raise CorruptCheckpoint(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CorruptCheckpoint(f"{path}: bad network description ({exc})") from exc
+    _restore_params(path, "params", payload.get("params"), model.params)
+    _restore_params(path, "converter_params", payload.get("converter_params"), converter.params)
     return model, converter

@@ -6,6 +6,15 @@ The concentration-response step supports the log-linear form
 configuration, not the code. Cases are valued per endpoint in dollars and
 aggregated into a per-MWh (internal, external) signal according to each
 receptor's membership in the source territory.
+
+The chain from fuel mix to dollars is linear up to the response curve, so
+`impacts` evaluates it for a whole (N, F) share matrix at once over fixed
+matrices (factors, source-receptor gains, response coefficients, base
+rates, valuations, territory mask), the reduced-complexity form of
+source-receptor health models. `receptor_costs` and `impact_per_mwh` are
+its one-row cases. `delta_health`, `monetize` and
+`split_internal_external` keep the per-receptor, per-endpoint scalar
+form; they are the reference the array form is tested against.
 """
 
 from __future__ import annotations
@@ -17,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dispersion import SourceReceptorMatrix, apply_source_receptor
-from .emissions import EmissionFactorTable, emissions_from_mix
+from .dispersion import SourceReceptorMatrix
+from .emissions import EmissionFactorTable
 from .errors import (
     DimensionMismatch,
     MalformedRow,
@@ -182,25 +191,70 @@ class PipelineConfig:
         raise UnknownReceptor(receptor_id)
 
 
+def _receptor_dollars(shares: np.ndarray, fuel_names: tuple[str, ...],
+                      config: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Dollars per receptor (N, M) of 1 MWh at each mix, and the internal mask (M,).
+
+    Elementwise, each term is what `emissions_from_mix`,
+    `apply_source_receptor`, `delta_health` and `monetize` compute for one
+    hour; sums over fuels, pollutants and endpoints run in index order, so
+    every row depends on that row alone. Endpoints follow
+    `config.responses`; a repeated endpoint id keeps its first position and
+    its last response, as `monetize`'s dict does.
+    """
+    shares = np.asarray(shares, dtype=np.float64)
+    if shares.ndim != 2 or shares.shape[1] != len(fuel_names):
+        raise DimensionMismatch(
+            f"shares have shape {shares.shape}, expected (N, {len(fuel_names)})")
+    factors = np.vstack([config.factors.row(fuel) for fuel in fuel_names])  # (F, K)
+    responses = list({cr.endpoint_id: cr for cr in config.responses}.values())
+    values = {v.endpoint_id: v.dollars_per_case for v in config.valuations}
+    profiles = [config.profile_for(rid) for rid in config.sr_matrix.receptor_ids]
+    internal = np.array([p.internal for p in profiles], dtype=bool)  # (M,)
+
+    emitted = np.zeros((shares.shape[0], factors.shape[1]))  # kg per pollutant, (N, K)
+    for j in range(len(fuel_names)):
+        emitted += shares[:, j, None] * factors[j]
+    if np.any(emitted < 0):
+        raise ValueError("emission quantities must be nonnegative")
+    conc = config.sr_matrix.gains.T[None, :, :] * emitted[:, None, :]  # (N, M, K)
+
+    dollars = np.zeros(conc.shape[:2])
+    for cr in responses:
+        base = np.array([p.baseline_rates[cr.endpoint_id] * p.population for p in profiles])
+        exposure = np.zeros(conc.shape[:2])
+        for k, alpha in enumerate(cr.alpha):
+            exposure += alpha * conc[:, :, k]
+        response = exposure if cr.form == LINEAR else -np.expm1(-exposure)
+        dollars += base * response * values[cr.endpoint_id]
+    return dollars, internal
+
+
+def impacts(shares: np.ndarray, fuel_names: tuple[str, ...],
+            config: PipelineConfig) -> np.ndarray:
+    """(internal, external) $/MWh for each row of an (N, F) share matrix.
+
+    The whole chain as array operations over fixed matrices: factor rows
+    reordered to `fuel_names` (F, K), gains (K, M), alpha (E, K), base
+    rate x population (M, E), valuations (E,) and the internal-receptor
+    mask (M,). Each bucket is the exactly-rounded sum (math.fsum) of its
+    receptors' dollars, as in `split_internal_external`.
+    """
+    dollars, internal = _receptor_dollars(shares, fuel_names, config)
+    inside, outside = dollars[:, internal].tolist(), dollars[:, ~internal].tolist()
+    pairs = [(math.fsum(a), math.fsum(b)) for a, b in zip(inside, outside)]
+    return np.array(pairs, dtype=np.float64).reshape(len(pairs), 2)
+
+
 def receptor_costs(mix: FuelMixRecord, config: PipelineConfig) -> dict[str, float]:
     """Monetized cost per receptor of consuming 1 MWh at this mix."""
-    ev = emissions_from_mix(mix, config.factors, 1.0)
-    conc = apply_source_receptor(ev, config.sr_matrix)
-    costs: dict[str, float] = {}
-    for i, rid in enumerate(config.sr_matrix.receptor_ids):
-        profile = config.profile_for(rid)
-        cases = {
-            cr.endpoint_id: delta_health(profile, cr, conc.delta[i])
-            for cr in config.responses
-        }
-        costs[rid] = monetize(cases, config.valuations)
-    return costs
+    dollars, _ = _receptor_dollars(mix.shares[None, :], mix.fuel_names, config)
+    return dict(zip(config.sr_matrix.receptor_ids, dollars[0].tolist()))
 
 
 def impact_per_mwh(mix: FuelMixRecord, config: PipelineConfig) -> HealthSignal:
-    """Full chain: mix -> emissions -> dispersion -> cases -> dollars."""
-    costs = receptor_costs(mix, config)
-    internal, external = split_internal_external(costs, config.profiles)
+    """Full chain for one hour: mix -> emissions -> dispersion -> cases -> dollars."""
+    internal, external = impacts(mix.shares[None, :], mix.fuel_names, config)[0].tolist()
     return HealthSignal(internal, external, timestamp=mix.timestamp)
 
 

@@ -1,8 +1,9 @@
 """Loading, imputation, and canonicalization of hourly fuel-mix data.
 
 The on-disk contract is a CSV with header ``timestamp,<fuel_1>,...,<fuel_F>``
-where the timestamp is either an integer hour index or an ISO-8601 hour and
-an empty cell marks a missing observation. Raw column labels are resolved
+where the timestamp is either an integer hour index or an ISO-8601 hour
+(minutes and seconds zero), the same kind on every row, and an empty cell
+marks a missing observation. Raw column labels are resolved
 to canonical fuel identifiers through a :class:`FuelCategoryMap`; labels
 mapped to ``EXCLUDED`` are dropped before any further processing.
 
@@ -218,14 +219,22 @@ def load_fuel_mix(path: str | Path, category_map: FuelCategoryMap) -> FuelMixSer
         share_rows: list[np.ndarray] = []
         flag_rows: list[np.ndarray] = []
         epoch: datetime | None = None
+        integer_stamps: bool | None = None
 
         for row_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise MalformedRow(f"row {row_no}: expected {len(header)} cells, got {len(row)}")
             is_int, ts = _parse_timestamp(row[0], row_no)
+            if integer_stamps is None:
+                integer_stamps = is_int
+            elif is_int != integer_stamps:
+                raise MalformedRow(f"{path}: row {row_no}: mixes integer and ISO timestamps")
             if is_int:
                 hour = ts
             else:
+                if ts.minute or ts.second:
+                    raise MalformedRow(
+                        f"{path}: row {row_no}: timestamp {row[0].strip()!r} is not on the hour")
                 if epoch is None:
                     epoch = ts
                 delta = ts - epoch

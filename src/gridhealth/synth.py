@@ -2,10 +2,11 @@
 
 The generated fuel mix follows a diurnal/seasonal pattern with seeded
 noise: solar tracks daylight, wind peaks at night, gas and coal carry the
-evening peak and the morning ramp. Labels are produced by running each
-hour through the full emissions -> dispersion -> health chain with the
-bundle's own configuration, so they can be recomputed from the written
-files bit-for-bit.
+evening peak and the morning ramp. Labels come from one call of
+`health.impacts`, the emissions -> dispersion -> health chain in array
+form, over the whole series with the bundle's own configuration. Each
+label depends only on its own hour, so the labels can be recomputed from
+the written files bit-for-bit.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import InvalidParams
 from .health import (
     HealthSignal,
     PipelineConfig,
-    impact_per_mwh,
+    impacts,
     load_concentration_responses,
     load_receptor_profiles,
     load_valuations,
@@ -161,4 +162,6 @@ def synthetic_mix_series(hours: int, seed: int, start_hour: int = 0) -> FuelMixS
 
 def oracle_labels(series: FuelMixSeries, config: PipelineConfig) -> list[HealthSignal]:
     """Per-hour ground-truth health signal for a normalized series."""
-    return [impact_per_mwh(series.record(i), config) for i in range(len(series))]
+    costs = impacts(series.shares, series.fuel_names, config)
+    return [HealthSignal(internal, external, t)
+            for t, (internal, external) in zip(series.timestamps.tolist(), costs.tolist())]

@@ -197,6 +197,61 @@ class TestTrainPredictSweep:
                    "--out", tmp_path / "p", "--window", 72) == 1
 
 
+def _bad_format(p):
+    p["format"] = "gridhealth-checkpoint-v0"
+
+
+def _missing_param(p):
+    del p["params"]["lin_b"]
+
+
+def _extra_param(p):
+    p["converter_params"]["w4"] = [[0.0]]
+
+
+def _misshapen_param(p):
+    p["params"]["lin_w"] = p["params"]["lin_w"][:-1]
+
+
+def _missing_header_key(p):
+    del p["model"]["window"]
+
+
+class TestCorruptCheckpoint:
+    @pytest.fixture(scope="class")
+    def payload(self, bundle, tmp_path_factory):
+        out = tmp_path_factory.mktemp("ckpt")
+        assert run("train", "--dataset", bundle / "fuel_mix.csv",
+                   "--labels", bundle / "labels.csv", "--out", out,
+                   "--epochs", 0, "--seed", 1, "--arch", "linear_baseline") == 0
+        return (out / "checkpoint.json").read_text()
+
+    @pytest.mark.parametrize("corrupt, key", [
+        (_bad_format, "format"), (_missing_param, "lin_b"), (_extra_param, "w4"),
+        (_misshapen_param, "lin_w"), (_missing_header_key, "window"),
+    ])
+    def test_predict_rejects(self, bundle, payload, tmp_path, capsys, corrupt, key):
+        data = json.loads(payload)
+        corrupt(data)
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps(data))
+        out = tmp_path / "pred"
+        assert run("predict", "--dataset", bundle / "fuel_mix.csv",
+                   "--checkpoint", ckpt, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(ckpt) in err and repr(key) in err
+        assert not (out / "predicted_signal.csv").exists()
+
+    def test_predict_rejects_non_json(self, bundle, tmp_path, capsys):
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text('{"format": ')
+        out = tmp_path / "pred"
+        assert run("predict", "--dataset", bundle / "fuel_mix.csv",
+                   "--checkpoint", ckpt, "--out", out) == 1
+        assert capsys.readouterr().err.startswith(f"error: {ckpt}")
+        assert not (out / "predicted_signal.csv").exists()
+
+
 class TestSchedule:
     def write_signal(self, path, hours=48, constant=None):
         rows = [["timestamp", "internal_usd_per_mwh", "external_usd_per_mwh"]]

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridhealth.dispersion import SourceReceptorMatrix
-from gridhealth.emissions import EmissionFactorTable
+from gridhealth.dispersion import SourceReceptorMatrix, apply_source_receptor
+from gridhealth.emissions import EmissionFactorTable, emissions_from_mix
 from gridhealth.errors import (
     DimensionMismatch,
     MissingValuation,
@@ -22,10 +24,12 @@ from gridhealth.health import (
     ReceptorProfile,
     delta_health,
     impact_per_mwh,
+    impacts,
     monetize,
     receptor_costs,
     split_internal_external,
 )
+from gridhealth.ingest import CANONICAL_FUELS, ZERO_EMISSION_FUELS
 
 from conftest import make_record
 
@@ -201,6 +205,97 @@ class TestImpactPerMwh:
         config = one_hop_config()
         signal = impact_per_mwh(make_record([1.0, 0.0], ("COL", "WND"), timestamp=17), config)
         assert signal.timestamp == 17
+
+
+def scalar_chain(mix, config):
+    """Reference: the chain one receptor and one endpoint at a time."""
+    ev = emissions_from_mix(mix, config.factors, 1.0)
+    conc = apply_source_receptor(ev, config.sr_matrix)
+    costs = {}
+    for i, rid in enumerate(config.sr_matrix.receptor_ids):
+        prof = config.profile_for(rid)
+        cases = {c.endpoint_id: delta_health(prof, c, conc.delta[i]) for c in config.responses}
+        costs[rid] = monetize(cases, config.valuations)
+    return costs, split_internal_external(costs, config.profiles)
+
+
+def random_config(rng, k, m, forms, mask):
+    """Config over the canonical fuels with random magnitudes."""
+    factors = rng.uniform(0.0, 3.0, (len(CANONICAL_FUELS), k))
+    factors[[f in ZERO_EMISSION_FUELS for f in CANONICAL_FUELS]] = 0.0
+    pollutants = tuple(f"P{j}" for j in range(k))
+    receptors = tuple(f"R{i}" for i in range(m))
+    endpoints = [f"e{j}" for j in range(len(forms))]
+    internal = {"internal": np.ones(m, bool), "external": np.zeros(m, bool),
+                "mixed": rng.random(m) < 0.5}[mask]
+    profiles = [ReceptorProfile(rid, float(rng.uniform(0.0, 1e6)),
+                                {e: float(rng.uniform(0.0, 0.02)) for e in endpoints},
+                                bool(internal[i]))
+                for i, rid in enumerate(receptors)]
+    responses = [ConcentrationResponse(e, rng.uniform(0.0, 0.5, k), form)
+                 for e, form in zip(endpoints, forms)]
+    valuations = [HealthValuation(e, float(rng.uniform(0.0, 1e5))) for e in endpoints]
+    return PipelineConfig(EmissionFactorTable(factors, CANONICAL_FUELS, pollutants),
+                          SourceReceptorMatrix(rng.uniform(0.0, 2.0, (k, m)), receptors, pollutants),
+                          profiles, responses, valuations)
+
+
+class TestImpacts:
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), m=st.integers(1, 6),
+           forms=st.lists(st.sampled_from([LINEAR, LOG_LINEAR]), min_size=1, max_size=4),
+           mask=st.sampled_from(["internal", "external", "mixed"]),
+           fuels=st.permutations(CANONICAL_FUELS), n_fuels=st.integers(1, 8),
+           n=st.integers(0, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_chain(self, seed, k, m, forms, mask, fuels, n_fuels, n):
+        rng = np.random.default_rng(seed)
+        config = random_config(rng, k, m, forms, mask)
+        fuels = tuple(fuels[:n_fuels])
+        shares = rng.dirichlet(np.ones(n_fuels), size=n)
+        out = impacts(shares, fuels, config)
+        assert out.shape == (n, 2) and out.dtype == np.float64
+        internal_ids = {p.receptor_id for p in config.profiles if p.internal}
+        for i in range(n):
+            mix = make_record(shares[i], fuels)
+            ref_costs, ref_split = scalar_chain(mix, config)
+            np.testing.assert_allclose(out[i], ref_split, rtol=1e-12, atol=0.0)
+            costs = receptor_costs(mix, config)
+            np.testing.assert_allclose([costs[r] for r in ref_costs], list(ref_costs.values()),
+                                       rtol=1e-12, atol=0.0)
+            # each bucket is exactly the fsum of its receptor group
+            assert out[i, 0] == math.fsum(v for r, v in costs.items() if r in internal_ids)
+            assert out[i, 1] == math.fsum(v for r, v in costs.items() if r not in internal_ids)
+            # a row's result does not depend on the rows around it
+            assert impacts(shares[i:i + 1], fuels, config)[0].tolist() == out[i].tolist()
+
+    @given(seed=st.integers(0, 2**32 - 1), forms=st.lists(
+        st.sampled_from([LINEAR, LOG_LINEAR]), min_size=1, max_size=3))
+    @settings(max_examples=30, deadline=None)
+    def test_renewable_rows_exactly_zero(self, seed, forms):
+        rng = np.random.default_rng(seed)
+        config = random_config(rng, 3, 4, forms, "mixed")
+        fuels = ("COL", "WND", "NG", "SUN", "WAT", "NUC")
+        shares = rng.dirichlet(np.ones(len(fuels)), size=3)
+        shares[:, [0, 2]] = 0.0
+        assert impacts(shares, fuels, config).tolist() == [[0.0, 0.0]] * 3
+
+    def test_empty_and_single_row_shapes(self, default_config):
+        fuels = default_config.factors.fuel_names
+        assert impacts(np.zeros((0, len(fuels))), fuels, default_config).shape == (0, 2)
+        one = impacts(np.full((1, len(fuels)), 1.0 / len(fuels)), fuels, default_config)
+        assert one.shape == (1, 2)
+
+    def test_unknown_fuel_rejected(self):
+        with pytest.raises(DimensionMismatch, match="GEO"):
+            impacts(np.array([[0.5, 0.5]]), ("COL", "GEO"), one_hop_config())
+
+    def test_share_width_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            impacts(np.array([[0.5, 0.5]]), ("COL",), one_hop_config())
+
+    def test_negative_emissions_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            impacts(np.array([[-0.5, 1.5]]), ("COL", "WND"), one_hop_config())
 
 
 class TestConfigValidation:

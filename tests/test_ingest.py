@@ -104,6 +104,19 @@ class TestLoad:
         series = load_fuel_mix(p, IDENTITY2)
         np.testing.assert_array_equal(series.timestamps, [0, 1])
 
+    @pytest.mark.parametrize("stamps, row_no", [
+        (["2023-01-01T00", "2023-01-01T01:30"], 3),
+        (["2023-01-01 00:00:15", "2023-01-01 01:00:15"], 2),
+        ([0, "2023-01-01T01"], 3),
+        (["2023-01-01T00", 1], 3),
+    ])
+    def test_rejects_off_hour_and_mixed_timestamps(self, tmp_path, stamps, row_no):
+        p = tmp_path / "mix.csv"
+        write_csv(p, [["timestamp", "coal", "gas"]] + [[t, 0.5, 0.5] for t in stamps])
+        with pytest.raises(MalformedRow, match=f"row {row_no}:") as info:
+            load_fuel_mix(p, IDENTITY2)
+        assert str(p) in str(info.value)
+
     def test_round_trip_write(self, tmp_path):
         series = make_series([[0.5, 0.5], [0.3, 0.7]], ("COL", "NG"))
         p = tmp_path / "out.csv"
