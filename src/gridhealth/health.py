@@ -92,8 +92,8 @@ class HealthSignal:
     timestamp: int = 0
 
     def __post_init__(self):
-        if self.internal_cost < 0 or self.external_cost < 0:
-            raise ValueError("health signal costs must be nonnegative")
+        if not (0 <= self.internal_cost < math.inf and 0 <= self.external_cost < math.inf):
+            raise ValueError("health signal costs must be finite and nonnegative")
 
     @property
     def total(self) -> float:
@@ -336,10 +336,11 @@ def load_signals_csv(path: str | Path) -> list[HealthSignal]:
         if header != ["timestamp", "internal_usd_per_mwh", "external_usd_per_mwh"]:
             raise MalformedRow(f"{path}: bad health-signal header")
         for row in reader:
+            where = f"{path}:{reader.line_num}"
             if len(row) != 3:
-                raise MalformedRow(f"{path}: bad row {row!r}")
+                raise MalformedRow(f"{where}: bad row {row!r}")
             try:
                 signals.append(HealthSignal(float(row[1]), float(row[2]), int(row[0])))
             except ValueError as exc:
-                raise MalformedRow(f"{path}: bad number in {row!r}") from exc
+                raise MalformedRow(f"{where}: bad value in {row!r}: {exc}") from exc
     return signals

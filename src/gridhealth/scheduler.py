@@ -7,6 +7,13 @@ weights it by that partial energy. With the remainder on the last-selected
 (most expensive) slot, picking the n cheapest slots is globally optimal,
 which `brute_force_schedule` verifies by enumeration.
 
+Fleet evaluation is array-form: `evaluate_fleet` groups sessions by window
+length, gathers one (sessions, window) price block per group and costs every
+strategy in batch. The per-session functions (`optimal_schedule`,
+`baseline_schedule`, `schedule_for`, `brute_force_schedule`) are the oracle
+it is tested against: each session's cost is the `math.fsum` of the same
+energy x price products `Schedule.cost` adds, so it is equal with `==`.
+
 Costs are in dollars: h carries $/kWh per slot and energies are kWh.
 """
 
@@ -16,9 +23,12 @@ import csv
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateDistribution,
@@ -40,9 +50,12 @@ ALL_STRATEGIES = (STRATEGY_OPTIMAL, STRATEGY_FIRST, STRATEGY_LATEST, STRATEGY_CO
 USD_PER_MWH_TO_PER_KWH = 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChargingSession:
-    """One EV: arrival/departure slot indices (inclusive), kWh demand, kW rate."""
+    """One EV: arrival/departure slot indices (inclusive), kWh demand, kW rate.
+
+    A session is feasible when the slots it needs fit in its window.
+    """
 
     arrival: int
     departure: int
@@ -51,16 +64,19 @@ class ChargingSession:
     session_id: str = ""
 
     def __post_init__(self):
+        name = self.session_id or "session"
         if self.departure < self.arrival:
-            raise InfeasibleSession(f"{self.session_id or 'session'}: departure before arrival")
-        if self.demand_kwh < 0:
-            raise InfeasibleSession(f"{self.session_id or 'session'}: negative demand")
-        if self.rate_kw <= 0:
-            raise InfeasibleSession(f"{self.session_id or 'session'}: rate must be positive")
-        if self.demand_kwh > self.rate_kw * self.window_length + 1e-9:
+            raise InfeasibleSession(f"{name}: departure before arrival")
+        if not math.isfinite(self.demand_kwh) or self.demand_kwh < 0:
+            raise InfeasibleSession(f"{name}: demand must be finite and nonnegative, "
+                                    f"got {self.demand_kwh}")
+        if not math.isfinite(self.rate_kw) or self.rate_kw <= 0:
+            raise InfeasibleSession(f"{name}: rate must be finite and positive, "
+                                    f"got {self.rate_kw}")
+        if self.slots_needed > self.window_length:
             raise InfeasibleSession(
-                f"{self.session_id or 'session'}: demand {self.demand_kwh} kWh exceeds "
-                f"{self.rate_kw * self.window_length} kWh deliverable in the window"
+                f"{name}: demand {self.demand_kwh} kWh needs {self.slots_needed} slots at "
+                f"{self.rate_kw} kW, the window has {self.window_length}"
             )
 
     @property
@@ -214,23 +230,134 @@ def signal_to_slot_prices(signals: list[HealthSignal]) -> tuple[np.ndarray, int]
 
 def evaluate_fleet(sessions: list[ChargingSession], signals: list[HealthSignal],
                    strategies: list[str] | tuple[str, ...] = ALL_STRATEGIES) -> dict[str, float]:
-    """Total fleet cost per strategy against one health-signal series."""
+    """Total fleet cost per strategy against one health-signal series.
+
+    Each total adds the per-session costs left to right in session order.
+    """
+    for strategy in strategies:
+        if strategy not in ALL_STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}")
     prices, t0 = signal_to_slot_prices(signals)
-    horizon = len(prices)
-    totals = {s: 0.0 for s in strategies}
-    for i, session in enumerate(sessions):
-        lo = session.arrival - t0
-        hi = session.departure - t0
-        if lo < 0 or hi >= horizon:
-            label = session.session_id or f"#{i}"
-            raise SignalCoverageGap(
-                f"session {label} window [{session.arrival}, {session.departure}] "
-                f"outside signal range [{t0}, {t0 + horizon - 1}]"
-            )
-        h = prices[lo:hi + 1]
-        for strategy in strategies:
-            totals[strategy] += schedule_for(session, h, strategy).total_cost
+    fleet = _fleet_arrays(sessions, prices, t0)
+    totals = {}
+    for strategy in strategies:
+        costs = _session_costs(fleet, prices, strategy)
+        # accumulate is sequential, like +=; sum() and np.sum round differently
+        totals[strategy] = float(np.add.accumulate(costs, out=costs)[-1]) if len(costs) else 0.0
     return totals
+
+
+# Elements in one temporary block of the fleet engine; bounds its memory.
+_BLOCK_ELEMENTS = 1 << 13
+
+
+class _Fleet(NamedTuple):
+    lo: np.ndarray         # each window's first slot, as an index into the prices
+    width: np.ndarray      # window lengths
+    rate: np.ndarray
+    n: np.ndarray          # slots needed
+    remainder: np.ndarray  # energy of the last-selected slot, as `_make_schedule` has it
+    chunks: list           # (window length, session indices), at most one block each
+
+
+def _fleet_arrays(sessions: list[ChargingSession], prices: np.ndarray, t0: int) -> _Fleet:
+    """Session fields as arrays, chunked by window length; raises on a coverage gap."""
+    def column(name, dtype):
+        return np.fromiter(map(attrgetter(name), sessions), dtype, len(sessions))
+
+    lo = column("arrival", np.int64) - t0
+    hi = column("departure", np.int64) - t0
+    outside = (lo < 0) | (hi >= len(prices))
+    if outside.any():
+        i = int(np.argmax(outside))
+        s = sessions[i]
+        raise SignalCoverageGap(
+            f"session {s.session_id or f'#{i}'} window [{s.arrival}, {s.departure}] "
+            f"outside signal range [{t0}, {t0 + len(prices) - 1}]"
+        )
+    # slot indices fit int32 and it halves the engine's index memory
+    lo, width = lo.astype(np.int32), (hi - lo + 1).astype(np.int32)
+    order = np.argsort(width, kind="stable").astype(np.int32)
+    chunks = []
+    for group in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):
+        if len(group):
+            w = int(width[group[0]])
+            step = max(1, _BLOCK_ELEMENTS // w)
+            chunks.extend((w, group[at:at + step]) for at in range(0, len(group), step))
+    rate, n = column("rate_kw", np.float64), column("slots_needed", np.int32)
+    remainder = np.where(n > 0, column("demand_kwh", np.float64) - (n - 1) * rate, 0.0)
+    return _Fleet(lo, width, rate, n, remainder, chunks)
+
+
+def _session_costs(fleet: _Fleet, prices: np.ndarray, strategy: str) -> np.ndarray:
+    """One strategy's cost per session, in session order.
+
+    The chosen slots of a row are columns start..start+n-1 of its price
+    block (sorted for `optimal`); the last carries the remainder. Each cost
+    is the `math.fsum` of the products `Schedule.cost` adds, so it equals
+    `schedule_for(...).total_cost`.
+    """
+    if strategy == STRATEGY_CONTINUOUS:
+        best_start = _continuous_starts(fleet, prices)
+    costs = np.zeros(len(fleet.n))
+    for w, idx in fleet.chunks:
+        col = np.arange(w)
+        block = prices[fleet.lo[idx, None] + col]
+        n, rate, remainder = fleet.n[idx], fleet.rate[idx], fleet.remainder[idx]
+        if strategy == STRATEGY_OPTIMAL:
+            block.sort(axis=1, kind="stable")
+            start = np.zeros_like(n)
+        elif strategy == STRATEGY_FIRST:
+            start = np.zeros_like(n)
+        elif strategy == STRATEGY_LATEST:
+            start = w - n
+        else:
+            start = best_start[idx]
+        last = (start + n - 1)[:, None]
+        energy = np.where(col == last, remainder[:, None],
+                          np.where((col >= start[:, None]) & (col < last), rate[:, None], 0.0))
+        costs[idx] = [math.fsum(row) for row in (energy * block).tolist()]
+    return costs
+
+
+def _continuous_starts(fleet: _Fleet, prices: np.ndarray) -> np.ndarray:
+    """First start of each session's cheapest contiguous run, as `baseline_schedule` finds it.
+
+    A run of n slots from slot p costs rate x (numpy sum of prices[p:p+n-1])
+    + remainder x prices[p+n-1], the scalar loop's arithmetic. The leading
+    sum depends only on p and n, so it is taken once per (n, p) that some
+    session needs, each the pairwise sum of one contiguous row: it rounds
+    like the scalar slice, where a cumsum difference would not.
+    """
+    n, width, lo = fleet.n, fleet.width, fleet.lo
+    best_start = np.zeros_like(n)
+    for m in np.flatnonzero(np.bincount(n)).tolist():
+        rows = np.flatnonzero((n == m) & (width > m))
+        if m == 0 or not len(rows):
+            continue
+        starts = width[rows] - m + 1
+        lead = np.zeros(len(prices))
+        if m > 1:
+            # slots where some run starts: +1 at each lo, -1 past its last start
+            cover = np.cumsum(np.bincount(lo[rows], minlength=len(prices) + 1)
+                              - np.bincount(lo[rows] + starts, minlength=len(prices) + 1))
+            needed = np.flatnonzero(cover[:-1])
+            runs = sliding_window_view(prices, m - 1)
+            step = max(1, _BLOCK_ELEMENTS // (m - 1))
+            for at in range(0, len(needed), step):
+                p = needed[at:at + step]
+                lead[p] = runs[p].sum(axis=-1)
+        span = np.arange(int(starts.max()))
+        step = max(1, _BLOCK_ELEMENTS // len(span))
+        for at in range(0, len(rows), step):
+            r = rows[at:at + step]
+            valid = span < starts[at:at + step, None]
+            p = np.where(valid, lo[r, None] + span, lo[r, None])
+            cost = (fleet.rate[r, None] * lead[p]
+                    + fleet.remainder[r, None] * prices[p + m - 1])
+            cost[~valid] = np.inf
+            best_start[r] = np.argmin(cost, axis=1)
+    return best_start
 
 
 def sample_sessions(count: int, arrival_dist, departure_dist, demand_dist,
@@ -316,13 +443,17 @@ def load_sessions(path: str | Path) -> list[ChargingSession]:
         if header != ["session_id", "arrival", "departure", "demand_kwh", "rate_kw"]:
             raise MalformedRow(f"{path}: bad sessions header")
         for row in reader:
+            where = f"{path}:{reader.line_num}"
             if len(row) != 5:
-                raise MalformedRow(f"{path}: bad row {row!r}")
+                raise MalformedRow(f"{where}: bad row {row!r}")
             try:
-                sessions.append(ChargingSession(int(row[1]), int(row[2]), float(row[3]),
-                                                float(row[4]), session_id=row[0]))
+                fields = int(row[1]), int(row[2]), float(row[3]), float(row[4])
             except ValueError as exc:
-                raise MalformedRow(f"{path}: bad number in {row!r}") from exc
+                raise MalformedRow(f"{where}: bad number in {row!r}") from exc
+            try:
+                sessions.append(ChargingSession(*fields, session_id=row[0]))
+            except InfeasibleSession as exc:
+                raise InfeasibleSession(f"{where}: {exc}") from exc
     return sessions
 
 

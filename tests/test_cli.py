@@ -331,6 +331,31 @@ class TestSchedule:
         # reductions vs baselines still populated
         assert all(float(v) >= 0.0 for v in rows[1][2:])
 
+    @pytest.mark.parametrize("row", [["a", 0, 20, "nan", 5.0], ["a", 0, 20, 30.0, "inf"],
+                                     ["a", 20, 10, 30.0, 5.0]])
+    def test_bad_session_named_with_line(self, tmp_path, capsys, row):
+        sig, ses = tmp_path / "sig.csv", tmp_path / "ses.csv"
+        self.write_signal(sig)
+        self.write_sessions(ses, [["ok", 0, 20, 30.0, 5.0], row])
+        out = tmp_path / "out"
+        assert run("schedule", "--signal", sig, "--sessions", ses, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{ses}:3:" in err
+        assert not (out / "results.csv").exists()
+
+    def test_nan_label_rejected(self, tmp_path, capsys):
+        sig, ses = tmp_path / "sig.csv", tmp_path / "ses.csv"
+        self.write_signal(sig)
+        lines = sig.read_text().splitlines()
+        lines[5] = "4,nan,1.0"
+        sig.write_text("\n".join(lines) + "\n")
+        self.write_sessions(ses, [["a", 0, 20, 30.0, 5.0]])
+        out = tmp_path / "out"
+        assert run("schedule", "--signal", sig, "--sessions", ses, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{sig}:6:" in err
+        assert not (out / "results.csv").exists()
+
     def test_missing_sessions_and_sample_config(self, tmp_path, capsys):
         sig = tmp_path / "sig.csv"
         self.write_signal(sig)

@@ -1,6 +1,7 @@
 """Concentration-response, monetization, and the end-to-end per-MWh signal."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from gridhealth.dispersion import SourceReceptorMatrix, apply_source_receptor
 from gridhealth.emissions import EmissionFactorTable, emissions_from_mix
 from gridhealth.errors import (
     DimensionMismatch,
+    MalformedRow,
     MissingValuation,
     UnknownReceptor,
 )
@@ -25,6 +27,7 @@ from gridhealth.health import (
     delta_health,
     impact_per_mwh,
     impacts,
+    load_signals_csv,
     monetize,
     receptor_costs,
     split_internal_external,
@@ -323,3 +326,20 @@ class TestConfigValidation:
 def test_health_signal_rejects_negative():
     with pytest.raises(ValueError):
         HealthSignal(-1.0, 0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_health_signal_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="finite"):
+        HealthSignal(value, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        HealthSignal(0.0, value)
+
+
+@pytest.mark.parametrize("cells", ["1,nan,1.0", "1,1.0,inf", "1,-0.5,1.0", "1,x,1.0"])
+def test_load_signals_names_path_and_line(tmp_path, cells):
+    p = tmp_path / "labels.csv"
+    p.write_text("timestamp,internal_usd_per_mwh,external_usd_per_mwh\n0,1.0,1.0\n"
+                 + cells + "\n")
+    with pytest.raises(MalformedRow, match=re.escape(f"{p}:3: ")):
+        load_signals_csv(p)

@@ -1,6 +1,7 @@
 """Charging schedules: exact optimum, oracle agreement, baselines, fleets."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from gridhealth.errors import (
     DegenerateDistribution,
     InfeasibleSession,
+    MalformedRow,
     SignalCoverageGap,
     WindowTooLarge,
 )
@@ -20,6 +22,8 @@ from gridhealth.scheduler import (
     STRATEGY_FIRST,
     STRATEGY_LATEST,
     ChargingSession,
+    _fleet_arrays,
+    _session_costs,
     baseline_schedule,
     brute_force_schedule,
     evaluate_fleet,
@@ -27,6 +31,7 @@ from gridhealth.scheduler import (
     optimal_schedule,
     sample_sessions,
     schedule_for,
+    signal_to_slot_prices,
     write_sessions,
 )
 
@@ -192,6 +197,35 @@ class TestSessionValidation:
         with pytest.raises(InfeasibleSession):
             ChargingSession(0, 1, 1.0, 0.0)
 
+    @pytest.mark.parametrize("demand,rate", [
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_non_finite_rejected(self, demand, rate):
+        with pytest.raises(InfeasibleSession, match="finite"):
+            ChargingSession(0, 3, demand, rate)
+
+    def test_slots_beyond_window_rejected_at_small_rate(self):
+        # within 1e-9 kWh of 4 slots' energy, but 5 slots by slots_needed
+        with pytest.raises(InfeasibleSession, match="5 slots"):
+            ChargingSession(0, 3, 4 * 0.001 + 5e-10, 0.001)
+
+    @given(st.integers(1, 100), st.floats(1e-4, 1e3), st.floats(-1e-12, 1e-12),
+           st.integers(-3, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_demand_near_multiple_of_rate(self, n, rate, eps, extra):
+        demand = n * rate * (1 + eps)
+        assert ChargingSession(0, n + 2, demand, rate).slots_needed == n
+        w = max(1, n + extra)
+        if n > w:
+            with pytest.raises(InfeasibleSession):
+                ChargingSession(0, w - 1, demand, rate)
+            return
+        s = ChargingSession(0, w - 1, demand, rate)
+        assert s.slots_needed <= s.window_length
+        h = np.linspace(0.5, 2.0, w)
+        for strategy in ALL_STRATEGIES:
+            schedule_for(s, h, strategy)
+
 
 def diurnal_signal(hours, t0=0):
     out = []
@@ -243,6 +277,94 @@ class TestFleet:
         signals = diurnal_signal(10) + diurnal_signal(10, t0=12)
         with pytest.raises(SignalCoverageGap):
             evaluate_fleet([ChargingSession(0, 3, 1.0, 1.0)], signals, [STRATEGY_FIRST])
+
+
+def engine_costs(sessions, signals, strategy):
+    prices, t0 = signal_to_slot_prices(signals)
+    return _session_costs(_fleet_arrays(sessions, prices, t0), prices, strategy)
+
+
+@st.composite
+def fleets(draw):
+    """A signal starting at some t0 and sessions inside it, with edge cases common."""
+    hours = draw(st.integers(1, 40))
+    t0 = draw(st.integers(0, 30))
+    kind = draw(st.sampled_from(["ties", "constant", "zeros", "uniform"]))
+    if kind == "ties":
+        costs = [0.37 * k for k in draw(st.lists(st.integers(0, 3), min_size=hours,
+                                                  max_size=hours))]
+    elif kind == "constant":
+        costs = [draw(st.floats(0.0, 50.0))] * hours
+    elif kind == "zeros":
+        costs = [0.0] * hours
+    else:
+        costs = draw(st.lists(st.floats(0.0, 50.0), min_size=hours, max_size=hours))
+    signals = [HealthSignal(c * 600.0, c * 400.0, t0 + t) for t, c in enumerate(costs)]
+    sessions = []
+    for i in range(draw(st.integers(0, 25))):
+        w = draw(st.integers(1, hours))
+        arrival = t0 + draw(st.integers(0, hours - w))
+        n = draw(st.integers(0, w))
+        rate = draw(st.sampled_from([0.37, 1.0, 3.6, 7.2, 11.0]))
+        if n == 0 or draw(st.booleans()):
+            demand = n * rate
+        else:
+            demand = (n - 1 + draw(st.floats(0.01, 1.0))) * rate
+        sessions.append(ChargingSession(arrival, arrival + w - 1, demand, rate, f"E{i}"))
+    return sessions, signals
+
+
+class TestFleetEngine:
+    """`evaluate_fleet` against the per-session functions, compared with ==."""
+
+    @given(fleets())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_oracle(self, fleet):
+        sessions, signals = fleet
+        prices, t0 = signal_to_slot_prices(signals)
+        totals = evaluate_fleet(sessions, signals)
+        for strategy in ALL_STRATEGIES:
+            costs = engine_costs(sessions, signals, strategy)
+            total = 0.0
+            for s, cost in zip(sessions, costs):
+                h = prices[s.arrival - t0:s.departure - t0 + 1]
+                scalar = schedule_for(s, h, strategy).total_cost
+                assert cost == scalar, (strategy, s)
+                total += scalar
+            assert totals[strategy] == total
+
+    def test_edge_sessions(self):
+        signals = diurnal_signal(30, t0=17)
+        sessions = [
+            ChargingSession(17, 17, 3.0, 3.6, "w1-partial"),
+            ChargingSession(20, 20, 7.2, 7.2, "w1-full"),
+            ChargingSession(18, 25, 0.0, 7.2, "zero"),
+            ChargingSession(18, 25, 8 * 7.2, 7.2, "n-equals-w"),
+            ChargingSession(30, 46, 5 * 11.0, 11.0, "exact-multiple"),
+            ChargingSession(19, 40, 20.5, 3.6, "partial"),
+        ]
+        prices, t0 = signal_to_slot_prices(signals)
+        for strategy in ALL_STRATEGIES:
+            costs = engine_costs(sessions, signals, strategy)
+            for s, cost in zip(sessions, costs):
+                h = prices[s.arrival - t0:s.departure - t0 + 1]
+                assert cost == schedule_for(s, h, strategy).total_cost, (strategy, s)
+
+    def test_coverage_gap_names_first_offender(self):
+        signals = diurnal_signal(24, t0=5)
+        fleet = [ChargingSession(5, 10, 1.0, 1.0, "ok"),
+                 ChargingSession(20, 30, 1.0, 1.0, "first"),
+                 ChargingSession(0, 3, 1.0, 1.0, "second")]
+        with pytest.raises(SignalCoverageGap, match=r"session first window \[20, 30\] "
+                                                    r"outside signal range \[5, 28\]"):
+            evaluate_fleet(fleet, signals)
+        with pytest.raises(SignalCoverageGap, match="session #1 "):
+            evaluate_fleet([fleet[0], ChargingSession(0, 3, 1.0, 1.0)], signals)
+
+    def test_unknown_strategy(self):
+        with pytest.raises(ValueError, match="unknown strategy 'greedy'"):
+            evaluate_fleet([ChargingSession(0, 3, 1.0, 1.0)], diurnal_signal(24),
+                           ["optimal", "greedy"])
 
 
 ARRIVAL = np.zeros(24)
@@ -300,6 +422,20 @@ class TestSampling:
     def test_degenerate_demand(self):
         with pytest.raises(DegenerateDistribution):
             sample_sessions(5, ARRIVAL, DEPART, [], rate=5.0, seed=1)
+
+
+@pytest.mark.parametrize("row,error", [
+    ("a,0,3,nan,1.0", InfeasibleSession),
+    ("a,0,3,1.0,inf", InfeasibleSession),
+    ("a,5,3,1.0,1.0", InfeasibleSession),
+    ("a,0,3,x,1.0", MalformedRow),
+    ("a,0,3,1.0", MalformedRow),
+])
+def test_load_sessions_names_path_and_line(tmp_path, row, error):
+    p = tmp_path / "sessions.csv"
+    p.write_text("session_id,arrival,departure,demand_kwh,rate_kw\nok,0,3,1.0,1.0\n" + row + "\n")
+    with pytest.raises(error, match=re.escape(f"{p}:3: ")):
+        load_sessions(p)
 
 
 def test_sessions_csv_round_trip(tmp_path):
