@@ -3,8 +3,11 @@
 A `Tensor` wraps an ndarray and remembers how it was produced; calling
 `backward()` on a scalar output walks the recorded graph in reverse
 topological order and accumulates gradients into every tensor created
-with `requires_grad=True`. Only the operations the forecaster, health
-converter, and dispersion layer actually need are implemented.
+with `requires_grad=True`. The walk frees the graph as it goes, so each
+graph supports one `backward()`. Only the operations the forecaster,
+health converter, and dispersion layer actually need are implemented;
+the forecaster's hot composites (`linear`, `gelu`, `layer_norm_affine`,
+`attention`) are single nodes with hand-written backward passes.
 
 All data is float64. Gradients of broadcast operands are summed back to
 the operand's shape, so biases and per-feature scales behave like their
@@ -13,11 +16,20 @@ full-rank counterparts.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import NonFiniteValue
+from .errors import GraphReleased, NonFiniteValue
 
 _grad_enabled = True
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def _released(g):
+    """Marks a node whose backward already ran and whose graph is freed."""
+    raise GraphReleased("this graph was freed by an earlier backward()")
 
 
 class no_grad:
@@ -94,7 +106,13 @@ class Tensor:
             self._grad_owned = True
 
     def backward(self):
-        """Backpropagate from this scalar; accumulates into `.grad` fields."""
+        """Backpropagate from this scalar; accumulates into `.grad` fields.
+
+        Each interior node is released once its own backward has run: it
+        drops its parents, its closure and its `.grad`, so activations are
+        freed as the walk proceeds. Leaf gradients are kept. A second
+        backward through a released node raises `GraphReleased`.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
         topo: list[Tensor] = []
@@ -107,15 +125,23 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _released:
+                raise GraphReleased("backward() through a graph an earlier backward() freed")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._parents = ()
+            node._backward = _released
+            node.zero_grad()
 
     def zero_grad(self):
         self.grad = None
@@ -371,6 +397,117 @@ class Tensor:
             a._accumulate(inv * (g - gm - y * gy))
 
         return Tensor._make(y, (a,), back)
+
+    # -- fused nodes ---------------------------------------------------------
+    # Each forward performs the same float operations as the composite it
+    # replaces, so values are bit-identical; the backward passes keep only
+    # what they need instead of every intermediate.
+
+    def linear(self, w: "Tensor", b: "Tensor") -> "Tensor":
+        """`self @ w + b` for a 2-D weight `w` and a bias row `b`."""
+        x = self
+        xd, wd = x.data, w.data
+        x2 = xd.reshape(-1, xd.shape[-1])
+        out = x2 @ wd
+        out += b.data
+
+        def back(g):
+            g2 = g.reshape(-1, wd.shape[-1])
+            if x.requires_grad:
+                x._accumulate((g2 @ wd.T).reshape(xd.shape))
+            if w.requires_grad:
+                w._accumulate(x2.T @ g2)
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(g, b.data.shape))
+
+        return Tensor._make(out.reshape(*xd.shape[:-1], wd.shape[-1]), (x, w, b), back)
+
+    def gelu(self):
+        """Tanh-form GELU: x/2 * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3)))."""
+        a = self
+        xd = a.data
+        th = xd * xd
+        th *= xd
+        th *= 0.044715
+        th += xd
+        th *= _GELU_C
+        np.tanh(th, out=th)
+        out = xd * 0.5
+        out *= th + 1.0
+
+        def back(g):
+            dx = xd * xd
+            dx *= 3.0 * 0.044715
+            dx += 1.0
+            dx *= _GELU_C
+            dx *= 1.0 - th * th
+            dx *= xd
+            dx += th
+            dx += 1.0
+            dx *= 0.5
+            dx *= g
+            a._accumulate(dx)
+
+        return Tensor._make(out, (a,), back)
+
+    def layer_norm_affine(self, gain: "Tensor", bias: "Tensor", eps: float = 1e-5):
+        """`layer_norm(eps) * gain + bias` over the last axis."""
+        a = self
+        gd = gain.data
+        mu = a.data.mean(axis=-1, keepdims=True)
+        var = a.data.var(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + eps)
+        y = a.data - mu
+        y *= inv
+        out = y * gd
+        out += bias.data
+
+        def back(g):
+            if gain.requires_grad:
+                gain._accumulate(_unbroadcast(g * y, gd.shape))
+            if bias.requires_grad:
+                bias._accumulate(_unbroadcast(g, bias.data.shape))
+            if a.requires_grad:
+                gy = g * gd
+                gyy = (gy * y).mean(axis=-1, keepdims=True)
+                gm = gy.mean(axis=-1, keepdims=True)
+                a._accumulate(inv * (gy - gm - y * gyy))
+
+        return Tensor._make(out, (a, gain, bias), back)
+
+    def attention(self, k: "Tensor", v: "Tensor", scale: float, mask=None) -> "Tensor":
+        """Scaled dot-product attention `softmax(self @ k^T * scale) @ v`.
+
+        `mask`, if given, multiplies the attention weights (inverted
+        dropout) and has their broadcast shape. Leading axes broadcast, so
+        a batch-1 query attends over batch-B keys and its gradient is
+        summed back over B.
+        """
+        q = self
+        qd, kd, vd = q.data, k.data, v.data
+        kt = kd.swapaxes(-1, -2)
+        p = qd @ kt
+        p *= scale
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        out = (p if mask is None else p * mask) @ vd
+
+        def back(g):
+            w = p if mask is None else p * mask
+            if v.requires_grad:
+                v._accumulate(_unbroadcast(w.swapaxes(-1, -2) @ g, vd.shape))
+            gw = g @ vd.swapaxes(-1, -2)
+            if mask is not None:
+                gw *= mask
+            gs = p * (gw - (gw * p).sum(axis=-1, keepdims=True))
+            gs *= scale
+            if q.requires_grad:
+                q._accumulate(_unbroadcast(gs @ kd, qd.shape))
+            if k.requires_grad:
+                k._accumulate(_unbroadcast(qd.swapaxes(-1, -2) @ gs, kt.shape).swapaxes(-1, -2))
+
+        return Tensor._make(out, (q, k, v), back)
 
 
 def parameter(data, rng: np.random.Generator | None = None, scale: float | None = None) -> Tensor:

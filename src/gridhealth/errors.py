@@ -72,6 +72,10 @@ class NonFiniteValue(GridHealthError):
     """A NaN or infinity appeared where a finite value is required."""
 
 
+class GraphReleased(GridHealthError):
+    """backward() reached a graph node an earlier backward() already freed."""
+
+
 class ShortHistory(GridHealthError):
     """Forecast input window is shorter than the model's context length."""
 

@@ -14,9 +14,12 @@ health-driven. Training is plain SGD and fully deterministic given a seed.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+import platform
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -81,16 +84,17 @@ def _sinusoidal_positions(length: int, dim: int) -> np.ndarray:
     return enc
 
 
-def _gelu(x: Tensor) -> Tensor:
-    inner = (x + x * x * x * 0.044715) * math.sqrt(2.0 / math.pi)
-    return x * 0.5 * (inner.tanh() + 1.0)
+def _dropout_mask(shape, p: float, training: bool,
+                  rng: np.random.Generator | None) -> np.ndarray | None:
+    """Inverted-dropout mask of `shape`, or None when dropout is off."""
+    if not training or p <= 0.0 or rng is None:
+        return None
+    return (rng.random(shape) >= p) * (1 / (1 - p))
 
 
 def _dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None) -> Tensor:
-    if not training or p <= 0.0 or rng is None:
-        return x
-    mask = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
-    return x * Tensor(mask)
+    mask = _dropout_mask(x.shape, p, training, rng)
+    return x if mask is None else x * Tensor(mask)
 
 
 class ForecastModel:
@@ -199,31 +203,30 @@ class ForecastModel:
         dk = d // h
 
         def heads_of(x, name):
-            proj = x @ p[f"{prefix}_{stage}_w{name}"] + p[f"{prefix}_{stage}_b{name}"]
+            proj = x.linear(p[f"{prefix}_{stage}_w{name}"], p[f"{prefix}_{stage}_b{name}"])
             b, t, _ = proj.shape
             return proj.reshape(b, t, h, dk).transpose(0, 2, 1, 3)
 
         q = heads_of(q_in, "q")
         k = heads_of(k_in, "k")
         v = heads_of(v_in, "v")
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(dk))
-        attn = _dropout(scores.softmax(axis=-1), self.dropout, training, rng)
-        ctx = attn @ v
+        weights_shape = np.broadcast_shapes(q.shape[:-2], k.shape[:-2]) + (q.shape[-2], k.shape[-2])
+        mask = _dropout_mask(weights_shape, self.dropout, training, rng)
+        ctx = q.attention(k, v, 1.0 / math.sqrt(dk), mask)
         b, _, t, _ = ctx.shape
         ctx = ctx.transpose(0, 2, 1, 3).reshape(b, t, d)
-        return ctx @ p[f"{prefix}_{stage}_wo"] + p[f"{prefix}_{stage}_bo"]
+        return ctx.linear(p[f"{prefix}_{stage}_wo"], p[f"{prefix}_{stage}_bo"])
 
     def _sublayer(self, prefix, stage, x, out, training, rng):
         p = self.params
         mixed = x + _dropout(out, self.dropout, training, rng)
-        return mixed.layer_norm() * p[f"{prefix}_{stage}_ln_g"] + p[f"{prefix}_{stage}_ln_b"]
+        return mixed.layer_norm_affine(p[f"{prefix}_{stage}_ln_g"], p[f"{prefix}_{stage}_ln_b"])
 
     def _ff(self, prefix, x, training, rng):
         p = self.params
-        hidden = _gelu(x @ p[f"{prefix}_ff_w1"] + p[f"{prefix}_ff_b1"])
-        out = hidden @ p[f"{prefix}_ff_w2"] + p[f"{prefix}_ff_b2"]
-        mixed = x + _dropout(out, self.dropout, training, rng)
-        return mixed.layer_norm() * p[f"{prefix}_ff_ln_g"] + p[f"{prefix}_ff_ln_b"]
+        hidden = x.linear(p[f"{prefix}_ff_w1"], p[f"{prefix}_ff_b1"]).gelu()
+        out = hidden.linear(p[f"{prefix}_ff_w2"], p[f"{prefix}_ff_b2"])
+        return self._sublayer(prefix, "ff", x, out, training, rng)
 
     def forward_tensor(self, x: Tensor, training: bool = False,
                        rng: np.random.Generator | None = None) -> Tensor:
@@ -239,12 +242,12 @@ class ForecastModel:
         t, f = self.window, self.n_fuels
         feats = Tensor(np.log(np.maximum(x.data, _LOG_FLOOR)))
         flat = feats.reshape(b, t * f)
-        logits = flat @ self.params["lin_w"] + self.params["lin_b"]
+        logits = flat.linear(self.params["lin_w"], self.params["lin_b"])
         return logits.reshape(b, t, f).softmax(axis=-1)
 
     def _forward_attention(self, x, training, rng):
         p = self.params
-        h = x @ p["embed_w"] + p["embed_b"]
+        h = x.linear(p["embed_w"], p["embed_b"])
         h = h + Tensor(self.positions)
         h = _dropout(h, self.dropout, training, rng)
         for i in range(self.encoder_layers):
@@ -264,7 +267,7 @@ class ForecastModel:
                                training, rng)
             q = self._ff(pre, q, training, rng)
 
-        logits = q @ p["out_w"] + p["out_b"]
+        logits = q.linear(p["out_w"], p["out_b"])
         return logits.softmax(axis=-1)
 
 
@@ -316,9 +319,9 @@ class HealthConverterNet:
         if features is not None:
             raise NotImplementedError("auxiliary feature input is reserved")
         p = self.params
-        h1 = (x @ p["w1"] + p["b1"]).tanh()
-        h2 = (h1 @ p["w2"] + p["b2"]).tanh()
-        return (h2 @ p["w3"] + p["b3"]).softplus()
+        h1 = x.linear(p["w1"], p["b1"]).tanh()
+        h2 = h1.linear(p["w2"], p["b2"]).tanh()
+        return h2.linear(p["w3"], p["b3"]).softplus()
 
     def predict(self, mixes: np.ndarray) -> np.ndarray:
         with autodiff.no_grad():
@@ -452,6 +455,25 @@ def _batch_loss(model, converter, hist, target, impact, beta,
     return composite_loss(pred, Tensor(target), pred_impact, Tensor(impact), beta)
 
 
+@functools.cache
+def _retain_freed_heap() -> None:
+    """Keep freed training buffers in the heap instead of returning them.
+
+    Every batch frees and re-allocates the same few hundred activation
+    buffers. By default glibc serves the large ones with fresh mmaps and
+    trims the heap top, so each batch pages them in again. Raising the
+    mmap and trim thresholds (32 MiB, 256 MiB) lets the next batch reuse
+    the freed memory. Process-wide; on any other libc it does nothing.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 256 << 20)
+
+
 def train(model: ForecastModel, converter: HealthConverterNet, data: TrainingData,
           cfg: TrainConfig) -> tuple[ForecastModel, HealthConverterNet, list[dict]]:
     """SGD training of the forecaster and converter, end to end.
@@ -468,6 +490,7 @@ def train(model: ForecastModel, converter: HealthConverterNet, data: TrainingDat
     if not split.train:
         raise InsufficientData("no complete training window inside the train split")
 
+    _retain_freed_heap()
     rng = np.random.default_rng(cfg.seed)
     optimizer = SGD({**{f"m.{k}": v for k, v in model.params.items()},
                      **{f"c.{k}": v for k, v in converter.params.items()}},
@@ -573,10 +596,7 @@ def beta_sweep(data: TrainingData, betas: list[float], cfg: TrainConfig,
             raise BetaOutOfRange(f"beta {b} outside (0, {BETA_MAX}]")
     points = []
     for b in sorted(betas):
-        run_cfg = TrainConfig(beta=b, window=cfg.window, epochs=cfg.epochs,
-                              step_size=cfg.step_size, batch_size=cfg.batch_size,
-                              seed=cfg.seed, test_fraction=cfg.test_fraction,
-                              val_fraction=cfg.val_fraction)
+        run_cfg = replace(cfg, beta=b)
         model, converter = build_models(data.mixes.shape[1], run_cfg, architecture)
         model, converter, _ = train(model, converter, data, run_cfg)
         ev = evaluate(model, converter, data, run_cfg)

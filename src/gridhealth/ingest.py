@@ -178,7 +178,7 @@ def load_plants(path: str | Path) -> list[PlantRecord]:
     return plants
 
 
-def _parse_timestamp(text: str, row_no: int) -> tuple[bool, int | datetime]:
+def _parse_timestamp(text: str, path: str | Path, row_no: int) -> tuple[bool, int | datetime]:
     text = text.strip()
     try:
         return True, int(text)
@@ -190,7 +190,7 @@ def _parse_timestamp(text: str, row_no: int) -> tuple[bool, int | datetime]:
             return False, datetime.strptime(text, fmt)
         except ValueError:
             continue
-    raise MalformedRow(f"row {row_no}: unparseable timestamp {text!r}")
+    raise MalformedRow(f"{path}: row {row_no}: unparseable timestamp {text!r}")
 
 
 def load_fuel_mix(path: str | Path, category_map: FuelCategoryMap) -> FuelMixSeries:
@@ -223,8 +223,9 @@ def load_fuel_mix(path: str | Path, category_map: FuelCategoryMap) -> FuelMixSer
 
         for row_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
-                raise MalformedRow(f"row {row_no}: expected {len(header)} cells, got {len(row)}")
-            is_int, ts = _parse_timestamp(row[0], row_no)
+                raise MalformedRow(
+                    f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}")
+            is_int, ts = _parse_timestamp(row[0], path, row_no)
             if integer_stamps is None:
                 integer_stamps = is_int
             elif is_int != integer_stamps:
@@ -254,11 +255,11 @@ def load_fuel_mix(path: str | Path, category_map: FuelCategoryMap) -> FuelMixSer
                 try:
                     value = float(text)
                 except ValueError as exc:
-                    raise MalformedRow(f"row {row_no}: bad float {text!r}") from exc
+                    raise MalformedRow(f"{path}: row {row_no}: bad float {text!r}") from exc
                 if not math.isfinite(value):
-                    raise MalformedRow(f"row {row_no}: non-finite value {text!r}")
+                    raise MalformedRow(f"{path}: row {row_no}: non-finite value {text!r}")
                 if value < 0:
-                    raise MalformedRow(f"row {row_no}: negative share {value}")
+                    raise MalformedRow(f"{path}: row {row_no}: negative share {value}")
                 shares[j] += value
             shares[missing] = np.nan
             flags = np.where(missing, MISSING, OBSERVED).astype(np.int8)

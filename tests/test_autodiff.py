@@ -1,10 +1,13 @@
 """Gradient engine: every differentiable op checks against central differences."""
 
+import math
+import weakref
+
 import numpy as np
 import pytest
 
 from gridhealth.autodiff import SGD, Adam, Tensor, grad_check, no_grad
-from gridhealth.errors import NonFiniteValue
+from gridhealth.errors import GraphReleased, NonFiniteValue
 
 rng = np.random.default_rng(42)
 
@@ -40,6 +43,49 @@ OPS = [
     ("transpose", lambda t: ((t.transpose(1, 0) @ P34) ** 2.0).sum(), (3, 4)),
     ("relu_offset", lambda t: (t + 10.0).relu().sum(), (6,)),
     ("broadcast_bias", lambda t: ((P34 + t) ** 2.0).sum(), (4,)),
+]
+
+# Operands of the fused nodes; their own generator leaves the draws above as they were.
+frng = np.random.default_rng(11)
+X234 = Tensor(frng.normal(size=(2, 3, 4)))
+W45 = Tensor(frng.normal(size=(4, 5)))
+B5 = Tensor(frng.normal(size=(5,)))
+R235 = Tensor(frng.normal(size=(2, 3, 5)))
+G4 = Tensor(frng.normal(size=(4,)))
+B4 = Tensor(frng.normal(size=(4,)))
+R234 = Tensor(frng.normal(size=(2, 3, 4)))
+Q = Tensor(frng.normal(size=(3, 2, 4, 5)))       # (batch, heads, queries, dk)
+K = Tensor(frng.normal(size=(3, 2, 6, 5)))       # (batch, heads, keys, dk)
+V = Tensor(frng.normal(size=(3, 2, 6, 5)))
+Q1 = Tensor(frng.normal(size=(1, 2, 4, 5)))      # one query batch against three key batches
+MASK = (frng.random((3, 2, 4, 6)) >= 0.3) * (1 / (1 - 0.3))
+R_ATT = Tensor(frng.normal(size=(3, 2, 4, 5)))
+SCALE = 1.0 / math.sqrt(5)
+
+OPS += [
+    ("linear_x", lambda t: (t.linear(W45, B5) * R235).sum(), (2, 3, 4)),
+    ("linear_w", lambda t: (X234.linear(t, B5) ** 2.0).sum(), (4, 5)),
+    ("linear_b", lambda t: (X234.linear(W45, t) ** 2.0).sum(), (5,)),
+    ("linear_2d", lambda t: (t.linear(W45, B5) ** 2.0).sum(), (3, 4)),
+    ("gelu", lambda t: (t.gelu() * P34).sum(), (3, 4)),
+    ("layer_norm_affine_x", lambda t: (t.layer_norm_affine(G4, B4) * R234).sum(), (2, 3, 4)),
+    ("layer_norm_affine_gain",
+     lambda t: (X234.layer_norm_affine(t, B4) * R234).sum(), (4,)),
+    ("layer_norm_affine_bias",
+     lambda t: (X234.layer_norm_affine(G4, t) ** 2.0).sum(), (4,)),
+    ("attention_q", lambda t: (t.attention(K, V, SCALE) * R_ATT).sum(), (3, 2, 4, 5)),
+    ("attention_k", lambda t: (Q.attention(t, V, SCALE) * R_ATT).sum(), (3, 2, 6, 5)),
+    ("attention_v", lambda t: (Q.attention(K, t, SCALE) * R_ATT).sum(), (3, 2, 6, 5)),
+    ("attention_masked_q",
+     lambda t: (t.attention(K, V, SCALE, MASK) * R_ATT).sum(), (3, 2, 4, 5)),
+    ("attention_masked_k",
+     lambda t: (Q.attention(t, V, SCALE, MASK) * R_ATT).sum(), (3, 2, 6, 5)),
+    ("attention_masked_v",
+     lambda t: (Q.attention(K, t, SCALE, MASK) * R_ATT).sum(), (3, 2, 6, 5)),
+    ("attention_batch1_q",
+     lambda t: (t.attention(K, V, SCALE, MASK) * R_ATT).sum(), (1, 2, 4, 5)),
+    ("attention_batch1_k",
+     lambda t: (Q1.attention(t, V, SCALE, MASK) * R_ATT).sum(), (3, 2, 6, 5)),
 ]
 
 
@@ -128,3 +174,86 @@ def test_detach_stops_gradient():
     x = Tensor(np.array([2.0]), requires_grad=True)
     y = x.detach() * 3.0
     assert not y.requires_grad
+
+
+def _gelu_composite(x):
+    inner = (x + x * x * x * 0.044715) * math.sqrt(2.0 / math.pi)
+    return x * 0.5 * (inner.tanh() + 1.0)
+
+
+def _attention_composite(q, k, v, scale, mask=None):
+    weights = ((q @ k.transpose(0, 1, 3, 2)) * scale).softmax(axis=-1)
+    if mask is not None:
+        weights = weights * Tensor(mask)
+    return weights @ v
+
+
+MASK_644 = (frng.random((6, 4, 24, 24)) >= 0.1) * (1 / (1 - 0.1))
+
+FUSED = [
+    ("linear_3d", lambda x, w, b: x.linear(w, b), lambda x, w, b: x @ w + b,
+     [(16, 24, 8), (8, 12), (12,)]),
+    ("linear_2d", lambda x, w, b: x.linear(w, b), lambda x, w, b: x @ w + b,
+     [(40, 8), (8, 12), (12,)]),
+    ("gelu", lambda x: x.gelu(), _gelu_composite, [(16, 24, 8)]),
+    ("layer_norm_affine", lambda x, g, b: x.layer_norm_affine(g, b),
+     lambda x, g, b: x.layer_norm() * g + b, [(16, 24, 8), (8,), (8,)]),
+    ("attention", lambda q, k, v: q.attention(k, v, 0.5),
+     lambda q, k, v: _attention_composite(q, k, v, 0.5),
+     [(6, 4, 24, 16), (6, 4, 24, 16), (6, 4, 24, 16)]),
+    ("attention_masked", lambda q, k, v: q.attention(k, v, 0.25, MASK_644),
+     lambda q, k, v: _attention_composite(q, k, v, 0.25, MASK_644),
+     [(6, 4, 24, 16), (6, 4, 24, 16), (6, 4, 24, 16)]),
+    ("attention_batch1_query", lambda q, k, v: q.attention(k, v, 0.25, MASK_644),
+     lambda q, k, v: _attention_composite(q, k, v, 0.25, MASK_644),
+     [(1, 4, 24, 16), (6, 4, 24, 16), (6, 4, 24, 16)]),
+]
+
+
+@pytest.mark.parametrize("name,fused,composite,shapes", FUSED, ids=[f[0] for f in FUSED])
+def test_fused_matches_composite(name, fused, composite, shapes):
+    # forward values are bit-identical; only the backward summation order may differ
+    local = np.random.default_rng(5)
+    arrays = [local.normal(size=s) for s in shapes]
+
+    def run(build):
+        inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = build(*inputs)
+        upstream = np.random.default_rng(6).normal(size=out.shape)
+        (out * Tensor(upstream)).sum().backward()
+        return out.data, [t.grad for t in inputs]
+
+    out_f, grad_f = run(fused)
+    out_c, grad_c = run(composite)
+    np.testing.assert_array_equal(out_f, out_c)
+    for gf, gc in zip(grad_f, grad_c):
+        assert gf.shape == gc.shape
+        np.testing.assert_allclose(gf, gc, rtol=1e-12, atol=0)
+
+
+def test_backward_releases_graph_and_keeps_leaf_grads():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    hidden = x * 3.0
+    probe = weakref.ref(hidden.data)
+    loss = (hidden * hidden).sum()
+    del hidden
+    assert probe() is not None          # the graph still holds the activation
+    loss.backward()
+    assert probe() is None              # freed by backward, not by the caller
+    np.testing.assert_array_equal(x.grad, 18.0 * x.data)
+    assert loss.grad is None and loss._parents == ()
+    with pytest.raises(GraphReleased):
+        loss.backward()
+    np.testing.assert_array_equal(x.grad, 18.0 * x.data)
+
+
+def test_backward_through_freed_subgraph_raises():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    shared = x * 2.0
+    first, second = shared.sum(), (shared * shared).sum()
+    first.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+    with pytest.raises(GraphReleased):
+        second.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+

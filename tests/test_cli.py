@@ -121,6 +121,19 @@ class TestIngest:
         assert "wind" in capsys.readouterr().err
         assert not (out / "dataset.csv").exists()
 
+    def test_bad_cell_names_path_and_row(self, tmp_path, capsys):
+        mix, cmap = tmp_path / "raw.csv", tmp_path / "map.csv"
+        self.write_raw(mix, hours=4)
+        rows = read_rows(mix)
+        rows[3][1] = "abc"
+        with open(mix, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        self.write_map(cmap)
+        out = tmp_path / "out"
+        assert run("ingest", "--mix", mix, "--category-map", cmap, "--out", out) == 1
+        assert f"{mix}: row 4: bad float 'abc'" in capsys.readouterr().err
+        assert not (out / "dataset.csv").exists()
+
     def test_imputed_count_matches_masked(self, tmp_path, capsys):
         mix, cmap = tmp_path / "raw.csv", tmp_path / "map.csv"
         rng = np.random.default_rng(0)

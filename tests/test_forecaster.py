@@ -21,6 +21,7 @@ from gridhealth.forecaster import (
     HealthConverterNet,
     TrainConfig,
     TrainingData,
+    _dropout_mask,
     beta_sweep,
     build_models,
     composite_loss,
@@ -326,6 +327,14 @@ class TestCheckpoint:
         p.write_text("{}")
         with pytest.raises(ValueError):
             load_checkpoint(p)
+
+
+def test_dropout_mask_same_draws_and_values_as_division():
+    mask = _dropout_mask((4, 5, 6), 0.1, True, np.random.default_rng(3))
+    divided = (np.random.default_rng(3).random((4, 5, 6)) >= 0.1).astype(np.float64) / (1.0 - 0.1)
+    np.testing.assert_array_equal(mask, divided)
+    assert mask.dtype == np.float64
+    assert _dropout_mask((4,), 0.1, False, np.random.default_rng(3)) is None
 
 
 def test_converter_nonnegative_outputs():

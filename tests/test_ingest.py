@@ -91,6 +91,20 @@ class TestLoad:
         with pytest.raises(MalformedRow):
             load_fuel_mix(p, IDENTITY2)
 
+    @pytest.mark.parametrize("bad_row, reason", [
+        ([1, 0.5], "expected 3 cells, got 2"),
+        ([1, "abc", 0.5], "bad float 'abc'"),
+        ([1, "inf", 0.5], "non-finite value 'inf'"),
+        ([1, -0.1, 0.5], "negative share -0.1"),
+        (["yesterday", 0.5, 0.5], "unparseable timestamp 'yesterday'"),
+    ])
+    def test_row_errors_name_path_and_row(self, tmp_path, bad_row, reason):
+        p = tmp_path / "mix.csv"
+        write_csv(p, [["timestamp", "coal", "gas"], [0, 0.5, 0.5], bad_row])
+        with pytest.raises(MalformedRow) as info:
+            load_fuel_mix(p, IDENTITY2)
+        assert str(info.value) == f"{p}: row 3: {reason}"
+
     def test_non_monotonic_timestamps(self, tmp_path):
         p = tmp_path / "mix.csv"
         write_csv(p, [["timestamp", "coal", "gas"], [0, 0.5, 0.5], [2, 0.5, 0.5]])
