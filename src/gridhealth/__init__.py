@@ -35,6 +35,7 @@ from .forecaster import (
     beta_sweep,
     composite_loss,
     evaluate,
+    forecast_heldout,
     forward,
     nmae,
     predict_heldout,
@@ -79,7 +80,8 @@ __all__ = [
     "apply_source_receptor", "build_plume_matrix", "fit_dispersion_layer",
     "EmissionFactorTable", "EmissionVector", "aggregate_plant_emissions", "emissions_from_mix",
     "Evaluation", "ForecastModel", "HealthConverterNet", "TradeoffPoint", "TrainConfig",
-    "TrainingData", "beta_sweep", "composite_loss", "evaluate", "forward", "nmae",
+    "TrainingData", "beta_sweep", "composite_loss", "evaluate", "forecast_heldout",
+    "forward", "nmae",
     "predict_heldout", "train",
     "ConcentrationResponse", "HealthSignal", "HealthValuation", "PipelineConfig",
     "ReceptorProfile", "delta_health", "impact_per_mwh", "impacts", "monetize",

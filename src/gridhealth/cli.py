@@ -38,11 +38,11 @@ from .forecaster import (
     beta_sweep,
     build_models,
     load_checkpoint,
-    predict_heldout,
+    forecast_heldout,
     save_checkpoint,
     train,
 )
-from .health import load_signals_csv, write_signals_csv, HealthSignal
+from .health import SIGNAL_HEADER, load_signals_csv, write_signals_csv
 from .ingest import (
     IMPUTED,
     FuelCategoryMap,
@@ -50,6 +50,7 @@ from .ingest import (
     load_fuel_mix,
     normalize_mix,
     write_fuel_mix_csv,
+    write_hourly_csv,
 )
 from .scheduler import (
     ALL_STRATEGIES,
@@ -241,15 +242,17 @@ def cmd_predict(args, ctx: CommandContext) -> None:
             f"checkpoint was trained with window {model.window}, requested {args.window}"
         )
     # Evaluation protocol: non-overlapping windows tiling the held-out span.
-    dummy_impacts = np.zeros((len(series), 2))
-    data = TrainingData(series.shares, dummy_impacts, series.timestamps, series.fuel_names)
-    cfg = TrainConfig(beta=0.5, window=args.window, epochs=0, seed=args.seed)
-    _, pred_impacts, _, _, stamps = predict_heldout(model, converter, data, cfg)
-    signals = [HealthSignal(float(i), float(e), int(t))
-               for t, (i, e) in zip(stamps, pred_impacts)]
-    write_signals_csv(ctx.output("predicted_signal.csv"), signals)
-    print(f"predicted_hours: {len(signals)}")
-    print(f"first_hour: {signals[0].timestamp} last_hour: {signals[-1].timestamp}")
+    _, pred_impacts, stamps = forecast_heldout(
+        model, converter, series.shares, series.timestamps, args.window,
+        TrainConfig.test_fraction)
+    bad = ~(np.isfinite(pred_impacts) & (pred_impacts >= 0)).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise GridHealthError(f"predicted health costs at hour {stamps[i]} are not finite "
+                              f"and nonnegative: {pred_impacts[i].tolist()}")
+    write_hourly_csv(ctx.output("predicted_signal.csv"), SIGNAL_HEADER, stamps, pred_impacts)
+    print(f"predicted_hours: {len(stamps)}")
+    print(f"first_hour: {stamps[0]} last_hour: {stamps[-1]}")
 
 
 def cmd_schedule(args, ctx: CommandContext) -> None:

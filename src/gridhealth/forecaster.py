@@ -428,15 +428,14 @@ def split_windows(n_hours: int, cfg: TrainConfig) -> WindowSplit:
     boundary = n_hours - n_test_hours
     starts = list(range(0, boundary - 2 * t + 1))
     n_val = int(len(starts) * cfg.val_fraction)
-    split = WindowSplit()
-    split.train = starts[: len(starts) - n_val]
-    split.val = starts[len(starts) - n_val:]
-    q = boundary
-    while q + t <= n_hours:
-        if q - t >= 0:
-            split.test.append(q - t)
-        q += t
-    return split
+    return WindowSplit(train=starts[: len(starts) - n_val], val=starts[len(starts) - n_val:],
+                       test=_heldout_starts(n_hours, t, cfg.test_fraction))
+
+
+def _heldout_starts(n_hours: int, window: int, test_fraction: float) -> list[int]:
+    """Start indices of the windows whose targets tile the held-out span."""
+    boundary = n_hours - int(n_hours * test_fraction)
+    return [q - window for q in range(boundary, n_hours - window + 1, window) if q >= window]
 
 
 def _gather(data: TrainingData, starts, t: int):
@@ -542,25 +541,40 @@ class Evaluation:
         return 0.5 * (self.internal_nmae + self.external_nmae)
 
 
+def forecast_heldout(model: ForecastModel, converter: HealthConverterNet, mixes: np.ndarray,
+                     timestamps: np.ndarray, window: int, test_fraction: float):
+    """Forecasts over the held-out span, non-overlapping windows.
+
+    Returns (pred_mixes, pred_impacts, timestamps), flattened to per-hour
+    rows in time order.
+    """
+    starts = _heldout_starts(len(mixes), window, test_fraction)
+    if not starts:
+        raise InsufficientData("test split holds no complete window")
+    hist = np.stack([mixes[s:s + window] for s in starts])
+    with autodiff.no_grad():
+        pred = model.forward_tensor(Tensor(hist), training=False)
+        b = pred.shape[0]
+        pred_imp = converter.forward_tensor(
+            pred.reshape(b * window, model.n_fuels)).reshape(b, window, 2)
+    stamps = np.concatenate([timestamps[s + window:s + 2 * window] for s in starts])
+    return pred.data.reshape(-1, model.n_fuels), pred_imp.data.reshape(-1, 2), stamps
+
+
 def predict_heldout(model: ForecastModel, converter: HealthConverterNet,
                     data: TrainingData, cfg: TrainConfig):
-    """Predictions over the held-out span, non-overlapping windows.
+    """Held-out predictions with their truth, non-overlapping windows.
 
     Returns (pred_mixes, pred_impacts, truth_mixes, truth_impacts,
     timestamps), all flattened to per-hour rows in time order.
     """
-    split = split_windows(len(data), cfg)
-    if not split.test:
-        raise InsufficientData("test split holds no complete window")
+    pred_mixes, pred_impacts, stamps = forecast_heldout(
+        model, converter, data.mixes, data.timestamps, cfg.window, cfg.test_fraction)
     t = cfg.window
-    hist, target, impact = _gather(data, split.test, t)
-    with autodiff.no_grad():
-        pred = model.forward_tensor(Tensor(hist), training=False)
-        b = pred.shape[0]
-        pred_imp = converter.forward_tensor(pred.reshape(b * t, model.n_fuels)).reshape(b, t, 2)
-    stamps = np.concatenate([data.timestamps[s + t:s + 2 * t] for s in split.test])
-    return (pred.data.reshape(-1, model.n_fuels), pred_imp.data.reshape(-1, 2),
-            target.reshape(-1, model.n_fuels), impact.reshape(-1, 2), stamps)
+    starts = _heldout_starts(len(data), t, cfg.test_fraction)
+    truth_mixes = np.concatenate([data.mixes[s + t:s + 2 * t] for s in starts])
+    truth_impacts = np.concatenate([data.impacts[s + t:s + 2 * t] for s in starts])
+    return pred_mixes, pred_impacts, truth_mixes, truth_impacts, stamps
 
 
 def evaluate(model: ForecastModel, converter: HealthConverterNet, data: TrainingData,

@@ -34,10 +34,11 @@ from .errors import (
     MissingValuation,
     UnknownReceptor,
 )
-from .ingest import FuelMixRecord
+from .ingest import FuelMixRecord, write_hourly_csv
 
 LOG_LINEAR = "log_linear"
 LINEAR = "linear"
+SIGNAL_HEADER = ["timestamp", "internal_usd_per_mwh", "external_usd_per_mwh"]
 
 
 @dataclass
@@ -321,11 +322,9 @@ def load_valuations(path: str | Path) -> list[HealthValuation]:
 
 def write_signals_csv(path: str | Path, signals: list[HealthSignal]) -> None:
     """Write `timestamp,internal_usd_per_mwh,external_usd_per_mwh` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["timestamp", "internal_usd_per_mwh", "external_usd_per_mwh"])
-        for s in signals:
-            writer.writerow([s.timestamp, repr(float(s.internal_cost)), repr(float(s.external_cost))])
+    costs = np.array([(s.internal_cost, s.external_cost) for s in signals],
+                     dtype=np.float64).reshape(-1, 2)
+    write_hourly_csv(path, SIGNAL_HEADER, [s.timestamp for s in signals], costs)
 
 
 def load_signals_csv(path: str | Path) -> list[HealthSignal]:
@@ -333,7 +332,7 @@ def load_signals_csv(path: str | Path) -> list[HealthSignal]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != ["timestamp", "internal_usd_per_mwh", "external_usd_per_mwh"]:
+        if header != SIGNAL_HEADER:
             raise MalformedRow(f"{path}: bad health-signal header")
         for row in reader:
             where = f"{path}:{reader.line_num}"

@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timedelta
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +46,13 @@ EXCLUDED = "EXCLUDED"
 # (e.g. regions folding petroleum into "other").
 CANONICAL_FUELS = ("COL", "NG", "OIL", "NUC", "WAT", "WND", "SUN", "OTH")
 ZERO_EMISSION_FUELS = frozenset({"NUC", "WAT", "WND", "SUN"})
+
+# Rows per block in the fuel-mix reader and the hourly writer; bounds their
+# temporaries without a per-row cost.
+_BLOCK_ROWS = 2048
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+_HOUR = timedelta(hours=1)
+_LAST_ISO_HOUR = datetime(9999, 12, 31, 23)   # later hours print with 5-digit years
 
 
 @dataclass
@@ -132,10 +142,17 @@ class FuelCategoryMap:
             header = next(reader, None)
             if header is None or [c.strip() for c in header[:2]] != ["raw_label", "canonical"]:
                 raise MalformedRow(f"{path}: expected header 'raw_label,canonical'")
+            first_line: dict[str, int] = {}
             for row in reader:
+                where = f"{path}:{reader.line_num}"
                 if len(row) != 2:
-                    raise MalformedRow(f"{path}: bad map row {row!r}")
-                entries[row[0].strip()] = row[1].strip()
+                    raise MalformedRow(f"{where}: bad map row {row!r}")
+                label = row[0].strip()
+                if label in entries:
+                    raise MalformedRow(f"{where}: raw label {label!r} already mapped on line "
+                                       f"{first_line[label]}")
+                entries[label] = row[1].strip()
+                first_line[label] = reader.line_num
         return cls(entries)
 
 
@@ -181,9 +198,13 @@ def load_plants(path: str | Path) -> list[PlantRecord]:
 def _parse_timestamp(text: str, path: str | Path, row_no: int) -> tuple[bool, int | datetime]:
     text = text.strip()
     try:
-        return True, int(text)
+        hour = int(text)
     except ValueError:
         pass
+    else:
+        if not _INT64_MIN <= hour <= _INT64_MAX:
+            raise MalformedRow(f"{path}: row {row_no}: timestamp {text!r} out of range")
+        return True, hour
     for fmt in ("%Y-%m-%dT%H:%M:%S", "%Y-%m-%d %H:%M:%S", "%Y-%m-%dT%H:%M",
                 "%Y-%m-%d %H:%M", "%Y-%m-%dT%H", "%Y-%m-%d %H"):
         try:
@@ -193,12 +214,132 @@ def _parse_timestamp(text: str, path: str | Path, row_no: int) -> tuple[bool, in
     raise MalformedRow(f"{path}: row {row_no}: unparseable timestamp {text!r}")
 
 
+class _FuelMixBlocks:
+    """One fuel-mix file's column layout and hour clock, read a block of rows at a time.
+
+    A row whose stripped stamp equals the canonical text of the hour it
+    should hold (``str(first + i)``, or ISO ``YYYY-MM-DDTHH:MM:SS`` counted
+    from the first row) takes that hour without parsing; any other stamp
+    goes through `_parse_timestamp`, so every accepted format still is.
+    """
+
+    def __init__(self, path: str | Path, width: int, kept: list[int], columns: list[int],
+                 n_fuels: int):
+        self.path = path
+        self.width = width
+        self.kept = kept
+        self.columns = columns
+        self.n_fuels = n_fuels
+        # the kept cells of a row, as a tuple (itemgetter needs two or more indices)
+        self.pick = itemgetter(*kept) if len(kept) > 1 else lambda row: tuple(row[k] for k in kept)
+        self.integer_stamps: bool | None = None
+        self.epoch: datetime | None = None
+        self.first = 0          # hour of the first row
+        self.n_canonical = 0    # rows past this many have no canonical stamp text
+
+    def _start(self, text: str) -> None:
+        is_int, ts = _parse_timestamp(text, self.path, 2)
+        self.integer_stamps = is_int
+        if is_int:
+            self.first = ts
+            self.n_canonical = _INT64_MAX - ts + 1
+        else:
+            self.epoch = ts
+            self.n_canonical = (_LAST_ISO_HOUR - ts) // _HOUR + 1
+
+    def _hour(self, text: str, row_no: int) -> int:
+        is_int, ts = _parse_timestamp(text, self.path, row_no)
+        if is_int != self.integer_stamps:
+            raise MalformedRow(f"{self.path}: row {row_no}: mixes integer and ISO timestamps")
+        if is_int:
+            return ts
+        if ts.minute or ts.second:
+            raise MalformedRow(f"{self.path}: row {row_no}: timestamp {text!r} is not on the hour")
+        return int((ts - self.epoch).total_seconds() // 3600)
+
+    def _canonical(self, g0: int, n: int) -> list[str]:
+        n = max(0, min(n, self.n_canonical - g0))
+        if self.integer_stamps:
+            return list(map(str, range(self.first + g0, self.first + g0 + n)))
+        hours = np.datetime64(self.epoch, "h") + np.arange(g0, g0 + n)
+        return np.datetime_as_string(hours, unit="s").tolist()
+
+    def _raise_cell_fault(self, row: list[str], row_no: int) -> None:
+        """Raise the first bad, non-finite or negative kept cell of `row`, left to right."""
+        for cell in self.pick(row):
+            text = cell.strip()
+            if not text:
+                continue
+            try:
+                value = float(text)
+            except ValueError as exc:
+                raise MalformedRow(f"{self.path}: row {row_no}: bad float {text!r}") from exc
+            if not math.isfinite(value):
+                raise MalformedRow(f"{self.path}: row {row_no}: non-finite value {text!r}")
+            if value < 0:
+                raise MalformedRow(f"{self.path}: row {row_no}: negative share {value}")
+
+    def read(self, rows: list[list[str]], g0: int) -> tuple[np.ndarray, np.ndarray]:
+        """Hours (n,) and summed shares (n, F) of the rows at file positions g0, g0+1, ...
+
+        A block with any fault raises the error of its first faulty row,
+        checked in file order: cell count, timestamp, then cells left to right.
+        """
+        stop = next((i for i, row in enumerate(rows) if len(row) != self.width), len(rows))
+        fault = None
+        if stop < len(rows):
+            fault = MalformedRow(f"{self.path}: row {g0 + stop + 2}: expected {self.width} "
+                                 f"cells, got {len(rows[stop])}")
+            if stop == 0:
+                raise fault
+            rows = rows[:stop]
+        texts = [row[0].strip() for row in rows]
+        if self.integer_stamps is None:
+            self._start(texts[0])
+        canonical = self._canonical(g0, len(texts))
+        hours = np.arange(g0, g0 + len(texts), dtype=np.int64)
+        if self.integer_stamps:
+            hours += self.first
+        slow = [i for i, (text, want) in enumerate(zip(texts, canonical)) if text != want]
+        for i in slow + list(range(len(canonical), len(texts))):
+            try:
+                hours[i] = self._hour(texts[i], g0 + i + 2)
+            except MalformedRow as exc:
+                fault = exc
+                rows = rows[:i]
+                break
+
+        try:
+            cells = [float(s) if (s := c.strip()) else math.nan
+                     for row in rows for c in self.pick(row)]
+        except ValueError:
+            for i, row in enumerate(rows):
+                self._raise_cell_fault(row, g0 + i + 2)
+            raise
+        values = np.array(cells, dtype=np.float64).reshape(len(rows), len(self.kept))
+        bad = np.isinf(values) | (values < 0)
+        for i, p in zip(*np.nonzero(np.isnan(values))):
+            bad[i, p] = bool(rows[i][self.kept[p]].strip())   # a literal nan, not a gap
+        flagged = np.flatnonzero(bad.any(axis=1))
+        if flagged.size:
+            self._raise_cell_fault(rows[flagged[0]], g0 + int(flagged[0]) + 2)
+        if fault is not None:
+            raise fault
+
+        # aliased columns add in header order from zero, like a per-row `+=`
+        shares = np.zeros((len(rows), self.n_fuels))
+        for p, j in enumerate(self.columns):
+            shares[:, j] += values[:, p]
+        return hours, shares
+
+
 def load_fuel_mix(path: str | Path, category_map: FuelCategoryMap) -> FuelMixSeries:
     """Load a raw fuel-mix CSV into a series; no imputation or normalization.
 
     Columns mapped to the same canonical fuel are summed; a canonical entry
     is flagged missing if any of its contributing cells is empty. Columns
-    mapped to EXCLUDED are dropped entirely.
+    mapped to EXCLUDED are dropped entirely. Rows are read in blocks of
+    at most `_BLOCK_ROWS`; the first faulty row in file order raises.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -206,72 +347,34 @@ def load_fuel_mix(path: str | Path, category_map: FuelCategoryMap) -> FuelMixSer
         if header is None or not header or header[0].strip() != "timestamp":
             raise MalformedRow(f"{path}: first header column must be 'timestamp'")
         raw_labels = [c.strip() for c in header[1:]]
-        targets = [category_map.lookup(label) for label in raw_labels]
+        repeated = next((label for label, n in Counter(raw_labels).items() if n > 1), None)
+        if repeated is not None:
+            raise MalformedRow(f"{path}: header label {repeated!r} appears more than once")
+        try:
+            targets = [category_map.lookup(label) for label in raw_labels]
+        except UnmappedLabel as exc:
+            raise UnmappedLabel(f"{path}: {exc}") from None
 
-        fuel_names: list[str] = []
-        for t in targets:
-            if t != EXCLUDED and t not in fuel_names:
-                fuel_names.append(t)
-        col_of = {name: j for j, name in enumerate(fuel_names)}
-        n_fuels = len(fuel_names)
+        fuel_names = list(dict.fromkeys(t for t in targets if t != EXCLUDED))
+        kept = [k for k, t in enumerate(targets, start=1) if t != EXCLUDED]
+        columns = [fuel_names.index(targets[k - 1]) for k in kept]
+        blocks = _FuelMixBlocks(path, len(header), kept, columns, len(fuel_names))
+        hour_blocks, share_blocks = [], []
+        n_rows = 0
+        while rows := list(islice(reader, _BLOCK_ROWS)):
+            hours, shares = blocks.read(rows, n_rows)
+            hour_blocks.append(hours)
+            share_blocks.append(shares)
+            n_rows += len(rows)
 
-        timestamps: list[int] = []
-        share_rows: list[np.ndarray] = []
-        flag_rows: list[np.ndarray] = []
-        epoch: datetime | None = None
-        integer_stamps: bool | None = None
-
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise MalformedRow(
-                    f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}")
-            is_int, ts = _parse_timestamp(row[0], path, row_no)
-            if integer_stamps is None:
-                integer_stamps = is_int
-            elif is_int != integer_stamps:
-                raise MalformedRow(f"{path}: row {row_no}: mixes integer and ISO timestamps")
-            if is_int:
-                hour = ts
-            else:
-                if ts.minute or ts.second:
-                    raise MalformedRow(
-                        f"{path}: row {row_no}: timestamp {row[0].strip()!r} is not on the hour")
-                if epoch is None:
-                    epoch = ts
-                delta = ts - epoch
-                hour = int(delta.total_seconds() // 3600)
-            timestamps.append(hour)
-
-            shares = np.zeros(n_fuels)
-            missing = np.zeros(n_fuels, dtype=bool)
-            for cell, target in zip(row[1:], targets):
-                if target == EXCLUDED:
-                    continue
-                j = col_of[target]
-                text = cell.strip()
-                if text == "":
-                    missing[j] = True
-                    continue
-                try:
-                    value = float(text)
-                except ValueError as exc:
-                    raise MalformedRow(f"{path}: row {row_no}: bad float {text!r}") from exc
-                if not math.isfinite(value):
-                    raise MalformedRow(f"{path}: row {row_no}: non-finite value {text!r}")
-                if value < 0:
-                    raise MalformedRow(f"{path}: row {row_no}: negative share {value}")
-                shares[j] += value
-            shares[missing] = np.nan
-            flags = np.where(missing, MISSING, OBSERVED).astype(np.int8)
-            share_rows.append(shares)
-            flag_rows.append(flags)
-
-    if not share_rows:
+    if not hour_blocks:
         raise MalformedRow(f"{path}: no data rows")
-    ts_arr = np.asarray(timestamps, dtype=np.int64)
+    ts_arr = np.concatenate(hour_blocks)
     if len(ts_arr) > 1 and not np.all(np.diff(ts_arr) == 1):
         raise NonMonotonicTimestamp(f"{path}: timestamps must advance by exactly 1 hour")
-    return FuelMixSeries(ts_arr, np.vstack(share_rows), np.vstack(flag_rows), tuple(fuel_names))
+    shares = np.concatenate(share_blocks)
+    flags = np.where(np.isnan(shares), MISSING, OBSERVED).astype(np.int8)
+    return FuelMixSeries(ts_arr, shares, flags, tuple(fuel_names))
 
 
 def impute_missing(series: FuelMixSeries, period: int = 24) -> FuelMixSeries:
@@ -359,10 +462,24 @@ def allocate_generation(
     return allocation
 
 
+def write_hourly_csv(path: str | Path, header: list[str], timestamps: np.ndarray,
+                     values: np.ndarray) -> None:
+    """Write `header`, then one `timestamp,v_1,...,v_K` row per entry of `timestamps`.
+
+    Each value is written as ``repr(float(v))``, so the file reads back to the
+    same floats. Integer stamps and float reprs never need quoting, so the
+    bytes are those `csv.writer` would give the same rows.
+    """
+    timestamps = np.asarray(timestamps, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for start in range(0, len(timestamps), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            fh.writelines(",".join([str(t), *map(repr, row)]) + "\n"
+                          for t, row in zip(timestamps[block].tolist(), values[block].tolist()))
+
+
 def write_fuel_mix_csv(path: str | Path, series: FuelMixSeries) -> None:
     """Write a series back out in the standard fuel-mix CSV schema."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["timestamp", *series.fuel_names])
-        for i, t in enumerate(series.timestamps):
-            writer.writerow([int(t), *[repr(float(v)) for v in series.shares[i]]])
+    write_hourly_csv(path, ["timestamp", *series.fuel_names], series.timestamps, series.shares)

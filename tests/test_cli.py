@@ -265,6 +265,23 @@ class TestCorruptCheckpoint:
         assert not (out / "predicted_signal.csv").exists()
 
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_predict_rejects_non_finite_prediction(self, bundle, payload, tmp_path, capsys):
+        # a gap in a held-out history window makes the forecast NaN
+        rows = read_rows(bundle / "fuel_mix.csv")
+        rows[-40][1] = ""
+        dataset = tmp_path / "fuel_mix.csv"
+        with open(dataset, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(payload)
+        out = tmp_path / "pred"
+        assert run("predict", "--dataset", dataset, "--checkpoint", ckpt, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: predicted health costs at hour") and "not finite" in err
+        assert not (out / "predicted_signal.csv").exists()
+
+
 class TestSchedule:
     def write_signal(self, path, hours=48, constant=None):
         rows = [["timestamp", "internal_usd_per_mwh", "external_usd_per_mwh"]]

@@ -2,13 +2,19 @@
 
 import csv
 import math
+import tempfile
+from datetime import datetime
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridhealth import ingest
 from gridhealth.errors import (
+    GridHealthError,
     MalformedRow,
     NegativeShare,
     NonMonotonicTimestamp,
@@ -29,9 +35,11 @@ from gridhealth.ingest import (
     load_plants,
     normalize_mix,
     write_fuel_mix_csv,
+    write_hourly_csv,
 )
 
 from conftest import make_record, make_series
+from reference_ingest import load_fuel_mix_rowwise
 
 
 def write_csv(path, rows):
@@ -84,6 +92,21 @@ class TestLoad:
         with pytest.raises(UnmappedLabel, match="mystery"):
             load_fuel_mix(p, IDENTITY2)
 
+    def test_unmapped_label_names_path(self, tmp_path):
+        p = tmp_path / "mix.csv"
+        write_csv(p, [["timestamp", "coal", "mystery"], [0, 0.5, 0.5]])
+        with pytest.raises(UnmappedLabel) as info:
+            load_fuel_mix(p, IDENTITY2)
+        assert str(info.value) == f"{p}: no category mapping for label 'mystery'"
+
+    def test_repeated_header_label(self, tmp_path):
+        # " coal" strips to "coal"; the two columns used to be summed silently
+        p = tmp_path / "mix.csv"
+        write_csv(p, [["timestamp", "coal", " coal"], [0, 0.5, 0.5]])
+        with pytest.raises(MalformedRow) as info:
+            load_fuel_mix(p, IDENTITY2)
+        assert str(info.value) == f"{p}: header label 'coal' appears more than once"
+
     @pytest.mark.parametrize("bad_row", [[0, "abc", 0.5], [0, 0.5], [0, -0.1, 0.5]])
     def test_malformed_rows(self, tmp_path, bad_row):
         p = tmp_path / "mix.csv"
@@ -104,6 +127,12 @@ class TestLoad:
         with pytest.raises(MalformedRow) as info:
             load_fuel_mix(p, IDENTITY2)
         assert str(info.value) == f"{p}: row 3: {reason}"
+
+    def test_no_data_rows(self, tmp_path):
+        p = tmp_path / "mix.csv"
+        write_csv(p, [["timestamp", "coal", "gas"]])
+        with pytest.raises(MalformedRow, match="no data rows"):
+            load_fuel_mix(p, IDENTITY2)
 
     def test_non_monotonic_timestamps(self, tmp_path):
         p = tmp_path / "mix.csv"
@@ -137,6 +166,145 @@ class TestLoad:
         write_fuel_mix_csv(p, series)
         again = load_fuel_mix(p, FuelCategoryMap({"COL": "COL", "NG": "NG"}))
         np.testing.assert_array_equal(again.shares, series.shares)
+
+
+class TestCategoryMap:
+    def test_row_errors_name_path_and_line(self, tmp_path):
+        p = tmp_path / "map.csv"
+        write_csv(p, [["raw_label", "canonical"], ["coal", "COL"], ["gas"]])
+        with pytest.raises(MalformedRow) as info:
+            FuelCategoryMap.from_csv(p)
+        assert str(info.value) == f"{p}:3: bad map row ['gas']"
+
+    def test_label_listed_twice(self, tmp_path):
+        p = tmp_path / "map.csv"
+        write_csv(p, [["raw_label", "canonical"], ["coal", "COL"], ["gas", "NG"],
+                      ["coal ", "OTH"]])
+        with pytest.raises(MalformedRow) as info:
+            FuelCategoryMap.from_csv(p)
+        assert str(info.value) == f"{p}:4: raw label 'coal' already mapped on line 2"
+
+    def test_packaged_map_loads(self):
+        cmap = FuelCategoryMap.from_csv(
+            Path(ingest.__file__).parent / "data" / "category_map.csv")
+        assert cmap.entries and set(cmap.entries.values()) <= {*ingest.CANONICAL_FUELS,
+                                                               ingest.EXCLUDED}
+
+
+# -- the block reader against the row-at-a-time reference ---------------------
+
+FUZZ_MAP = FuelCategoryMap({"coal": "COL", "gas": "NG", "DFO": "OIL", "RFO": "OIL",
+                            "wind": "WND", "battery": "EXCLUDED", "imports": "EXCLUDED"})
+CELL_EDITS = ("", "   ", "abc", "nan", "NaN", "inf", "-inf", "-0.5", "-0.0", " 2.5 ", "1e3",
+              "0", "1_0", "+7")
+STAMP_EDITS = ("gap", "repeat", "off_hour", "other_kind", "other_form", "padded", "yesterday",
+               "", "huge")
+ROW_EDITS = ("short", "long", "blank")
+
+
+def _iso_text(canonical: str, form: int) -> str:
+    """`canonical` (YYYY-MM-DDTHH:MM:SS) in the form'th accepted ISO layout."""
+    date, clock = canonical.split("T")
+    return f"{date}{'T ' [form % 2]}{clock[:(8, 5, 2)[form // 2]]}"
+
+
+def _stamp(kind: str, start, i: int) -> str:
+    if kind == "int":
+        return str(start + i)
+    hour = np.datetime64(start, "h") + i
+    return _iso_text(np.datetime_as_string(hour, unit="s"), int(kind[3:]))
+
+
+@st.composite
+def raw_mix_csvs(draw):
+    """(CSV text, block size): a valid hourly file, then up to five edits."""
+    labels = draw(st.lists(st.sampled_from(sorted(FUZZ_MAP.entries)), unique=True,
+                           max_size=5))
+    n = draw(st.one_of(st.integers(1, 10), st.integers(2046, 2051)))
+    kind = draw(st.sampled_from(["int"] + [f"iso{form}" for form in range(6)]))
+    near_end = draw(st.integers(0, 7)) == 0   # stamps run past int64 / year 9999
+    if kind == "int":
+        start = 2**63 - 4 if near_end else draw(st.integers(-50, 50))
+    elif near_end:
+        start = datetime(9999, 12, 31, 21)
+    else:
+        start = draw(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9000, 1, 1)))
+        start = start.replace(minute=0, second=0, microsecond=0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [[_stamp(kind, start, i), *(f"{v:.3f}" for v in rng.uniform(0, 50, len(labels)))]
+            for i in range(n)]
+    for _ in range(draw(st.integers(0, 5)) if n else 0):
+        i = draw(st.integers(0, n - 1))
+        target = draw(st.integers(-1, len(labels)))
+        if target == len(labels):
+            edit = draw(st.sampled_from(ROW_EDITS))
+            rows[i] = {"short": rows[i][:-1], "long": rows[i] + ["1"], "blank": []}[edit]
+        elif target >= 0 and len(rows[i]) > target + 1:
+            rows[i][target + 1] = draw(st.sampled_from(CELL_EDITS))
+        elif target < 0 and rows[i]:
+            edit = draw(st.sampled_from(STAMP_EDITS))
+            other = "iso0" if kind == "int" else "int"
+            rows[i][0] = {
+                "gap": _stamp(kind, start, i + 1),
+                "repeat": _stamp(kind, start, i - 1),
+                "off_hour": _stamp("iso0", datetime(2023, 1, 1), i)[:-5] + "30:00",
+                "other_kind": _stamp(other, datetime(2023, 1, 1) if kind == "int" else 0, i),
+                "other_form": _stamp(kind if kind == "int" else f"iso{(int(kind[3:]) + 1) % 6}",
+                                     start, i),
+                "padded": f"  {rows[i][0]} ",
+                "huge": "99999999999999999999",
+            }.get(edit, edit)
+    lines = [",".join(["timestamp", *labels]), *(",".join(row) for row in rows)]
+    return "\n".join(lines) + "\n", draw(st.sampled_from([1, 2, 3, 2048]))
+
+
+def _outcome(loader, path):
+    try:
+        return loader(path, FUZZ_MAP)
+    except GridHealthError as exc:
+        return type(exc), str(exc)
+
+
+@given(raw_mix_csvs())
+@settings(max_examples=250, deadline=None)
+def test_block_reader_matches_rowwise_reference(case):
+    text, block_rows = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mix.csv"
+        path.write_text(text)
+        expected = _outcome(load_fuel_mix_rowwise, path)
+        with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+            got = _outcome(load_fuel_mix, path)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert not isinstance(got, tuple), got
+    np.testing.assert_array_equal(got.timestamps, expected.timestamps)
+    assert np.array_equal(got.shares, expected.shares, equal_nan=True)
+    np.testing.assert_array_equal(got.flags, expected.flags)
+    assert got.fuel_names == expected.fuel_names
+
+
+@given(st.integers(0, 3).flatmap(lambda f: st.lists(
+           st.tuples(st.integers(-2**63, 2**63 - 1),
+                     st.lists(st.floats(), min_size=f, max_size=f)),
+           max_size=7).map(lambda rows: (f, rows))),
+       st.sampled_from([2, 2048]))
+@settings(max_examples=100, deadline=None)
+def test_hourly_writer_matches_csv_writer(case, block_rows):
+    n_values, rows = case
+    header = ["timestamp", *(f"v{k}" for k in range(n_values))]
+    stamps = np.array([t for t, _ in rows], dtype=np.int64)
+    values = np.array([v for _, v in rows], dtype=np.float64).reshape(len(rows), n_values)
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+            write_hourly_csv(got, header, stamps, values)
+        with open(want, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([t, *(repr(float(v)) for v in vs)] for t, vs in rows)
+        assert got.read_bytes() == want.read_bytes()
 
 
 class TestImpute:
