@@ -403,13 +403,14 @@ class Tensor:
     # replaces, so values are bit-identical; the backward passes keep only
     # what they need instead of every intermediate.
 
-    def linear(self, w: "Tensor", b: "Tensor") -> "Tensor":
-        """`self @ w + b` for a 2-D weight `w` and a bias row `b`."""
+    def linear(self, w: "Tensor", b: "Tensor | None" = None) -> "Tensor":
+        """`self @ w + b` for a 2-D weight `w` and an optional bias row `b`."""
         x = self
         xd, wd = x.data, w.data
         x2 = xd.reshape(-1, xd.shape[-1])
         out = x2 @ wd
-        out += b.data
+        if b is not None:
+            out += b.data
 
         def back(g):
             g2 = g.reshape(-1, wd.shape[-1])
@@ -417,10 +418,11 @@ class Tensor:
                 x._accumulate((g2 @ wd.T).reshape(xd.shape))
             if w.requires_grad:
                 w._accumulate(x2.T @ g2)
-            if b.requires_grad:
+            if b is not None and b.requires_grad:
                 b._accumulate(_unbroadcast(g, b.data.shape))
 
-        return Tensor._make(out.reshape(*xd.shape[:-1], wd.shape[-1]), (x, w, b), back)
+        parents = (x, w) if b is None else (x, w, b)
+        return Tensor._make(out.reshape(*xd.shape[:-1], wd.shape[-1]), parents, back)
 
     def gelu(self):
         """Tanh-form GELU: x/2 * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3)))."""

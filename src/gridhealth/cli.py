@@ -49,6 +49,7 @@ from .ingest import (
     impute_missing,
     load_fuel_mix,
     normalize_mix,
+    open_csv,
     write_fuel_mix_csv,
     write_hourly_csv,
 )
@@ -129,8 +130,8 @@ class CommandContext:
 
 def _load_canonical_mix(path: str | Path):
     """Load a dataset CSV whose columns are already canonical fuels."""
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh))
+    with open_csv(path) as reader:
+        header = next(reader, [])
     identity = FuelCategoryMap({name: name for name in header[1:]})
     return load_fuel_mix(path, identity)
 
@@ -237,13 +238,10 @@ def cmd_predict(args, ctx: CommandContext) -> None:
     ctx.register_input(args.checkpoint)
     series = _load_canonical_mix(args.dataset)
     model, converter = load_checkpoint(args.checkpoint)
-    if model.window != args.window:
-        raise GridHealthError(
-            f"checkpoint was trained with window {model.window}, requested {args.window}"
-        )
+    ctx.config["window"] = model.window
     # Evaluation protocol: non-overlapping windows tiling the held-out span.
     _, pred_impacts, stamps = forecast_heldout(
-        model, converter, series.shares, series.timestamps, args.window,
+        model, converter, series.shares, series.timestamps, model.window,
         TrainConfig.test_fraction)
     bad = ~(np.isfinite(pred_impacts) & (pred_impacts >= 0)).all(axis=1)
     if bad.any():
@@ -358,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, choices=(24, 72), default=24)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_predict)
 

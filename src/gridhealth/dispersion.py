@@ -21,6 +21,7 @@ from . import autodiff
 from .autodiff import Adam, Tensor
 from .emissions import EmissionVector
 from .errors import DimensionMismatch, EmptyTrainingSet, InvalidParams, MalformedRow
+from .ingest import open_csv
 
 # 1 kg released over one hour, expressed as an annual-mean ug/s source term:
 # 1e9 ug / 3600 s spread across the 8760 hours the receptor is exposed per
@@ -54,8 +55,7 @@ class SourceReceptorMatrix:
         cells: dict[tuple[str, str], float] = {}
         pollutants: list[str] = []
         receptors: list[str] = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
+        with open_csv(path) as reader:
             header = next(reader, None)
             if header != ["pollutant", "receptor_id", "gain"]:
                 raise MalformedRow(f"{path}: expected header 'pollutant,receptor_id,gain'")

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedRow, UnknownPlant
-from .ingest import ZERO_EMISSION_FUELS, FuelMixRecord, PlantRecord
+from .ingest import ZERO_EMISSION_FUELS, FuelMixRecord, PlantRecord, open_csv
 
 POLLUTANTS = ("PM2.5", "SO2", "NOX", "VOC")
 
@@ -42,8 +42,7 @@ class EmissionFactorTable:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "EmissionFactorTable":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
+        with open_csv(path) as reader:
             header = next(reader, None)
             if header is None or header[0].strip() != "fuel":
                 raise MalformedRow(f"{path}: expected header 'fuel,<pollutants...>'")

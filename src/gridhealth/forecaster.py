@@ -14,6 +14,7 @@ health-driven. Training is plain SGD and fully deterministic given a seed.
 
 from __future__ import annotations
 
+import base64
 import ctypes
 import functools
 import json
@@ -168,7 +169,8 @@ class ForecastModel:
         for stage in stages:
             for mat in ("q", "k", "v", "o"):
                 self._add(f"{prefix}_{stage}_w{mat}", (d, d), rng)
-                self._add_zeros(f"{prefix}_{stage}_b{mat}", (d,))
+                if mat != "k":
+                    self._add_zeros(f"{prefix}_{stage}_b{mat}", (d,))
             self._add_ones(f"{prefix}_{stage}_ln_g", (d,))
             self._add_zeros(f"{prefix}_{stage}_ln_b", (d,))
         self._add(f"{prefix}_ff_w1", (d, ff), rng)
@@ -203,7 +205,9 @@ class ForecastModel:
         dk = d // h
 
         def heads_of(x, name):
-            proj = x.linear(p[f"{prefix}_{stage}_w{name}"], p[f"{prefix}_{stage}_b{name}"])
+            # keys have no bias: it would shift all of a query's scores
+            # alike, which softmax cancels, so it could never learn
+            proj = x.linear(p[f"{prefix}_{stage}_w{name}"], p.get(f"{prefix}_{stage}_b{name}"))
             b, t, _ = proj.shape
             return proj.reshape(b, t, h, dk).transpose(0, 2, 1, 3)
 
@@ -295,18 +299,16 @@ def forward(model: ForecastModel, history, horizon: int | None = None) -> np.nda
 
 
 class HealthConverterNet:
-    """3-layer perceptron mapping one mix (plus optional features) to
-    (internal, external) $/MWh, forced nonnegative by a softplus output."""
+    """3-layer perceptron mapping one mix to (internal, external) $/MWh,
+    forced nonnegative by a softplus output."""
 
-    def __init__(self, n_fuels: int, hidden: int = 64, feature_dim: int = 0, seed: int = 0):
+    def __init__(self, n_fuels: int, hidden: int = 64, seed: int = 0):
         self.n_fuels = n_fuels
         self.hidden = hidden
-        self.feature_dim = feature_dim
         self.seed = seed
         rng = np.random.default_rng(seed)
-        d_in = n_fuels + feature_dim
         self.params = {
-            "w1": autodiff.parameter((d_in, hidden), rng=rng),
+            "w1": autodiff.parameter((n_fuels, hidden), rng=rng),
             "b1": Tensor(np.zeros(hidden), requires_grad=True),
             "w2": autodiff.parameter((hidden, hidden), rng=rng),
             "b2": Tensor(np.zeros(hidden), requires_grad=True),
@@ -314,10 +316,8 @@ class HealthConverterNet:
             "b3": Tensor(np.ones(2), requires_grad=True),
         }
 
-    def forward_tensor(self, x: Tensor, features: Tensor | None = None) -> Tensor:
+    def forward_tensor(self, x: Tensor) -> Tensor:
         """(N, F) mixes to (N, 2) nonnegative impact predictions."""
-        if features is not None:
-            raise NotImplementedError("auxiliary feature input is reserved")
         p = self.params
         h1 = x.linear(p["w1"], p["b1"]).tanh()
         h2 = h1.linear(p["w2"], p["b2"]).tanh()
@@ -620,12 +620,24 @@ def beta_sweep(data: TrainingData, betas: list[float], cfg: TrainConfig,
 
 # -- checkpointing -------------------------------------------------------------
 
-CHECKPOINT_FORMAT = "gridhealth-checkpoint-v1"
+CHECKPOINT_FORMAT = "gridhealth-checkpoint-v2"
+_DTYPE = "<f8"
+
+
+def _encode(a: np.ndarray) -> dict:
+    """One parameter as its dtype tag, shape and base64 of its C-order bytes."""
+    raw = a.astype(_DTYPE, copy=False).tobytes()
+    return {"dtype": _DTYPE, "shape": list(a.shape),
+            "data": base64.b64encode(raw).decode("ascii")}
 
 
 def save_checkpoint(path: str | Path, model: ForecastModel,
                     converter: HealthConverterNet) -> None:
-    """Write both networks to a self-describing JSON container."""
+    """Write both networks to a self-describing JSON container.
+
+    The header is plain JSON; each parameter is stored as little-endian
+    float64 bytes in base64, so a save and load round trip is exact.
+    """
     payload = {
         "format": CHECKPOINT_FORMAT,
         "model": {
@@ -643,13 +655,34 @@ def save_checkpoint(path: str | Path, model: ForecastModel,
         "converter": {
             "n_fuels": converter.n_fuels,
             "hidden": converter.hidden,
-            "feature_dim": converter.feature_dim,
             "seed": converter.seed,
         },
-        "params": {k: v.data.tolist() for k, v in model.params.items()},
-        "converter_params": {k: v.data.tolist() for k, v in converter.params.items()},
+        "params": {k: _encode(v.data) for k, v in model.params.items()},
+        "converter_params": {k: _encode(v.data) for k, v in converter.params.items()},
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True))
+
+
+def _decode(where: str, entry, shape: tuple) -> np.ndarray:
+    """The array `_encode` stored in `entry`, checked to hold `shape` finite floats."""
+    if not isinstance(entry, dict) or sorted(entry) != ["data", "dtype", "shape"]:
+        raise CorruptCheckpoint(f"{where} must be an object with keys 'data', 'dtype', 'shape'")
+    if entry["dtype"] != _DTYPE:
+        raise CorruptCheckpoint(f"{where} has dtype {entry['dtype']!r}, expected {_DTYPE!r}")
+    if entry["shape"] != list(shape):
+        raise CorruptCheckpoint(f"{where} has shape {entry['shape']!r}, expected {list(shape)}")
+    try:
+        raw = base64.b64decode(entry["data"], validate=True)
+    except (TypeError, ValueError) as exc:
+        raise CorruptCheckpoint(f"{where} is not valid base64 ({exc})") from exc
+    if len(raw) != math.prod(shape) * 8:
+        raise CorruptCheckpoint(f"{where} holds {len(raw)} bytes, expected "
+                                f"{math.prod(shape) * 8}")
+    # astype copies, so the optimizer can update the array in place
+    value = np.frombuffer(raw, dtype=_DTYPE).astype(np.float64).reshape(shape)
+    if not np.isfinite(value).all():
+        raise CorruptCheckpoint(f"{where} holds a non-finite value")
+    return value
 
 
 def _restore_params(path: str | Path, section: str, stored, params: dict[str, Tensor]) -> None:
@@ -661,22 +694,17 @@ def _restore_params(path: str | Path, section: str, stored, params: dict[str, Te
         problem = "lacks" if unmatched[0] in params else "has unknown"
         raise CorruptCheckpoint(f"{path}: {section} {problem} parameter {unmatched[0]!r}")
     for name, tensor in params.items():
-        try:
-            value = np.asarray(stored[name], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise CorruptCheckpoint(
-                f"{path}: {section} parameter {name!r} is not a numeric array") from exc
-        if value.shape != tensor.data.shape:
-            raise CorruptCheckpoint(f"{path}: {section} parameter {name!r} has shape "
-                                    f"{value.shape}, expected {tensor.data.shape}")
-        tensor.data = value
+        tensor.data = _decode(f"{path}: {section} parameter {name!r}", stored[name],
+                              tensor.data.shape)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ForecastModel, HealthConverterNet]:
     """Rebuild both networks from `save_checkpoint` output.
 
-    Every parameter must be present under its exact name and shape;
-    anything else raises CorruptCheckpoint naming the path and the key.
+    Every parameter must be present under its exact name, dtype tag and
+    shape, with exactly its byte count of finite values; anything else
+    raises CorruptCheckpoint naming the path and the key. Files of any
+    other format, earlier versions included, are rejected.
     """
     try:
         payload = json.loads(Path(path).read_text())
@@ -692,8 +720,7 @@ def load_checkpoint(path: str | Path) -> tuple[ForecastModel, HealthConverterNet
                               decoder_layers=m["decoder_layers"], ff_dim=m["ff_dim"],
                               dropout=m["dropout"], seed=m["seed"])
         c = payload["converter"]
-        converter = HealthConverterNet(c["n_fuels"], hidden=c["hidden"],
-                                       feature_dim=c["feature_dim"], seed=c["seed"])
+        converter = HealthConverterNet(c["n_fuels"], hidden=c["hidden"], seed=c["seed"])
     except KeyError as exc:
         raise CorruptCheckpoint(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:

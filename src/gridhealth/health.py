@@ -19,7 +19,6 @@ form; they are the reference the array form is tested against.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +33,7 @@ from .errors import (
     MissingValuation,
     UnknownReceptor,
 )
-from .ingest import FuelMixRecord, write_hourly_csv
+from .ingest import FuelMixRecord, open_csv, write_hourly_csv
 
 LOG_LINEAR = "log_linear"
 LINEAR = "linear"
@@ -264,8 +263,7 @@ def impact_per_mwh(mix: FuelMixRecord, config: PipelineConfig) -> HealthSignal:
 def load_receptor_profiles(path: str | Path, endpoints: list[str]) -> list[ReceptorProfile]:
     """Read `receptor_id,population,internal,<rate per endpoint...>` rows."""
     profiles = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open_csv(path) as reader:
         header = next(reader, None)
         expected = ["receptor_id", "population", "internal", *endpoints]
         if header != expected:
@@ -286,8 +284,7 @@ def load_receptor_profiles(path: str | Path, endpoints: list[str]) -> list[Recep
 def load_concentration_responses(path: str | Path) -> list[ConcentrationResponse]:
     """Read `endpoint_id,form,<alpha per pollutant...>` rows."""
     responses = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open_csv(path) as reader:
         header = next(reader, None)
         if header is None or header[:2] != ["endpoint_id", "form"]:
             raise MalformedRow(f"{path}: expected header 'endpoint_id,form,<alphas...>'")
@@ -305,8 +302,7 @@ def load_concentration_responses(path: str | Path) -> list[ConcentrationResponse
 def load_valuations(path: str | Path) -> list[HealthValuation]:
     """Read `endpoint_id,dollars_per_case` rows."""
     valuations = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open_csv(path) as reader:
         header = next(reader, None)
         if header != ["endpoint_id", "dollars_per_case"]:
             raise MalformedRow(f"{path}: expected header 'endpoint_id,dollars_per_case'")
@@ -329,8 +325,7 @@ def write_signals_csv(path: str | Path, signals: list[HealthSignal]) -> None:
 
 def load_signals_csv(path: str | Path) -> list[HealthSignal]:
     signals = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open_csv(path) as reader:
         header = next(reader, None)
         if header != SIGNAL_HEADER:
             raise MalformedRow(f"{path}: bad health-signal header")

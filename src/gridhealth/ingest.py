@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from itertools import islice
@@ -53,6 +54,23 @@ _BLOCK_ROWS = 2048
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 _HOUR = timedelta(hours=1)
 _LAST_ISO_HOUR = datetime(9999, 12, 31, 23)   # later hours print with 5-digit years
+
+
+@contextmanager
+def open_csv(path: str | Path):
+    """`csv.reader` over the UTF-8 file `path`.
+
+    Bytes that are not UTF-8 and a cell over the csv module's field size
+    limit raise MalformedRow naming the path, wherever the caller reads.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise MalformedRow(f"{path}:{reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise MalformedRow(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 @dataclass
@@ -137,8 +155,7 @@ class FuelCategoryMap:
     @classmethod
     def from_csv(cls, path: str | Path) -> "FuelCategoryMap":
         entries: dict[str, str] = {}
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
+        with open_csv(path) as reader:
             header = next(reader, None)
             if header is None or [c.strip() for c in header[:2]] != ["raw_label", "canonical"]:
                 raise MalformedRow(f"{path}: expected header 'raw_label,canonical'")
@@ -177,8 +194,7 @@ class PlantRecord:
 def load_plants(path: str | Path) -> list[PlantRecord]:
     """Read a plant registry CSV: plant_id,region_id,fuel,capacity_basis,<pollutants...>."""
     plants = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open_csv(path) as reader:
         header = next(reader, None)
         if header is None or header[:4] != ["plant_id", "region_id", "fuel", "capacity_basis"]:
             raise MalformedRow(f"{path}: bad plant registry header")
@@ -341,8 +357,7 @@ def load_fuel_mix(path: str | Path, category_map: FuelCategoryMap) -> FuelMixSer
     mapped to EXCLUDED are dropped entirely. Rows are read in blocks of
     at most `_BLOCK_ROWS`; the first faulty row in file order raises.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open_csv(path) as reader:
         header = next(reader, None)
         if header is None or not header or header[0].strip() != "timestamp":
             raise MalformedRow(f"{path}: first header column must be 'timestamp'")

@@ -38,6 +38,7 @@ from .errors import (
     WindowTooLarge,
 )
 from .health import HealthSignal
+from .ingest import open_csv
 
 BRUTE_FORCE_MAX_WINDOW = 20
 
@@ -437,8 +438,7 @@ def _draw_demand(demand_dist, rng: np.random.Generator) -> float:
 def load_sessions(path: str | Path) -> list[ChargingSession]:
     """Read `session_id,arrival,departure,demand_kwh,rate_kw` rows."""
     sessions = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open_csv(path) as reader:
         header = next(reader, None)
         if header != ["session_id", "arrival", "departure", "demand_kwh", "rate_kw"]:
             raise MalformedRow(f"{path}: bad sessions header")

@@ -86,6 +86,9 @@ OPS += [
      lambda t: (t.attention(K, V, SCALE, MASK) * R_ATT).sum(), (1, 2, 4, 5)),
     ("attention_batch1_k",
      lambda t: (Q1.attention(t, V, SCALE, MASK) * R_ATT).sum(), (3, 2, 6, 5)),
+    ("linear_nobias_x", lambda t: (t.linear(W45) * R235).sum(), (2, 3, 4)),
+    ("linear_nobias_w", lambda t: (X234.linear(t) ** 2.0).sum(), (4, 5)),
+    ("linear_nobias_2d", lambda t: (t.linear(W45) ** 2.0).sum(), (3, 4)),
 ]
 
 
@@ -195,6 +198,7 @@ FUSED = [
      [(16, 24, 8), (8, 12), (12,)]),
     ("linear_2d", lambda x, w, b: x.linear(w, b), lambda x, w, b: x @ w + b,
      [(40, 8), (8, 12), (12,)]),
+    ("linear_nobias", lambda x, w: x.linear(w), lambda x, w: x @ w, [(16, 24, 8), (8, 12)]),
     ("gelu", lambda x: x.gelu(), _gelu_composite, [(16, 24, 8)]),
     ("layer_norm_affine", lambda x, g, b: x.layer_norm_affine(g, b),
      lambda x, g, b: x.layer_norm() * g + b, [(16, 24, 8), (8,), (8,)]),

@@ -1,5 +1,6 @@
 """End-to-end command tests: artifacts, error paths, manifests, determinism."""
 
+import base64
 import csv
 import json
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from gridhealth.cli import main
-from gridhealth.forecaster import TrainConfig, build_models
+from gridhealth.forecaster import TrainConfig, build_models, load_checkpoint, save_checkpoint
 from gridhealth.health import load_signals_csv
 from gridhealth.synth import default_config_path, load_config_dir, oracle_labels
 from gridhealth.ingest import FuelCategoryMap, load_fuel_mix
@@ -200,14 +201,48 @@ class TestTrainPredictSweep:
         sweep_value = float(read_rows(sweep_out / "tradeoff.csv")[1][2])
         assert recomputed == pytest.approx(sweep_value, rel=1e-12)
 
-    def test_window_mismatch_rejected(self, bundle, tmp_path):
+    def test_predict_takes_window_from_checkpoint(self, tmp_path):
+        data = tmp_path / "bundle"
+        assert run("synth", "--out", data, "--hours", 480, "--seed", 3) == 0
+        train_out = tmp_path / "train"
+        assert run("train", "--dataset", data / "fuel_mix.csv",
+                   "--labels", data / "labels.csv", "--out", train_out, "--window", 72,
+                   "--epochs", 0, "--seed", 1, "--arch", "linear_baseline") == 0
+        args = ["predict", "--dataset", data / "fuel_mix.csv",
+                "--checkpoint", train_out / "checkpoint.json", "--out", tmp_path / "p"]
+        assert run(*args) == 0
+        manifest = json.loads((tmp_path / "p" / "manifest.json").read_text())
+        assert manifest["config"]["window"] == 72
+        stamps = [int(r[0]) for r in read_rows(tmp_path / "p" / "predicted_signal.csv")[1:]]
+        assert stamps == list(range(384, 456))       # the one 72 h window in the last 96 h
+        for flag in ("--window", "--seed"):            # neither is a predict option
+            with pytest.raises(SystemExit):
+                run(*args, flag, 72)
+
+    def test_checkpoint_round_trip_keeps_prediction(self, bundle, tmp_path):
         train_out = tmp_path / "train"
         assert run("train", "--dataset", bundle / "fuel_mix.csv",
                    "--labels", bundle / "labels.csv", "--out", train_out,
-                   "--epochs", 0, "--seed", 1, "--arch", "linear_baseline") == 0
-        assert run("predict", "--dataset", bundle / "fuel_mix.csv",
-                   "--checkpoint", train_out / "checkpoint.json",
-                   "--out", tmp_path / "p", "--window", 72) == 1
+                   "--epochs", 1, "--seed", 2) == 0
+        first = train_out / "checkpoint.json"
+        model, converter = load_checkpoint(first)
+        second = tmp_path / "checkpoint.json"
+        save_checkpoint(second, model, converter)
+        assert second.read_bytes() == first.read_bytes()
+        for ckpt, out in ((first, tmp_path / "p1"), (second, tmp_path / "p2")):
+            assert run("predict", "--dataset", bundle / "fuel_mix.csv",
+                       "--checkpoint", ckpt, "--out", out) == 0
+        assert ((tmp_path / "p1" / "predicted_signal.csv").read_bytes()
+                == (tmp_path / "p2" / "predicted_signal.csv").read_bytes())
+
+    def test_non_utf8_dataset_rejected(self, bundle, tmp_path, capsys):
+        dataset = tmp_path / "fuel_mix.csv"
+        dataset.write_bytes((bundle / "fuel_mix.csv").read_bytes().replace(b"\n", b"\n\xe9", 1))
+        out = tmp_path / "run"
+        assert run("train", "--dataset", dataset, "--labels", bundle / "labels.csv",
+                   "--out", out, "--epochs", 0) == 1
+        assert capsys.readouterr().err.startswith(f"error: {dataset}: not UTF-8 text")
+        assert not (out / "checkpoint.json").exists()
 
 
 def _bad_format(p):
@@ -223,7 +258,12 @@ def _extra_param(p):
 
 
 def _misshapen_param(p):
-    p["params"]["lin_w"] = p["params"]["lin_w"][:-1]
+    # drop the last row of lin_w, keeping its shape tag and bytes consistent
+    entry = p["params"]["lin_w"]
+    rows, cols = entry["shape"]
+    raw = base64.b64decode(entry["data"])[:(rows - 1) * cols * 8]
+    entry["shape"] = [rows - 1, cols]
+    entry["data"] = base64.b64encode(raw).decode("ascii")
 
 
 def _missing_header_key(p):

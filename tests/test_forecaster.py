@@ -1,5 +1,8 @@
 """Forecaster: loss contract, simplex outputs, deterministic training, NMAE, sweep."""
 
+import base64
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from gridhealth.autodiff import Tensor, grad_check
 from gridhealth.errors import (
     BetaOutOfRange,
+    CorruptCheckpoint,
     DivergedLoss,
     InsufficientData,
     ShapeMismatch,
@@ -310,14 +314,65 @@ class TestSweep:
             beta_sweep(data, [0.999], cfg)
 
 
+def _small_networks():
+    model = ForecastModel(ATTENTION, n_fuels=4, window=6, embed_dim=16, heads=2,
+                          ff_dim=16, seed=9)
+    conv = HealthConverterNet(4, hidden=16, seed=10)
+    return model, conv
+
+
+def _set_data(entry, raw):
+    entry["data"] = base64.b64encode(raw).decode("ascii")
+
+
+def _bad_base64(p):
+    # a lenient decoder would skip the stray character and load the tensor
+    data = p["params"]["out_w"]["data"]
+    p["params"]["out_w"]["data"] = data[:8] + "*" + data[8:]
+
+
+def _short_bytes(p):
+    entry = p["params"]["out_w"]
+    _set_data(entry, base64.b64decode(entry["data"])[:-8])
+
+
+def _transposed_shape(p):
+    # the byte count still matches; only the shape tag can tell
+    p["params"]["out_w"]["shape"].reverse()
+
+
+def _wrong_dtype(p):
+    p["params"]["out_w"]["dtype"] = ">f8"
+
+
+def _nan_value(p):
+    entry = p["params"]["out_w"]
+    values = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").copy()
+    values[3] = np.nan
+    _set_data(entry, values.tobytes())
+
+
+def _version_1(p):
+    # the v1 layout: nested lists of floats under the v1 tag
+    p["format"] = "gridhealth-checkpoint-v1"
+    for section in ("params", "converter_params"):
+        for name, entry in p[section].items():
+            values = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
+            p[section][name] = values.reshape(entry["shape"]).tolist()
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        model = ForecastModel(ATTENTION, n_fuels=4, window=6, embed_dim=16, heads=2,
-                              ff_dim=16, seed=9)
-        conv = HealthConverterNet(4, hidden=16, seed=10)
+        model, conv = _small_networks()
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, model, conv)
         model2, conv2 = load_checkpoint(path)
+        for old, new in ((model, model2), (conv, conv2)):
+            assert list(new.params) == list(old.params)
+            for name, tensor in old.params.items():
+                assert new.params[name].data.dtype == np.float64
+                assert new.params[name].data.flags.writeable
+                np.testing.assert_array_equal(new.params[name].data, tensor.data)
         h = simplex((6, 4))
         np.testing.assert_array_equal(forward(model, h), forward(model2, h))
         np.testing.assert_array_equal(conv.predict(h), conv2.predict(h))
@@ -327,6 +382,27 @@ class TestCheckpoint:
         p.write_text("{}")
         with pytest.raises(ValueError):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize("corrupt, key", [
+        (_bad_base64, "out_w"), (_short_bytes, "out_w"), (_transposed_shape, "out_w"),
+        (_wrong_dtype, "out_w"), (_nan_value, "out_w"), (_version_1, "format"),
+    ])
+    def test_rejects_corrupt_tensor(self, tmp_path, corrupt, key):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, *_small_networks())
+        payload = json.loads(path.read_text())
+        corrupt(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorruptCheckpoint) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value) and repr(key) in str(info.value)
+
+
+def test_attention_has_no_key_biases():
+    # softmax cancels a bias shared by all of a query's scores; none is kept
+    model, _ = _small_networks()
+    assert "enc0_self_wk" in model.params and "dec0_cross_wk" in model.params
+    assert not [name for name in model.params if name.endswith("_bk")]
 
 
 def test_dropout_mask_same_draws_and_values_as_division():

@@ -38,6 +38,16 @@ from gridhealth.ingest import (
     write_hourly_csv,
 )
 
+from gridhealth.dispersion import SourceReceptorMatrix
+from gridhealth.emissions import EmissionFactorTable
+from gridhealth.health import (
+    load_concentration_responses,
+    load_receptor_profiles,
+    load_signals_csv,
+    load_valuations,
+)
+from gridhealth.scheduler import load_sessions
+
 from conftest import make_record, make_series
 from reference_ingest import load_fuel_mix_rowwise
 
@@ -493,3 +503,33 @@ def test_load_plants_rejects_bad_rows(tmp_path):
                   ["p1", "BA1", "COL", "oops", "1.4"]])
     with pytest.raises(MalformedRow):
         load_plants(p)
+
+
+# Every csv.reader-based loader, with a header it accepts.
+CSV_LOADERS = [
+    ("category_map", FuelCategoryMap.from_csv, "raw_label,canonical"),
+    ("plants", load_plants, "plant_id,region_id,fuel,capacity_basis,SO2"),
+    ("fuel_mix", lambda p: load_fuel_mix(p, IDENTITY2), "timestamp,coal,gas"),
+    ("emission_factors", EmissionFactorTable.from_csv, "fuel,SO2"),
+    ("sr_matrix", SourceReceptorMatrix.from_csv, "pollutant,receptor_id,gain"),
+    ("receptors", lambda p: load_receptor_profiles(p, ["mortality"]),
+     "receptor_id,population,internal,mortality"),
+    ("concentration_response", load_concentration_responses, "endpoint_id,form,SO2"),
+    ("valuations", load_valuations, "endpoint_id,dollars_per_case"),
+    ("signals", load_signals_csv, "timestamp,internal_usd_per_mwh,external_usd_per_mwh"),
+    ("sessions", load_sessions, "session_id,arrival,departure,demand_kwh,rate_kw"),
+]
+
+
+@pytest.mark.parametrize("load, header", [c[1:] for c in CSV_LOADERS],
+                         ids=[c[0] for c in CSV_LOADERS])
+@pytest.mark.parametrize("line, message", [
+    (b"x" * 200_000, ":2: field larger than field limit"),     # over csv's 131,072 limit
+    (b"caf\xe9,1", ": not UTF-8 text"),                       # a Latin-1 byte
+], ids=["long_cell", "latin1_byte"])
+def test_csv_loaders_reject_unreadable_text(tmp_path, load, header, line, message):
+    p = tmp_path / "input.csv"
+    p.write_bytes(header.encode() + b"\n" + line + b"\n")
+    with pytest.raises(MalformedRow) as info:
+        load(p)
+    assert str(info.value).startswith(f"{p}{message}")
