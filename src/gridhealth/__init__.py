@@ -43,6 +43,7 @@ from .forecaster import (
 )
 from .health import (
     ConcentrationResponse,
+    HealthSeries,
     HealthSignal,
     HealthValuation,
     PipelineConfig,
@@ -66,6 +67,7 @@ from .ingest import (
 from .scheduler import (
     ChargingSession,
     Schedule,
+    SessionTable,
     StrategyResult,
     baseline_schedule,
     brute_force_schedule,
@@ -83,11 +85,11 @@ __all__ = [
     "TrainingData", "beta_sweep", "composite_loss", "evaluate", "forecast_heldout",
     "forward", "nmae",
     "predict_heldout", "train",
-    "ConcentrationResponse", "HealthSignal", "HealthValuation", "PipelineConfig",
+    "ConcentrationResponse", "HealthSeries", "HealthSignal", "HealthValuation", "PipelineConfig",
     "ReceptorProfile", "delta_health", "impact_per_mwh", "impacts", "monetize",
     "split_internal_external",
     "FuelCategoryMap", "FuelMixRecord", "FuelMixSeries", "PlantRecord",
     "allocate_generation", "impute_missing", "load_fuel_mix", "normalize_mix",
-    "ChargingSession", "Schedule", "StrategyResult", "baseline_schedule",
+    "ChargingSession", "Schedule", "SessionTable", "StrategyResult", "baseline_schedule",
     "brute_force_schedule", "evaluate_fleet", "optimal_schedule", "sample_sessions",
 ]

@@ -26,10 +26,8 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .errors import GridHealthError
+from .errors import DegenerateDistribution, GridHealthError
 from .forecaster import (
     ATTENTION,
     LINEAR_BASELINE,
@@ -42,7 +40,7 @@ from .forecaster import (
     save_checkpoint,
     train,
 )
-from .health import SIGNAL_HEADER, load_signals_csv, write_signals_csv
+from .health import HealthSeries, load_signals_csv, write_signals_csv
 from .ingest import (
     IMPUTED,
     FuelCategoryMap,
@@ -50,14 +48,15 @@ from .ingest import (
     load_fuel_mix,
     normalize_mix,
     open_csv,
+    read_json_object,
     write_fuel_mix_csv,
-    write_hourly_csv,
 )
 from .scheduler import (
     ALL_STRATEGIES,
     STRATEGY_CONTINUOUS,
     STRATEGY_FIRST,
     STRATEGY_LATEST,
+    SessionTable,
     evaluate_fleet,
     load_sessions,
     sample_sessions,
@@ -184,9 +183,8 @@ def cmd_synth(args, ctx: CommandContext) -> None:
     config = load_config_dir(ctx.out_dir)
     labels = oracle_labels(series, config)
     write_signals_csv(ctx.output("labels.csv"), labels)
-    costs = np.array([(s.internal_cost, s.external_cost) for s in labels])
     print(f"hours: {args.hours}")
-    for name, column in zip(("internal", "external"), costs.T):
+    for name, column in zip(("internal", "external"), labels.costs.T):
         print(f"{name}_usd_per_mwh: mean={column.mean():.3f} min={column.min():.3f} "
               f"max={column.max():.3f}")
 
@@ -243,14 +241,41 @@ def cmd_predict(args, ctx: CommandContext) -> None:
     _, pred_impacts, stamps = forecast_heldout(
         model, converter, series.shares, series.timestamps, model.window,
         TrainConfig.test_fraction)
-    bad = ~(np.isfinite(pred_impacts) & (pred_impacts >= 0)).all(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise GridHealthError(f"predicted health costs at hour {stamps[i]} are not finite "
-                              f"and nonnegative: {pred_impacts[i].tolist()}")
-    write_hourly_csv(ctx.output("predicted_signal.csv"), SIGNAL_HEADER, stamps, pred_impacts)
+    try:
+        predicted = HealthSeries(stamps, pred_impacts)
+    except ValueError as exc:
+        raise GridHealthError(f"predicted {exc}") from exc
+    write_signals_csv(ctx.output("predicted_signal.csv"), predicted)
     print(f"predicted_hours: {len(stamps)}")
     print(f"first_hour: {stamps[0]} last_hour: {stamps[-1]}")
+
+
+def _sampled_fleet(path: str, signals: HealthSeries, seed: int) -> SessionTable:
+    """The fleet a --sample-config JSON file describes, starting at the signal's first hour."""
+    spec = read_json_object(path)
+    for key in ("count", "arrival_hist", "departure_hist", "demand", "rate_kw"):
+        if key not in spec:
+            raise GridHealthError(f"{path}: missing key {key!r}")
+
+    def number(key, convert, default=None):
+        try:
+            return convert(spec.get(key, default))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GridHealthError(f"{path}: bad value for key {key!r}: {exc}") from exc
+
+    try:
+        return sample_sessions(
+            count=number("count", int),
+            arrival_dist=spec["arrival_hist"],
+            departure_dist=spec["departure_hist"],
+            demand_dist=spec["demand"],
+            rate=number("rate_kw", float),
+            seed=seed,
+            days=number("days", int, max(1, len(signals) // 24 - 1)),
+            start_hour=int(signals.timestamps[0]) if len(signals) else 0,
+        )
+    except DegenerateDistribution as exc:
+        raise DegenerateDistribution(f"{path}: {exc}") from exc
 
 
 def cmd_schedule(args, ctx: CommandContext) -> None:
@@ -263,18 +288,7 @@ def cmd_schedule(args, ctx: CommandContext) -> None:
         if not args.sample_config:
             raise GridHealthError("schedule needs --sessions or --sample-config")
         ctx.register_input(args.sample_config)
-        spec = json.loads(Path(args.sample_config).read_text())
-        n_days = max(1, len(signals) // 24 - 1)
-        sessions = sample_sessions(
-            count=int(spec["count"]),
-            arrival_dist=spec["arrival_hist"],
-            departure_dist=spec["departure_hist"],
-            demand_dist=spec["demand"],
-            rate=float(spec["rate_kw"]),
-            seed=args.seed,
-            days=int(spec.get("days", n_days)),
-            start_hour=signals[0].timestamp,
-        )
+        sessions = _sampled_fleet(args.sample_config, signals, args.seed)
         write_sessions(ctx.output("sessions.csv"), sessions)
     # baselines are always computed so the reduction columns stay defined
     totals = evaluate_fleet(sessions, signals, ALL_STRATEGIES)
@@ -380,9 +394,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     known, _ = probe.parse_known_args(argv)
     if not known.config:
         return argv
-    overrides = json.loads(Path(known.config).read_text())
-    if not isinstance(overrides, dict):
-        raise GridHealthError(f"{known.config}: config must be a JSON object")
+    overrides = read_json_object(known.config)
     # locate the subparser for the invoked command
     command = next((a for a in argv if not a.startswith("-")), None)
     for action in parser._subparsers._group_actions:  # noqa: SLF001

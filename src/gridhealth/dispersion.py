@@ -21,7 +21,7 @@ from . import autodiff
 from .autodiff import Adam, Tensor
 from .emissions import EmissionVector
 from .errors import DimensionMismatch, EmptyTrainingSet, InvalidParams, MalformedRow
-from .ingest import open_csv
+from .ingest import read_table
 
 # 1 kg released over one hour, expressed as an annual-mean ug/s source term:
 # 1e9 ug / 3600 s spread across the 8760 hours the receptor is exposed per
@@ -52,29 +52,27 @@ class SourceReceptorMatrix:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "SourceReceptorMatrix":
-        cells: dict[tuple[str, str], float] = {}
-        pollutants: list[str] = []
-        receptors: list[str] = []
-        with open_csv(path) as reader:
-            header = next(reader, None)
-            if header != ["pollutant", "receptor_id", "gain"]:
-                raise MalformedRow(f"{path}: expected header 'pollutant,receptor_id,gain'")
-            for row in reader:
-                if len(row) != 3:
-                    raise MalformedRow(f"{path}: bad row {row!r}")
-                k, i = row[0], row[1]
-                try:
-                    cells[(k, i)] = float(row[2])
-                except ValueError as exc:
-                    raise MalformedRow(f"{path}: bad gain in {row!r}") from exc
-                if k not in pollutants:
-                    pollutants.append(k)
-                if i not in receptors:
-                    receptors.append(i)
+        """Read `pollutant,receptor_id,gain` rows, one per (pollutant, receptor) pair.
+
+        Pollutants and receptors are ordered by first appearance; every
+        pair must appear exactly once.
+        """
+        t = read_table(path, [("pollutant", str), ("receptor_id", str), ("gain", float)],
+                       key=("pollutant", "receptor_id"))
+        pollutants, k = _first_seen(t["pollutant"])
+        receptors, i = _first_seen(t["receptor_id"])
         gains = np.zeros((len(pollutants), len(receptors)))
-        for (k, i), g in cells.items():
-            gains[pollutants.index(k), receptors.index(i)] = g
-        return cls(gains, tuple(receptors), tuple(pollutants))
+        gains[k, i] = t["gain"]
+        if len(t.lines) < gains.size:
+            seen = np.zeros(gains.shape, dtype=bool)
+            seen[k, i] = True
+            k, i = np.argwhere(~seen)[0]
+            raise MalformedRow(f"{path}: no gain for pollutant {pollutants[k]!r} "
+                               f"at receptor {receptors[i]!r}")
+        try:
+            return cls(gains, receptors, pollutants)
+        except ValueError as exc:
+            raise MalformedRow(f"{path}: {exc}") from exc
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
@@ -83,6 +81,13 @@ class SourceReceptorMatrix:
             for k, pollutant in enumerate(self.pollutant_names):
                 for i, receptor in enumerate(self.receptor_ids):
                     writer.writerow([pollutant, receptor, repr(float(self.gains[k, i]))])
+
+
+def _first_seen(column: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct values of `column` in first-seen order, and each row's index into them."""
+    names, first, inverse = np.unique(column, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return tuple(names[order].tolist()), np.argsort(order)[inverse]
 
 
 @dataclass

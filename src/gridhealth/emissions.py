@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedRow, UnknownPlant
-from .ingest import ZERO_EMISSION_FUELS, FuelMixRecord, PlantRecord, open_csv
+from .ingest import ZERO_EMISSION_FUELS, FuelMixRecord, PlantRecord, read_table
 
 POLLUTANTS = ("PM2.5", "SO2", "NOX", "VOC")
 
@@ -42,21 +42,12 @@ class EmissionFactorTable:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "EmissionFactorTable":
-        with open_csv(path) as reader:
-            header = next(reader, None)
-            if header is None or header[0].strip() != "fuel":
-                raise MalformedRow(f"{path}: expected header 'fuel,<pollutants...>'")
-            pollutants = tuple(c.strip() for c in header[1:])
-            fuels, rows = [], []
-            for row in reader:
-                if len(row) != len(header):
-                    raise MalformedRow(f"{path}: wrong arity in {row!r}")
-                fuels.append(row[0].strip())
-                try:
-                    rows.append([float(v) for v in row[1:]])
-                except ValueError as exc:
-                    raise MalformedRow(f"{path}: bad number in {row!r}") from exc
-        return cls(np.asarray(rows), tuple(fuels), pollutants)
+        """Read `fuel,<pollutants...>` rows, one per fuel."""
+        t = read_table(path, [("fuel", str)], tail=float, key=("fuel",))
+        try:
+            return cls(np.array(t.columns[1:]).T, t["fuel"].tolist(), t.header[1:])
+        except ValueError as exc:
+            raise MalformedRow(f"{path}: {exc}") from exc
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:

@@ -36,6 +36,7 @@ from .errors import (
     ShortHistory,
     ZeroNormalizer,
 )
+from .health import HealthSeries
 from .ingest import FuelMixSeries
 
 BETA_MAX = 0.998
@@ -397,14 +398,16 @@ class TrainingData:
         return self.mixes.shape[0]
 
     @classmethod
-    def from_series(cls, series: FuelMixSeries, signals) -> "TrainingData":
-        by_ts = {s.timestamp: (s.internal_cost, s.external_cost) for s in signals}
-        impacts = []
-        for t in series.timestamps:
-            if int(t) not in by_ts:
-                raise InsufficientData(f"no health label for hour {int(t)}")
-            impacts.append(by_ts[int(t)])
-        return cls(series.shares.copy(), np.asarray(impacts), series.timestamps.copy(),
+    def from_series(cls, series: FuelMixSeries, signals: HealthSeries) -> "TrainingData":
+        """Pair each hour of `series` with the label `signals` holds for that hour."""
+        stamps = signals.timestamps
+        at = np.searchsorted(stamps, series.timestamps)
+        found = at < len(stamps)
+        found[found] = stamps[at[found]] == series.timestamps[found]
+        if not found.all():
+            raise InsufficientData(
+                f"no health label for hour {series.timestamps[np.argmin(found)]}")
+        return cls(series.shares.copy(), signals.costs[at], series.timestamps.copy(),
                    series.fuel_names)
 
 

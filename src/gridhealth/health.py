@@ -29,11 +29,10 @@ from .dispersion import SourceReceptorMatrix
 from .emissions import EmissionFactorTable
 from .errors import (
     DimensionMismatch,
-    MalformedRow,
     MissingValuation,
     UnknownReceptor,
 )
-from .ingest import FuelMixRecord, open_csv, write_hourly_csv
+from .ingest import FuelMixRecord, read_table, write_hourly_csv
 
 LOG_LINEAR = "log_linear"
 LINEAR = "linear"
@@ -95,9 +94,41 @@ class HealthSignal:
         if not (0 <= self.internal_cost < math.inf and 0 <= self.external_cost < math.inf):
             raise ValueError("health signal costs must be finite and nonnegative")
 
-    @property
-    def total(self) -> float:
-        return self.internal_cost + self.external_cost
+
+@dataclass(eq=False)
+class HealthSeries:
+    """Hourly monetized health cost of 1 MWh, as columns.
+
+    `timestamps` (N,) are strictly increasing hour indices; `costs` (N, 2)
+    holds each hour's finite, nonnegative (internal, external) $/MWh. The
+    first hour breaking these rules raises a ValueError carrying its index
+    as `row`.
+    """
+
+    timestamps: np.ndarray
+    costs: np.ndarray
+
+    def __post_init__(self):
+        self.timestamps = np.asarray(self.timestamps, dtype=np.int64)
+        self.costs = np.asarray(self.costs, dtype=np.float64)
+        stamps, costs = self.timestamps, self.costs
+        if stamps.ndim != 1 or costs.shape != (len(stamps), 2):
+            raise DimensionMismatch(f"need timestamps (N,) and costs (N, 2), got "
+                                    f"{stamps.shape} and {costs.shape}")
+        bad_cost = ~((costs >= 0) & (costs < math.inf)).all(axis=1)
+        bad = bad_cost.copy()
+        bad[1:] |= stamps[1:] <= stamps[:-1]
+        if bad.any():
+            i = int(np.argmax(bad))
+            exc = ValueError(
+                f"health costs at hour {stamps[i]} are not finite and nonnegative: "
+                f"{costs[i].tolist()}" if bad_cost[i] else
+                f"timestamp {stamps[i]} does not follow {stamps[i - 1]}")
+            exc.row = i
+            raise exc
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
 
 
 def delta_health(
@@ -262,79 +293,37 @@ def impact_per_mwh(mix: FuelMixRecord, config: PipelineConfig) -> HealthSignal:
 
 def load_receptor_profiles(path: str | Path, endpoints: list[str]) -> list[ReceptorProfile]:
     """Read `receptor_id,population,internal,<rate per endpoint...>` rows."""
-    profiles = []
-    with open_csv(path) as reader:
-        header = next(reader, None)
-        expected = ["receptor_id", "population", "internal", *endpoints]
-        if header != expected:
-            raise MalformedRow(f"{path}: expected header {','.join(expected)}")
-        for row in reader:
-            if len(row) != len(expected):
-                raise MalformedRow(f"{path}: wrong arity in {row!r}")
-            try:
-                population = float(row[1])
-                rates = {e: float(v) for e, v in zip(endpoints, row[3:])}
-            except ValueError as exc:
-                raise MalformedRow(f"{path}: bad number in {row!r}") from exc
-            internal = row[2].strip().lower() in ("1", "true", "yes")
-            profiles.append(ReceptorProfile(row[0], population, rates, internal))
-    return profiles
+    t = read_table(path, [("receptor_id", str), ("population", float), ("internal", str),
+                          *((e, float) for e in endpoints)], key=("receptor_id",))
+    return t.records(lambda receptor, population, internal, *rates: ReceptorProfile(
+        receptor, population, dict(zip(endpoints, rates)),
+        internal.lower() in ("1", "true", "yes")))
 
 
 def load_concentration_responses(path: str | Path) -> list[ConcentrationResponse]:
     """Read `endpoint_id,form,<alpha per pollutant...>` rows."""
-    responses = []
-    with open_csv(path) as reader:
-        header = next(reader, None)
-        if header is None or header[:2] != ["endpoint_id", "form"]:
-            raise MalformedRow(f"{path}: expected header 'endpoint_id,form,<alphas...>'")
-        for row in reader:
-            if len(row) != len(header):
-                raise MalformedRow(f"{path}: wrong arity in {row!r}")
-            try:
-                alpha = np.array([float(v) for v in row[2:]])
-            except ValueError as exc:
-                raise MalformedRow(f"{path}: bad alpha in {row!r}") from exc
-            responses.append(ConcentrationResponse(row[0], alpha, row[1].strip()))
-    return responses
+    t = read_table(path, [("endpoint_id", str), ("form", str)], tail=float)
+    return t.records(lambda endpoint, form, *alpha: ConcentrationResponse(
+        endpoint, np.array(alpha, dtype=np.float64), form))
 
 
 def load_valuations(path: str | Path) -> list[HealthValuation]:
-    """Read `endpoint_id,dollars_per_case` rows."""
-    valuations = []
-    with open_csv(path) as reader:
-        header = next(reader, None)
-        if header != ["endpoint_id", "dollars_per_case"]:
-            raise MalformedRow(f"{path}: expected header 'endpoint_id,dollars_per_case'")
-        for row in reader:
-            if len(row) != 2:
-                raise MalformedRow(f"{path}: bad row {row!r}")
-            try:
-                valuations.append(HealthValuation(row[0], float(row[1])))
-            except ValueError as exc:
-                raise MalformedRow(f"{path}: bad number in {row!r}") from exc
-    return valuations
+    """Read `endpoint_id,dollars_per_case` rows, one per endpoint."""
+    t = read_table(path, [("endpoint_id", str), ("dollars_per_case", float)],
+                   key=("endpoint_id",))
+    return t.records(HealthValuation)
 
 
-def write_signals_csv(path: str | Path, signals: list[HealthSignal]) -> None:
+def write_signals_csv(path: str | Path, signals: HealthSeries) -> None:
     """Write `timestamp,internal_usd_per_mwh,external_usd_per_mwh` rows."""
-    costs = np.array([(s.internal_cost, s.external_cost) for s in signals],
-                     dtype=np.float64).reshape(-1, 2)
-    write_hourly_csv(path, SIGNAL_HEADER, [s.timestamp for s in signals], costs)
+    write_hourly_csv(path, SIGNAL_HEADER, signals.timestamps, signals.costs)
 
 
-def load_signals_csv(path: str | Path) -> list[HealthSignal]:
-    signals = []
-    with open_csv(path) as reader:
-        header = next(reader, None)
-        if header != SIGNAL_HEADER:
-            raise MalformedRow(f"{path}: bad health-signal header")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if len(row) != 3:
-                raise MalformedRow(f"{where}: bad row {row!r}")
-            try:
-                signals.append(HealthSignal(float(row[1]), float(row[2]), int(row[0])))
-            except ValueError as exc:
-                raise MalformedRow(f"{where}: bad value in {row!r}: {exc}") from exc
-    return signals
+def load_signals_csv(path: str | Path) -> HealthSeries:
+    """Read a file `write_signals_csv` wrote; each hour may appear once, in increasing order."""
+    t = read_table(path, [("timestamp", int), ("internal_usd_per_mwh", float),
+                          ("external_usd_per_mwh", float)], key=("timestamp",))
+    try:
+        return HealthSeries(t.columns[0], np.stack(t.columns[1:], axis=1))
+    except ValueError as exc:
+        raise t.error(exc.row, str(exc)) from exc

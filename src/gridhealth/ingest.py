@@ -16,6 +16,7 @@ expanding the day radius symmetrically until a donor is found.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from collections import Counter
 from contextlib import contextmanager
@@ -28,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    GridHealthError,
     MalformedRow,
     NegativeShare,
     NonMonotonicTimestamp,
@@ -71,6 +73,104 @@ def open_csv(path: str | Path):
             raise MalformedRow(f"{path}:{reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise MalformedRow(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+@dataclass(eq=False)
+class Table:
+    """Typed columns of one CSV file, one per header column; `lines[i]` is row i's line."""
+
+    path: str | Path
+    header: tuple[str, ...]
+    columns: list[np.ndarray]
+    lines: list[int]
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.columns[self.header.index(name)]
+
+    def error(self, row: int, message: str) -> MalformedRow:
+        return MalformedRow(f"{self.path}:{self.lines[row]}: {message}")
+
+    def records(self, make) -> list:
+        """`make(*cells)` per row; its ValueError becomes the row's MalformedRow."""
+        out = []
+        for i, cells in enumerate(zip(*(c.tolist() for c in self.columns))):
+            try:
+                out.append(make(*cells))
+            except ValueError as exc:
+                raise self.error(i, str(exc)) from exc
+        return out
+
+
+def read_table(path: str | Path, columns: list[tuple[str, type]], tail: type | None = None,
+               key: tuple[str, ...] = ()) -> Table:
+    """Read the CSV file `path` into typed columns.
+
+    The header is the names of `columns`, followed, given a `tail` kind, by
+    any further columns of that kind. Cells are parsed as `str` (stripped),
+    `int` (in int64 range) or `float`. The first row with a wrong cell
+    count or a bad cell, left to right, raises MalformedRow
+    ``{path}:{line}: ...``; then the first row repeating a `key`.
+    """
+    names = tuple(name for name, _ in columns)
+    with open_csv(path) as reader:
+        header = tuple(c.strip() for c in next(reader, ()))
+        if header[:len(names)] != names or (tail is None and len(header) != len(names)):
+            raise MalformedRow(f"{path}: expected header "
+                               f"{','.join(names)}{',<columns...>' if tail else ''}")
+        rows, lines = [], []
+        for row in reader:
+            rows.append(row)
+            lines.append(reader.line_num)
+    n = next((i for i, row in enumerate(rows) if len(row) != len(header)), len(rows))
+    cells = list(zip(*rows[:n])) if n else [()] * len(header)
+    kinds = [kind for _, kind in columns] + [tail] * (len(header) - len(names))
+    parsed = [_parse_column(column, kind, name) for name, kind, column in zip(header, kinds, cells)]
+    t = Table(path, header, [values for values, _ in parsed], lines)
+    faults = [fault for _, fault in parsed if fault]
+    if faults:
+        raise t.error(*min(faults, key=lambda f: f[0]))
+    if n < len(rows):
+        raise t.error(n, f"expected {len(header)} cells, got {len(rows[n])}")
+    first: dict[tuple, int] = {}
+    for i, value in enumerate(zip(*(t[name].tolist() for name in key))):
+        if (j := first.setdefault(value, i)) != i:
+            shown = value[0] if len(key) == 1 else value
+            raise t.error(i, f"{'/'.join(key)} {shown!r} already on line {lines[j]}")
+    return t
+
+
+def _parse_column(column: tuple[str, ...], kind: type, name: str):
+    """The cells as an array of `kind`, or None and the first bad cell as (row, message)."""
+    if kind is str:
+        return np.array([c.strip() for c in column], dtype=str), None
+    try:
+        values = list(map(kind, column))
+    except ValueError:
+        for i, cell in enumerate(column):
+            try:
+                kind(cell)
+            except ValueError:
+                what = "an integer" if kind is int else "a number"
+                return None, (i, f"{name} {cell.strip()!r} is not {what}")
+    if kind is int and values and not _INT64_MIN <= min(values) <= max(values) <= _INT64_MAX:
+        i = next(i for i, v in enumerate(values) if not _INT64_MIN <= v <= _INT64_MAX)
+        return None, (i, f"{name} {column[i].strip()!r} out of range")
+    return np.array(values, dtype=np.int64 if kind is int else np.float64), None
+
+
+def read_json_object(path: str | Path) -> dict:
+    """The JSON object in the UTF-8 file `path`.
+
+    Text that is not UTF-8, not JSON, or JSON other than an object raises
+    GridHealthError naming the path.
+    """
+    try:
+        value = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:   # JSON and UTF-8 decode errors are ValueErrors
+        raise GridHealthError(f"{path}: not a JSON file ({exc})") from exc
+    if not isinstance(value, dict):
+        raise GridHealthError(f"{path}: expected a JSON object")
+    return value
 
 
 @dataclass
@@ -122,18 +222,6 @@ class FuelMixSeries:
     def __len__(self):
         return self.shares.shape[0]
 
-    @property
-    def records(self) -> list[FuelMixRecord]:
-        return [
-            FuelMixRecord(int(t), self.shares[i].copy(), self.flags[i].copy(), self.fuel_names)
-            for i, t in enumerate(self.timestamps)
-        ]
-
-    def record(self, i: int) -> FuelMixRecord:
-        return FuelMixRecord(
-            int(self.timestamps[i]), self.shares[i].copy(), self.flags[i].copy(), self.fuel_names
-        )
-
     def copy(self) -> "FuelMixSeries":
         return FuelMixSeries(
             self.timestamps.copy(), self.shares.copy(), self.flags.copy(), self.fuel_names
@@ -154,23 +242,9 @@ class FuelCategoryMap:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "FuelCategoryMap":
-        entries: dict[str, str] = {}
-        with open_csv(path) as reader:
-            header = next(reader, None)
-            if header is None or [c.strip() for c in header[:2]] != ["raw_label", "canonical"]:
-                raise MalformedRow(f"{path}: expected header 'raw_label,canonical'")
-            first_line: dict[str, int] = {}
-            for row in reader:
-                where = f"{path}:{reader.line_num}"
-                if len(row) != 2:
-                    raise MalformedRow(f"{where}: bad map row {row!r}")
-                label = row[0].strip()
-                if label in entries:
-                    raise MalformedRow(f"{where}: raw label {label!r} already mapped on line "
-                                       f"{first_line[label]}")
-                entries[label] = row[1].strip()
-                first_line[label] = reader.line_num
-        return cls(entries)
+        """Read `raw_label,canonical` rows; a raw label may appear once."""
+        t = read_table(path, [("raw_label", str), ("canonical", str)], key=("raw_label",))
+        return cls(dict(zip(t["raw_label"].tolist(), t["canonical"].tolist())))
 
 
 @dataclass
@@ -193,22 +267,10 @@ class PlantRecord:
 
 def load_plants(path: str | Path) -> list[PlantRecord]:
     """Read a plant registry CSV: plant_id,region_id,fuel,capacity_basis,<pollutants...>."""
-    plants = []
-    with open_csv(path) as reader:
-        header = next(reader, None)
-        if header is None or header[:4] != ["plant_id", "region_id", "fuel", "capacity_basis"]:
-            raise MalformedRow(f"{path}: bad plant registry header")
-        pollutants = [c.strip() for c in header[4:]]
-        for row in reader:
-            if len(row) != len(header):
-                raise MalformedRow(f"{path}: wrong arity in row {row!r}")
-            try:
-                basis = float(row[3])
-                rates = {p: float(v) for p, v in zip(pollutants, row[4:])}
-            except ValueError as exc:
-                raise MalformedRow(f"{path}: bad number in row {row!r}") from exc
-            plants.append(PlantRecord(row[0], row[1], row[2], basis, rates))
-    return plants
+    t = read_table(path, [("plant_id", str), ("region_id", str), ("fuel", str),
+                          ("capacity_basis", float)], tail=float)
+    return t.records(lambda plant, region, fuel, basis, *rates: PlantRecord(
+        plant, region, fuel, basis, dict(zip(t.header[4:], rates))))
 
 
 def _parse_timestamp(text: str, path: str | Path, row_no: int) -> tuple[bool, int | datetime]:

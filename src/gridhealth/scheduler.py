@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
-from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -33,12 +32,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (
     DegenerateDistribution,
     InfeasibleSession,
-    MalformedRow,
     SignalCoverageGap,
     WindowTooLarge,
 )
-from .health import HealthSignal
-from .ingest import open_csv
+from .health import HealthSeries
+from .ingest import read_table
 
 BRUTE_FORCE_MAX_WINDOW = 20
 
@@ -74,9 +72,12 @@ class ChargingSession:
         if not math.isfinite(self.rate_kw) or self.rate_kw <= 0:
             raise InfeasibleSession(f"{name}: rate must be finite and positive, "
                                     f"got {self.rate_kw}")
-        if self.slots_needed > self.window_length:
+        # ceil(x) > w exactly when x > w, for an integer w; x may be inf
+        needed = self.demand_kwh / self.rate_kw - 1e-9
+        if needed > self.window_length:
+            slots = math.ceil(needed) if math.isfinite(needed) else needed
             raise InfeasibleSession(
-                f"{name}: demand {self.demand_kwh} kWh needs {self.slots_needed} slots at "
+                f"{name}: demand {self.demand_kwh} kWh needs {slots} slots at "
                 f"{self.rate_kw} kW, the window has {self.window_length}"
             )
 
@@ -89,6 +90,63 @@ class ChargingSession:
         if self.demand_kwh == 0:
             return 0
         return int(math.ceil(self.demand_kwh / self.rate_kw - 1e-9))
+
+
+@dataclass(eq=False)
+class SessionTable:
+    """A fleet as columns, entry i for session i, held to `ChargingSession`'s rules.
+
+    The first session those rules reject raises its `ChargingSession` error,
+    which carries the session's index as `row`.
+    """
+
+    session_id: np.ndarray   # (S,) str, "" for an unnamed session
+    arrival: np.ndarray      # (S,) int64 slot indices, inclusive
+    departure: np.ndarray    # (S,) int64
+    demand_kwh: np.ndarray   # (S,) float64
+    rate_kw: np.ndarray      # (S,) float64
+
+    def __post_init__(self):
+        self.session_id = np.asarray(self.session_id, dtype=str)
+        self.arrival = np.asarray(self.arrival, dtype=np.int64)
+        self.departure = np.asarray(self.departure, dtype=np.int64)
+        self.demand_kwh = np.asarray(self.demand_kwh, dtype=np.float64)
+        self.rate_kw = np.asarray(self.rate_kw, dtype=np.float64)
+        if not (self.arrival.shape == self.departure.shape == self.demand_kwh.shape
+                == self.rate_kw.shape == self.session_id.shape == (len(self.arrival),)):
+            raise ValueError("session columns must be 1-d and of one length")
+        # the rules over whole columns flag the sessions to build one by one; a
+        # window beyond 2**53 slots is flagged by its rounded float length
+        window = (self.departure - self.arrival).astype(np.float64) + 1
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            needed = self.demand_kwh / self.rate_kw - 1e-9
+        bad = ((self.departure < self.arrival) | (needed > window)
+               | ~(np.isfinite(self.demand_kwh) & (self.demand_kwh >= 0))
+               | ~(np.isfinite(self.rate_kw) & (self.rate_kw > 0)))
+        for i in np.flatnonzero(bad).tolist():
+            try:
+                self.session(i)
+            except InfeasibleSession as exc:
+                exc.row = i
+                raise
+
+    @classmethod
+    def from_sessions(cls, sessions) -> "SessionTable":
+        """The table of a sequence of `ChargingSession`s."""
+        return cls(*([getattr(s, f.name) for s in sessions] for f in fields(cls)))
+
+    def __len__(self) -> int:
+        return len(self.arrival)
+
+    def session(self, i: int) -> ChargingSession:
+        return ChargingSession(int(self.arrival[i]), int(self.departure[i]),
+                               float(self.demand_kwh[i]), float(self.rate_kw[i]),
+                               str(self.session_id[i]))
+
+
+# The sessions CSV holds the table's columns in field order.
+SESSION_COLUMNS = [("session_id", str), ("arrival", int), ("departure", int),
+                   ("demand_kwh", float), ("rate_kw", float)]
 
 
 @dataclass
@@ -217,19 +275,18 @@ def schedule_for(session: ChargingSession, h, strategy: str) -> StrategyResult:
     return StrategyResult(strategy, sched.cost(np.asarray(h, dtype=np.float64)), sched)
 
 
-def signal_to_slot_prices(signals: list[HealthSignal]) -> tuple[np.ndarray, int]:
+def signal_to_slot_prices(signals: HealthSeries) -> tuple[np.ndarray, int]:
     """Dense $/kWh per slot (internal + external) and the first timestamp."""
-    if not signals:
+    if not len(signals):
         raise SignalCoverageGap("empty health signal series")
-    stamps = np.array([s.timestamp for s in signals])
-    if np.any(np.diff(stamps) != 1):
+    first, last = int(signals.timestamps[0]), int(signals.timestamps[-1])
+    if last - first != len(signals) - 1:   # stamps strictly increase, so this is a gap
         raise SignalCoverageGap("health signal series has gaps")
-    prices = np.array([(s.internal_cost + s.external_cost) * USD_PER_MWH_TO_PER_KWH
-                       for s in signals])
-    return prices, int(stamps[0])
+    prices = (signals.costs[:, 0] + signals.costs[:, 1]) * USD_PER_MWH_TO_PER_KWH
+    return prices, first
 
 
-def evaluate_fleet(sessions: list[ChargingSession], signals: list[HealthSignal],
+def evaluate_fleet(sessions: SessionTable, signals: HealthSeries,
                    strategies: list[str] | tuple[str, ...] = ALL_STRATEGIES) -> dict[str, float]:
     """Total fleet cost per strategy against one health-signal series.
 
@@ -261,19 +318,16 @@ class _Fleet(NamedTuple):
     chunks: list           # (window length, session indices), at most one block each
 
 
-def _fleet_arrays(sessions: list[ChargingSession], prices: np.ndarray, t0: int) -> _Fleet:
-    """Session fields as arrays, chunked by window length; raises on a coverage gap."""
-    def column(name, dtype):
-        return np.fromiter(map(attrgetter(name), sessions), dtype, len(sessions))
-
-    lo = column("arrival", np.int64) - t0
-    hi = column("departure", np.int64) - t0
+def _fleet_arrays(sessions: SessionTable, prices: np.ndarray, t0: int) -> _Fleet:
+    """The engine's session arrays, chunked by window length; raises on a coverage gap."""
+    lo = sessions.arrival - t0
+    hi = sessions.departure - t0
     outside = (lo < 0) | (hi >= len(prices))
     if outside.any():
         i = int(np.argmax(outside))
-        s = sessions[i]
         raise SignalCoverageGap(
-            f"session {s.session_id or f'#{i}'} window [{s.arrival}, {s.departure}] "
+            f"session {sessions.session_id[i] or f'#{i}'} window "
+            f"[{sessions.arrival[i]}, {sessions.departure[i]}] "
             f"outside signal range [{t0}, {t0 + len(prices) - 1}]"
         )
     # slot indices fit int32 and it halves the engine's index memory
@@ -285,8 +339,10 @@ def _fleet_arrays(sessions: list[ChargingSession], prices: np.ndarray, t0: int) 
             w = int(width[group[0]])
             step = max(1, _BLOCK_ELEMENTS // w)
             chunks.extend((w, group[at:at + step]) for at in range(0, len(group), step))
-    rate, n = column("rate_kw", np.float64), column("slots_needed", np.int32)
-    remainder = np.where(n > 0, column("demand_kwh", np.float64) - (n - 1) * rate, 0.0)
+    rate = sessions.rate_kw
+    # `ChargingSession.slots_needed`'s arithmetic; a zero demand gives ceil(-1e-9) = 0
+    n = np.ceil(sessions.demand_kwh / rate - 1e-9).astype(np.int32)
+    remainder = np.where(n > 0, sessions.demand_kwh - (n - 1) * rate, 0.0)
     return _Fleet(lo, width, rate, n, remainder, chunks)
 
 
@@ -363,7 +419,7 @@ def _continuous_starts(fleet: _Fleet, prices: np.ndarray) -> np.ndarray:
 
 def sample_sessions(count: int, arrival_dist, departure_dist, demand_dist,
                     rate: float, seed: int, days: int = 1,
-                    start_hour: int = 0, long_fraction: float = 0.0) -> list[ChargingSession]:
+                    start_hour: int = 0, long_fraction: float = 0.0) -> SessionTable:
     """Draw a fleet from hour-of-day histograms and a demand distribution.
 
     Arrival is (uniform day, histogram hour); departure is the first slot
@@ -371,7 +427,7 @@ def sample_sessions(count: int, arrival_dist, departure_dist, demand_dist,
     histogram, which keeps overnight windows intact. A `long_fraction`
     share of vehicles stays parked one extra day (weekend / work-from-home
     pattern). Demands beyond what the window can deliver are clipped to
-    the feasible maximum.
+    the feasible maximum. Session i is named ``S{i:05d}``.
 
     `demand_dist` is either a sequence of empirical kWh values or
     {"kind": "uniform", "low": .., "high": ..}.
@@ -385,8 +441,8 @@ def sample_sessions(count: int, arrival_dist, departure_dist, demand_dist,
     if not (0.0 <= long_fraction <= 1.0):
         raise DegenerateDistribution("long_fraction must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    sessions = []
-    for i in range(count):
+    arrivals, departures, demands = [], [], []
+    for _ in range(count):
         day = int(rng.integers(0, days))
         arr_hour = int(rng.choice(24, p=arrival_p))
         arrival = start_hour + 24 * day + arr_hour
@@ -398,69 +454,68 @@ def sample_sessions(count: int, arrival_dist, departure_dist, demand_dist,
             departure += 24
         window = departure - arrival + 1
         demand = _draw_demand(demand_dist, rng)
-        demand = min(demand, rate * window)
-        sessions.append(ChargingSession(arrival, departure, demand, rate,
-                                        session_id=f"S{i:05d}"))
-    return sessions
+        arrivals.append(arrival)
+        departures.append(departure)
+        demands.append(min(demand, rate * window))
+    return SessionTable([f"S{i:05d}" for i in range(count)], arrivals, departures, demands,
+                        np.full(len(arrivals), float(rate)))
 
 
 def _normalize_hist(dist, name: str) -> np.ndarray:
-    if isinstance(dist, dict):
-        weights = np.zeros(24)
-        for hour, wt in dist.items():
-            weights[int(hour) % 24] = float(wt)
-    else:
-        weights = np.asarray(dist, dtype=np.float64)
-        if weights.shape != (24,):
-            raise DegenerateDistribution(f"{name} histogram must have 24 bins")
-    if np.any(weights < 0) or weights.sum() <= 0:
+    try:
+        if isinstance(dist, dict):
+            weights = np.zeros(24)
+            for hour, wt in dist.items():
+                weights[int(hour) % 24] = float(wt)
+        else:
+            weights = np.asarray(dist, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DegenerateDistribution(f"{name} histogram: {exc}") from exc
+    if weights.shape != (24,):
+        raise DegenerateDistribution(f"{name} histogram must have 24 bins")
+    if not np.all(np.isfinite(weights) & (weights >= 0)) or weights.sum() <= 0:
         raise DegenerateDistribution(f"{name} histogram has no usable mass")
     return weights / weights.sum()
 
 
 def _draw_demand(demand_dist, rng: np.random.Generator) -> float:
-    if isinstance(demand_dist, dict):
-        kind = demand_dist.get("kind")
-        if kind == "uniform":
-            lo, hi = float(demand_dist["low"]), float(demand_dist["high"])
-            if hi < lo or hi <= 0:
-                raise DegenerateDistribution("bad uniform demand bounds")
-            return float(rng.uniform(lo, hi))
-        raise DegenerateDistribution(f"unknown demand spec {demand_dist!r}")
-    values = np.asarray(demand_dist, dtype=np.float64)
-    if values.size == 0 or np.any(values < 0):
+    try:
+        if isinstance(demand_dist, dict):
+            kind = demand_dist.get("kind")
+            if kind == "uniform":
+                lo, hi = float(demand_dist["low"]), float(demand_dist["high"])
+                if hi < lo or hi <= 0:
+                    raise DegenerateDistribution("bad uniform demand bounds")
+                return float(rng.uniform(lo, hi))
+            raise DegenerateDistribution(f"unknown demand spec {demand_dist!r}")
+        values = np.asarray(demand_dist, dtype=np.float64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DegenerateDistribution(f"bad demand spec: {exc!r}") from exc
+    if values.ndim != 1 or values.size == 0 or np.any(values < 0):
         raise DegenerateDistribution("empirical demand list is empty or negative")
     return float(values[int(rng.integers(0, values.size))])
 
 
 # -- session CSV interface -----------------------------------------------------
 
-def load_sessions(path: str | Path) -> list[ChargingSession]:
-    """Read `session_id,arrival,departure,demand_kwh,rate_kw` rows."""
-    sessions = []
-    with open_csv(path) as reader:
-        header = next(reader, None)
-        if header != ["session_id", "arrival", "departure", "demand_kwh", "rate_kw"]:
-            raise MalformedRow(f"{path}: bad sessions header")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if len(row) != 5:
-                raise MalformedRow(f"{where}: bad row {row!r}")
-            try:
-                fields = int(row[1]), int(row[2]), float(row[3]), float(row[4])
-            except ValueError as exc:
-                raise MalformedRow(f"{where}: bad number in {row!r}") from exc
-            try:
-                sessions.append(ChargingSession(*fields, session_id=row[0]))
-            except InfeasibleSession as exc:
-                raise InfeasibleSession(f"{where}: {exc}") from exc
-    return sessions
+def load_sessions(path: str | Path) -> SessionTable:
+    """Read `session_id,arrival,departure,demand_kwh,rate_kw` rows.
+
+    An infeasible session raises `ChargingSession`'s error prefixed with
+    ``{path}:{line}:``.
+    """
+    t = read_table(path, SESSION_COLUMNS)
+    try:
+        return SessionTable(*t.columns)
+    except InfeasibleSession as exc:
+        raise InfeasibleSession(f"{path}:{t.lines[exc.row]}: {exc}") from exc
 
 
-def write_sessions(path: str | Path, sessions: list[ChargingSession]) -> None:
+def write_sessions(path: str | Path, sessions: SessionTable) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["session_id", "arrival", "departure", "demand_kwh", "rate_kw"])
-        for s in sessions:
-            writer.writerow([s.session_id, s.arrival, s.departure,
-                             repr(float(s.demand_kwh)), repr(float(s.rate_kw))])
+        writer.writerow([name for name, _ in SESSION_COLUMNS])
+        writer.writerows(zip(sessions.session_id.tolist(), sessions.arrival.tolist(),
+                             sessions.departure.tolist(),
+                             map(repr, sessions.demand_kwh.tolist()),
+                             map(repr, sessions.rate_kw.tolist())))

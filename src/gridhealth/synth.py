@@ -11,7 +11,6 @@ the written files bit-for-bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -22,14 +21,14 @@ from .dispersion import PlumeParams, SourceReceptorMatrix, build_plume_matrix
 from .emissions import EmissionFactorTable
 from .errors import InvalidParams
 from .health import (
-    HealthSignal,
+    HealthSeries,
     PipelineConfig,
     impacts,
     load_concentration_responses,
     load_receptor_profiles,
     load_valuations,
 )
-from .ingest import CANONICAL_FUELS, OBSERVED, FuelMixSeries
+from .ingest import CANONICAL_FUELS, OBSERVED, FuelMixSeries, read_json_object
 
 ENDPOINTS = ("mortality", "asthma_er", "work_loss_days")
 
@@ -56,7 +55,7 @@ class PlumeSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PlumeSpec":
-        raw = json.loads(Path(path).read_text())
+        raw = read_json_object(path)
         try:
             receptors = raw["receptors"]
             params = PlumeParams(
@@ -69,7 +68,7 @@ class PlumeSpec:
                 ],
             )
             ids = tuple(r["id"] for r in receptors)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidParams(f"{path}: malformed plume spec ({exc})") from exc
         params.validate()
         return cls(params, ids)
@@ -160,8 +159,7 @@ def synthetic_mix_series(hours: int, seed: int, start_hour: int = 0) -> FuelMixS
     return FuelMixSeries(t, shares, flags, CANONICAL_FUELS)
 
 
-def oracle_labels(series: FuelMixSeries, config: PipelineConfig) -> list[HealthSignal]:
+def oracle_labels(series: FuelMixSeries, config: PipelineConfig) -> HealthSeries:
     """Per-hour ground-truth health signal for a normalized series."""
-    costs = impacts(series.shares, series.fuel_names, config)
-    return [HealthSignal(internal, external, t)
-            for t, (internal, external) in zip(series.timestamps.tolist(), costs.tolist())]
+    return HealthSeries(series.timestamps.copy(),
+                        impacts(series.shares, series.fuel_names, config))

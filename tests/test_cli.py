@@ -54,9 +54,8 @@ class TestSynth:
         recomputed = oracle_labels(series, config)
         stored = load_signals_csv(bundle / "labels.csv")
         assert len(stored) == len(recomputed)
-        for s, r in zip(stored, recomputed):
-            assert s.internal_cost == r.internal_cost
-            assert s.external_cost == r.external_cost
+        assert stored.timestamps.tolist() == recomputed.timestamps.tolist()
+        assert stored.costs.tolist() == recomputed.costs.tolist()
 
     def test_zero_factor_config_zero_labels(self, tmp_path):
         src = default_config_path(".")
@@ -72,8 +71,20 @@ class TestSynth:
         out = tmp_path / "out"
         assert run("synth", "--out", out, "--hours", 48, "--seed", 1,
                    "--config-dir", cdir) == 0
-        for s in load_signals_csv(out / "labels.csv"):
-            assert s.internal_cost == 0.0 and s.external_cost == 0.0
+        assert np.all(load_signals_csv(out / "labels.csv").costs == 0.0)
+
+    def test_truncated_plume_json_rejected(self, tmp_path, capsys):
+        src = default_config_path(".")
+        cdir = tmp_path / "conf"
+        cdir.mkdir()
+        for name in ("emission_factors.csv", "receptors.csv", "concentration_response.csv",
+                     "valuations.csv"):
+            (cdir / name).write_bytes((src / name).read_bytes())
+        (cdir / "plume.json").write_text((src / "plume.json").read_text()[:40])
+        out = tmp_path / "out"
+        assert run("synth", "--out", out, "--hours", 48, "--config-dir", cdir) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cdir / 'plume.json'}: ")
+        assert not list(out.glob("*"))
 
     def test_manifest_contents(self, bundle):
         manifest = json.loads((bundle / "manifest.json").read_text())
@@ -191,10 +202,9 @@ class TestTrainPredictSweep:
                    "--out", pred_out) == 0
 
         predicted = load_signals_csv(pred_out / "predicted_signal.csv")
-        labels = {s.timestamp: s for s in load_signals_csv(bundle / "labels.csv")}
-        pred = np.array([[p.internal_cost, p.external_cost] for p in predicted])
-        truth = np.array([[labels[p.timestamp].internal_cost,
-                           labels[p.timestamp].external_cost] for p in predicted])
+        labels = load_signals_csv(bundle / "labels.csv")
+        pred = predicted.costs
+        truth = labels.costs[np.searchsorted(labels.timestamps, predicted.timestamps)]
         ni = np.abs(pred[:, 0] - truth[:, 0]).mean() / np.abs(truth[:, 0]).mean()
         ne = np.abs(pred[:, 1] - truth[:, 1]).mean() / np.abs(truth[:, 1]).mean()
         recomputed = 0.5 * (ni + ne)
@@ -402,7 +412,8 @@ class TestSchedule:
         assert all(float(v) >= 0.0 for v in rows[1][2:])
 
     @pytest.mark.parametrize("row", [["a", 0, 20, "nan", 5.0], ["a", 0, 20, 30.0, "inf"],
-                                     ["a", 20, 10, 30.0, 5.0]])
+                                     ["a", 20, 10, 30.0, 5.0], ["a", 0, 1, "1e308", "1e-10"],
+                                     ["a", "99999999999999999999", 20, 30.0, 5.0]])
     def test_bad_session_named_with_line(self, tmp_path, capsys, row):
         sig, ses = tmp_path / "sig.csv", tmp_path / "ses.csv"
         self.write_signal(sig)
@@ -426,6 +437,22 @@ class TestSchedule:
         assert err.startswith("error:") and f"{sig}:6:" in err
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("spec, key", [
+        ({"count": 5}, "arrival_hist"),
+        ({"count": "five", "rate_kw": 6.0, "arrival_hist": [1.0] * 24,
+          "departure_hist": [1.0] * 24, "demand": [10.0]}, "count"),
+    ])
+    def test_bad_sample_config_names_key(self, tmp_path, capsys, spec, key):
+        sig, spec_path = tmp_path / "sig.csv", tmp_path / "fleet.json"
+        self.write_signal(sig)
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert run("schedule", "--signal", sig, "--sample-config", spec_path,
+                   "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec_path}: ") and repr(key) in err
+        assert not (out / "sessions.csv").exists() and not (out / "results.csv").exists()
+
     def test_missing_sessions_and_sample_config(self, tmp_path, capsys):
         sig = tmp_path / "sig.csv"
         self.write_signal(sig)
@@ -444,6 +471,17 @@ class TestConfigFile:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["epochs"] == 0
         assert manifest["config"]["seed"] == 11
+
+    @pytest.mark.parametrize("content", [b'{"epochs": ', b'{"epochs": 0, "seed": "\xe9"}'],
+                             ids=["truncated", "latin1_byte"])
+    def test_unreadable_config_rejected(self, tmp_path, bundle, capsys, content):
+        conf = tmp_path / "conf.json"
+        conf.write_bytes(content)
+        out = tmp_path / "out"
+        assert run("train", "--dataset", bundle / "fuel_mix.csv",
+                   "--labels", bundle / "labels.csv", "--out", out, "--config", conf) == 1
+        assert capsys.readouterr().err.startswith(f"error: {conf}: ")
+        assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, bundle, capsys):
         conf = tmp_path / "conf.json"

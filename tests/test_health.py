@@ -336,7 +336,10 @@ def test_health_signal_rejects_non_finite(value):
         HealthSignal(0.0, value)
 
 
-@pytest.mark.parametrize("cells", ["1,nan,1.0", "1,1.0,inf", "1,-0.5,1.0", "1,x,1.0"])
+@pytest.mark.parametrize("cells", ["1,nan,1.0", "1,1.0,inf", "1,-0.5,1.0", "1,x,1.0",
+                                   "99999999999999999999,1.0,1.0",   # beyond int64
+                                   "0,1.0,1.0",                      # the hour of line 2 again
+                                   "-1,1.0,1.0"])                    # out of order
 def test_load_signals_names_path_and_line(tmp_path, cells):
     p = tmp_path / "labels.csv"
     p.write_text("timestamp,internal_usd_per_mwh,external_usd_per_mwh\n0,1.0,1.0\n"

@@ -184,7 +184,7 @@ class TestCategoryMap:
         write_csv(p, [["raw_label", "canonical"], ["coal", "COL"], ["gas"]])
         with pytest.raises(MalformedRow) as info:
             FuelCategoryMap.from_csv(p)
-        assert str(info.value) == f"{p}:3: bad map row ['gas']"
+        assert str(info.value) == f"{p}:3: expected 2 cells, got 1"
 
     def test_label_listed_twice(self, tmp_path):
         p = tmp_path / "map.csv"
@@ -192,7 +192,7 @@ class TestCategoryMap:
                       ["coal ", "OTH"]])
         with pytest.raises(MalformedRow) as info:
             FuelCategoryMap.from_csv(p)
-        assert str(info.value) == f"{p}:4: raw label 'coal' already mapped on line 2"
+        assert str(info.value) == f"{p}:4: raw_label 'coal' already on line 2"
 
     def test_packaged_map_loads(self):
         cmap = FuelCategoryMap.from_csv(
@@ -533,3 +533,88 @@ def test_csv_loaders_reject_unreadable_text(tmp_path, load, header, line, messag
     with pytest.raises(MalformedRow) as info:
         load(p)
     assert str(info.value).startswith(f"{p}{message}")
+
+
+SIGNAL_TEXT_HEADER = "timestamp,internal_usd_per_mwh,external_usd_per_mwh"
+
+
+@pytest.mark.parametrize("load, text, message", [
+    (EmissionFactorTable.from_csv, "fuel,SO2\nCOL,1.0\nNG,0.5\nCOL,2.0\n",
+     ":4: fuel 'COL' already on line 2"),
+    (SourceReceptorMatrix.from_csv, "pollutant,receptor_id,gain\nSO2,R1,1.0\nSO2,R1,2.0\n",
+     ":3: pollutant/receptor_id ('SO2', 'R1') already on line 2"),
+    (lambda p: load_receptor_profiles(p, ["mortality"]),
+     "receptor_id,population,internal,mortality\nR1,10,true,0.1\nR1,20,false,0.2\n",
+     ":3: receptor_id 'R1' already on line 2"),
+    (load_valuations, "endpoint_id,dollars_per_case\nmortality,1.0\nmortality,2.0\n",
+     ":3: endpoint_id 'mortality' already on line 2"),
+    (load_signals_csv, f"{SIGNAL_TEXT_HEADER}\n0,1.0,1.0\n1,1.0,1.0\n0,2.0,2.0\n",
+     ":4: timestamp 0 already on line 2"),
+], ids=["emission_factors", "sr_matrix", "receptors", "valuations", "signals"])
+def test_repeated_key_rejected(tmp_path, load, text, message):
+    p = tmp_path / "input.csv"
+    p.write_text(text)
+    with pytest.raises(MalformedRow) as info:
+        load(p)
+    assert str(info.value) == f"{p}{message}"
+
+
+def test_sr_matrix_needs_every_pair(tmp_path):
+    p = tmp_path / "sr_matrix.csv"
+    p.write_text("pollutant,receptor_id,gain\nSO2,R1,1.0\nSO2,R2,2.0\nNOX,R1,0.5\n")
+    with pytest.raises(MalformedRow) as info:
+        SourceReceptorMatrix.from_csv(p)
+    assert str(info.value) == f"{p}: no gain for pollutant 'NOX' at receptor 'R2'"
+
+
+# One row each loader accepts; the fuzz gate edits its cells.
+VALID_ROWS = {
+    "category_map": "coal,COL",
+    "plants": "p1,BA,COL,1.0,0.5",
+    "fuel_mix": "0,0.5,0.5",
+    "emission_factors": "COL,1.0",
+    "sr_matrix": "SO2,R1,0.5",
+    "receptors": "R1,100,true,0.01",
+    "concentration_response": "mortality,log_linear,0.01",
+    "valuations": "mortality,1000.0",
+    "signals": "0,1.0,2.0",
+    "sessions": "a,0,3,1.0,1.0",
+}
+# Cells the gate writes: numbers at and past the int64 and float ranges,
+# non-finite and empty values, and words some loaders give meaning.
+FUZZ_CELLS = ("0", "-1", " 7 ", "1e308", "-1e308", "1e-320", "nan", "inf", "", "abc", "1_0",
+              "99999999999999999999", "-9223372036854775808", "true", "linear")
+
+
+def _load_or_gridhealth_error(load, header, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_text("\n".join([header, *(",".join(row) for row in rows)]) + "\n")
+        try:
+            load(path)
+        except GridHealthError:
+            pass
+
+
+@pytest.mark.parametrize("load, header", [c[1:] for c in CSV_LOADERS],
+                         ids=[c[0] for c in CSV_LOADERS])
+def test_csv_loaders_take_every_single_cell_edit(request, load, header):
+    """Each cell of the accepted row replaced by each fuzz cell: data or a GridHealthError."""
+    valid = VALID_ROWS[request.node.callspec.id].split(",")
+    for j in range(len(valid)):
+        for cell in FUZZ_CELLS:
+            _load_or_gridhealth_error(load, header, [valid[:j] + [cell] + valid[j + 1:]])
+
+
+@pytest.mark.parametrize("load, header", [c[1:] for c in CSV_LOADERS],
+                         ids=[c[0] for c in CSV_LOADERS])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_csv_loaders_return_data_or_raise_gridhealth_error(request, load, header, data):
+    """Rows of the accepted row with cells replaced, repeated, or of any cell count."""
+    valid = VALID_ROWS[request.node.callspec.id].split(",")
+    cell = st.sampled_from(FUZZ_CELLS)
+    edited = st.lists(st.tuples(st.integers(0, len(valid) - 1), cell), max_size=2).map(
+        lambda edits: [dict(edits).get(j, v) for j, v in enumerate(valid)])
+    rows = data.draw(st.lists(edited | st.lists(cell, max_size=len(valid) + 1), max_size=5))
+    _load_or_gridhealth_error(load, header, rows)

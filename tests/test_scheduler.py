@@ -15,13 +15,14 @@ from gridhealth.errors import (
     SignalCoverageGap,
     WindowTooLarge,
 )
-from gridhealth.health import HealthSignal
+from gridhealth.health import HealthSeries
 from gridhealth.scheduler import (
     ALL_STRATEGIES,
     STRATEGY_CONTINUOUS,
     STRATEGY_FIRST,
     STRATEGY_LATEST,
     ChargingSession,
+    SessionTable,
     _fleet_arrays,
     _session_costs,
     baseline_schedule,
@@ -39,6 +40,14 @@ from gridhealth.scheduler import (
 def session(window, n_slots, rate=1.0, arrival=0, remainder=0.0):
     demand = rate * n_slots - (rate - remainder if remainder else 0.0)
     return ChargingSession(arrival, arrival + window - 1, demand, rate)
+
+
+def table(sessions):
+    return SessionTable.from_sessions(sessions)
+
+
+def as_sessions(fleet):
+    return [fleet.session(i) for i in range(len(fleet))]
 
 
 class TestOptimal:
@@ -209,6 +218,31 @@ class TestSessionValidation:
         with pytest.raises(InfeasibleSession, match="5 slots"):
             ChargingSession(0, 3, 4 * 0.001 + 5e-10, 0.001)
 
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                              st.sampled_from([0.0, 1.0, 2.5, 7.2, -1.0, math.nan, math.inf,
+                                               1e308]),
+                              st.sampled_from([1.0, 3.6, 1e-10, 0.0, -2.0, math.nan,
+                                               math.inf])),
+                    max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_table_rejects_first_offender_like_scalar(self, rows):
+        ids = [f"s{i}" for i in range(len(rows))]
+        expected = None
+        for row, name in zip(rows, ids):
+            try:
+                ChargingSession(*row, name)
+            except InfeasibleSession as exc:
+                expected = str(exc)
+                break
+        columns = [list(c) for c in zip(*rows)] or [[]] * 4
+        if expected is None:
+            fleet = SessionTable(ids, *columns)
+            assert as_sessions(fleet) == [ChargingSession(*r, n) for r, n in zip(rows, ids)]
+        else:
+            with pytest.raises(InfeasibleSession) as info:
+                SessionTable(ids, *columns)
+            assert str(info.value) == expected
+
     @given(st.integers(1, 100), st.floats(1e-4, 1e3), st.floats(-1e-12, 1e-12),
            st.integers(-3, 3))
     @settings(max_examples=200, deadline=None)
@@ -228,25 +262,25 @@ class TestSessionValidation:
 
 
 def diurnal_signal(hours, t0=0):
-    out = []
+    costs = []
     for t in range(t0, t0 + hours):
         hod = t % 24
         cost = 3.0 + 1.5 * math.sin(2 * math.pi * (hod - 10) / 24.0)
-        out.append(HealthSignal(cost * 0.7, cost * 0.3, t))
-    return out
+        costs.append((cost * 0.7, cost * 0.3))
+    return HealthSeries(np.arange(t0, t0 + hours), np.reshape(costs, (hours, 2)))
 
 
 class TestFleet:
     def test_single_session_single_strategy(self):
         signals = diurnal_signal(48)
         s = ChargingSession(10, 20, 6.0, 2.0)
-        totals = evaluate_fleet([s], signals, [STRATEGY_FIRST])
-        h = np.array([(x.internal_cost + x.external_cost) / 1000.0 for x in signals[10:21]])
+        totals = evaluate_fleet(table([s]), signals, [STRATEGY_FIRST])
+        h = (signals.costs[10:21, 0] + signals.costs[10:21, 1]) / 1000.0
         assert totals[STRATEGY_FIRST] == pytest.approx(
             baseline_schedule(s, h, STRATEGY_FIRST).cost(h))
 
     def test_empty_fleet(self):
-        totals = evaluate_fleet([], diurnal_signal(24), ALL_STRATEGIES)
+        totals = evaluate_fleet(table([]), diurnal_signal(24), ALL_STRATEGIES)
         assert all(v == 0.0 for v in totals.values())
 
     def test_random_fleet_ordering_and_reductions(self):
@@ -259,7 +293,7 @@ class TestFleet:
             rate = 6.0
             demand = float(rng.uniform(0, rate * w))
             sessions.append(ChargingSession(arr, arr + w - 1, demand, rate, f"s{i}"))
-        totals = evaluate_fleet(sessions, signals, ALL_STRATEGIES)
+        totals = evaluate_fleet(table(sessions), signals, ALL_STRATEGIES)
         assert totals["optimal"] <= totals[STRATEGY_CONTINUOUS] + 1e-9
         assert totals["optimal"] <= totals[STRATEGY_FIRST] + 1e-9
         assert totals["optimal"] <= totals[STRATEGY_LATEST] + 1e-9
@@ -271,17 +305,19 @@ class TestFleet:
         signals = diurnal_signal(24)
         s = ChargingSession(20, 30, 1.0, 1.0, session_id="EV42")
         with pytest.raises(SignalCoverageGap, match="EV42"):
-            evaluate_fleet([s], signals, [STRATEGY_FIRST])
+            evaluate_fleet(table([s]), signals, [STRATEGY_FIRST])
 
     def test_signal_gap_detected(self):
-        signals = diurnal_signal(10) + diurnal_signal(10, t0=12)
+        a, b = diurnal_signal(10), diurnal_signal(10, t0=12)
+        signals = HealthSeries(np.concatenate([a.timestamps, b.timestamps]),
+                               np.concatenate([a.costs, b.costs]))
         with pytest.raises(SignalCoverageGap):
-            evaluate_fleet([ChargingSession(0, 3, 1.0, 1.0)], signals, [STRATEGY_FIRST])
+            evaluate_fleet(table([ChargingSession(0, 3, 1.0, 1.0)]), signals, [STRATEGY_FIRST])
 
 
 def engine_costs(sessions, signals, strategy):
     prices, t0 = signal_to_slot_prices(signals)
-    return _session_costs(_fleet_arrays(sessions, prices, t0), prices, strategy)
+    return _session_costs(_fleet_arrays(table(sessions), prices, t0), prices, strategy)
 
 
 @st.composite
@@ -299,7 +335,8 @@ def fleets(draw):
         costs = [0.0] * hours
     else:
         costs = draw(st.lists(st.floats(0.0, 50.0), min_size=hours, max_size=hours))
-    signals = [HealthSignal(c * 600.0, c * 400.0, t0 + t) for t, c in enumerate(costs)]
+    signals = HealthSeries(np.arange(t0, t0 + hours),
+                           np.reshape([(c * 600.0, c * 400.0) for c in costs], (hours, 2)))
     sessions = []
     for i in range(draw(st.integers(0, 25))):
         w = draw(st.integers(1, hours))
@@ -322,7 +359,7 @@ class TestFleetEngine:
     def test_matches_scalar_oracle(self, fleet):
         sessions, signals = fleet
         prices, t0 = signal_to_slot_prices(signals)
-        totals = evaluate_fleet(sessions, signals)
+        totals = evaluate_fleet(table(sessions), signals)
         for strategy in ALL_STRATEGIES:
             costs = engine_costs(sessions, signals, strategy)
             total = 0.0
@@ -357,13 +394,13 @@ class TestFleetEngine:
                  ChargingSession(0, 3, 1.0, 1.0, "second")]
         with pytest.raises(SignalCoverageGap, match=r"session first window \[20, 30\] "
                                                     r"outside signal range \[5, 28\]"):
-            evaluate_fleet(fleet, signals)
+            evaluate_fleet(table(fleet), signals)
         with pytest.raises(SignalCoverageGap, match="session #1 "):
-            evaluate_fleet([fleet[0], ChargingSession(0, 3, 1.0, 1.0)], signals)
+            evaluate_fleet(table([fleet[0], ChargingSession(0, 3, 1.0, 1.0)]), signals)
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown strategy 'greedy'"):
-            evaluate_fleet([ChargingSession(0, 3, 1.0, 1.0)], diurnal_signal(24),
+            evaluate_fleet(table([ChargingSession(0, 3, 1.0, 1.0)]), diurnal_signal(24),
                            ["optimal", "greedy"])
 
 
@@ -375,7 +412,7 @@ DEPART[7] = 1.0
 
 class TestSampling:
     def test_point_mass_identical_sessions(self):
-        fleet = sample_sessions(5, ARRIVAL, DEPART, [11.0], rate=5.0, seed=1)
+        fleet = as_sessions(sample_sessions(5, ARRIVAL, DEPART, [11.0], rate=5.0, seed=1))
         assert len({(s.arrival, s.departure, s.demand_kwh, s.rate_kw) for s in fleet}) == 1
         assert fleet[0].arrival % 24 == 18
         assert fleet[0].departure % 24 == 7
@@ -384,12 +421,12 @@ class TestSampling:
     def test_same_seed_identical_fleet(self):
         a = sample_sessions(20, ARRIVAL, DEPART, [5.0, 20.0], rate=5.0, seed=9, days=3)
         b = sample_sessions(20, ARRIVAL, DEPART, [5.0, 20.0], rate=5.0, seed=9, days=3)
-        assert a == b
+        assert as_sessions(a) == as_sessions(b)
 
     def test_arrival_frequencies_match_histogram(self):
         hist = np.zeros(24)
         hist[[16, 17, 18, 19, 20]] = [0.1, 0.2, 0.35, 0.25, 0.1]
-        fleet = sample_sessions(10000, hist, DEPART, [10.0], rate=5.0, seed=3)
+        fleet = as_sessions(sample_sessions(10000, hist, DEPART, [10.0], rate=5.0, seed=3))
         counts = np.zeros(24)
         for s in fleet:
             counts[s.arrival % 24] += 1
@@ -397,21 +434,21 @@ class TestSampling:
         assert tv < 0.02
 
     def test_departure_always_after_arrival(self):
-        fleet = sample_sessions(500, np.ones(24), np.ones(24),
-                                {"kind": "uniform", "low": 1, "high": 5},
-                                rate=5.0, seed=4, days=4)
+        fleet = as_sessions(sample_sessions(500, np.ones(24), np.ones(24),
+                                            {"kind": "uniform", "low": 1, "high": 5},
+                                            rate=5.0, seed=4, days=4))
         assert all(s.departure > s.arrival for s in fleet)
 
     def test_infeasible_demand_clipped(self):
-        fleet = sample_sessions(50, ARRIVAL, DEPART, [1e6], rate=2.0, seed=5)
+        fleet = as_sessions(sample_sessions(50, ARRIVAL, DEPART, [1e6], rate=2.0, seed=5))
         for s in fleet:
             assert s.demand_kwh <= s.rate_kw * s.window_length + 1e-9
 
     def test_long_fraction_extends_departure(self):
-        short = sample_sessions(200, ARRIVAL, DEPART, [5.0], rate=5.0, seed=6,
-                                long_fraction=0.0)
-        mixed = sample_sessions(200, ARRIVAL, DEPART, [5.0], rate=5.0, seed=6,
-                                long_fraction=1.0)
+        short = as_sessions(sample_sessions(200, ARRIVAL, DEPART, [5.0], rate=5.0, seed=6,
+                                            long_fraction=0.0))
+        mixed = as_sessions(sample_sessions(200, ARRIVAL, DEPART, [5.0], rate=5.0, seed=6,
+                                            long_fraction=1.0))
         assert all(m.departure - s.departure == 24 for s, m in zip(short, mixed))
 
     @pytest.mark.parametrize("bad", [np.zeros(24), -np.ones(24), np.ones(5)])
@@ -430,6 +467,9 @@ class TestSampling:
     ("a,5,3,1.0,1.0", InfeasibleSession),
     ("a,0,3,x,1.0", MalformedRow),
     ("a,0,3,1.0", MalformedRow),
+    ("a,0,1,1e308,1e-10", InfeasibleSession),          # demand / rate overflows
+    ("a,99999999999999999999,3,1.0,1.0", MalformedRow),  # beyond int64
+    ("a,0,99999999999999999999,1.0,1.0", MalformedRow),
 ])
 def test_load_sessions_names_path_and_line(tmp_path, row, error):
     p = tmp_path / "sessions.csv"
@@ -443,4 +483,4 @@ def test_sessions_csv_round_trip(tmp_path):
     p = tmp_path / "sessions.csv"
     write_sessions(p, fleet)
     again = load_sessions(p)
-    assert again == fleet
+    assert as_sessions(again) == as_sessions(fleet)
