@@ -147,9 +147,6 @@ class Tensor:
         self.grad = None
         self._grad_owned = False
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other) -> "Tensor":
@@ -352,15 +349,6 @@ class Tensor:
             a._accumulate(g * (1.0 - out_data * out_data))
 
         return Tensor._make(out_data, (a,), back)
-
-    def relu(self):
-        a = self
-        mask = a.data > 0
-
-        def back(g):
-            a._accumulate(g * mask)
-
-        return Tensor._make(a.data * mask, (a,), back)
 
     def softplus(self):
         a = self

@@ -21,7 +21,7 @@ from . import autodiff
 from .autodiff import Adam, Tensor
 from .emissions import EmissionVector
 from .errors import DimensionMismatch, EmptyTrainingSet, InvalidParams, MalformedRow
-from .ingest import read_table
+from .ingest import as_float, as_str, read_table
 
 # 1 kg released over one hour, expressed as an annual-mean ug/s source term:
 # 1e9 ug / 3600 s spread across the 8760 hours the receptor is exposed per
@@ -57,7 +57,7 @@ class SourceReceptorMatrix:
         Pollutants and receptors are ordered by first appearance; every
         pair must appear exactly once.
         """
-        t = read_table(path, [("pollutant", str), ("receptor_id", str), ("gain", float)],
+        t = read_table(path, [("pollutant", as_str), ("receptor_id", as_str), ("gain", as_float)],
                        key=("pollutant", "receptor_id"))
         pollutants, k = _first_seen(t["pollutant"])
         receptors, i = _first_seen(t["receptor_id"])

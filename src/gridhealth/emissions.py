@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedRow, UnknownPlant
-from .ingest import ZERO_EMISSION_FUELS, FuelMixRecord, PlantRecord, read_table
+from .ingest import (ZERO_EMISSION_FUELS, FuelMixRecord, PlantRecord, as_float, as_str,
+                     read_table)
 
 POLLUTANTS = ("PM2.5", "SO2", "NOX", "VOC")
 
@@ -43,7 +44,7 @@ class EmissionFactorTable:
     @classmethod
     def from_csv(cls, path: str | Path) -> "EmissionFactorTable":
         """Read `fuel,<pollutants...>` rows, one per fuel."""
-        t = read_table(path, [("fuel", str)], tail=float, key=("fuel",))
+        t = read_table(path, [("fuel", as_str)], tail=as_float, key=("fuel",))
         try:
             return cls(np.array(t.columns[1:]).T, t["fuel"].tolist(), t.header[1:])
         except ValueError as exc:

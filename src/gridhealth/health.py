@@ -32,7 +32,7 @@ from .errors import (
     MissingValuation,
     UnknownReceptor,
 )
-from .ingest import FuelMixRecord, read_table, write_hourly_csv
+from .ingest import FuelMixRecord, as_float, as_int, as_str, read_table, write_hourly_csv
 
 LOG_LINEAR = "log_linear"
 LINEAR = "linear"
@@ -293,23 +293,25 @@ def impact_per_mwh(mix: FuelMixRecord, config: PipelineConfig) -> HealthSignal:
 
 def load_receptor_profiles(path: str | Path, endpoints: list[str]) -> list[ReceptorProfile]:
     """Read `receptor_id,population,internal,<rate per endpoint...>` rows."""
-    t = read_table(path, [("receptor_id", str), ("population", float), ("internal", str),
-                          *((e, float) for e in endpoints)], key=("receptor_id",))
+    t = read_table(path, [("receptor_id", as_str), ("population", as_float), ("internal", as_str),
+                          *((e, as_float) for e in endpoints)], key=("receptor_id",))
     return t.records(lambda receptor, population, internal, *rates: ReceptorProfile(
         receptor, population, dict(zip(endpoints, rates)),
         internal.lower() in ("1", "true", "yes")))
 
 
-def load_concentration_responses(path: str | Path) -> list[ConcentrationResponse]:
-    """Read `endpoint_id,form,<alpha per pollutant...>` rows."""
-    t = read_table(path, [("endpoint_id", str), ("form", str)], tail=float)
+def load_concentration_responses(path: str | Path,
+                                 pollutants: list[str]) -> list[ConcentrationResponse]:
+    """Read `endpoint_id,form,<alpha per pollutant...>` rows, one per endpoint."""
+    t = read_table(path, [("endpoint_id", as_str), ("form", as_str),
+                          *((p, as_float) for p in pollutants)], key=("endpoint_id",))
     return t.records(lambda endpoint, form, *alpha: ConcentrationResponse(
         endpoint, np.array(alpha, dtype=np.float64), form))
 
 
 def load_valuations(path: str | Path) -> list[HealthValuation]:
     """Read `endpoint_id,dollars_per_case` rows, one per endpoint."""
-    t = read_table(path, [("endpoint_id", str), ("dollars_per_case", float)],
+    t = read_table(path, [("endpoint_id", as_str), ("dollars_per_case", as_float)],
                    key=("endpoint_id",))
     return t.records(HealthValuation)
 
@@ -321,8 +323,8 @@ def write_signals_csv(path: str | Path, signals: HealthSeries) -> None:
 
 def load_signals_csv(path: str | Path) -> HealthSeries:
     """Read a file `write_signals_csv` wrote; each hour may appear once, in increasing order."""
-    t = read_table(path, [("timestamp", int), ("internal_usd_per_mwh", float),
-                          ("external_usd_per_mwh", float)], key=("timestamp",))
+    t = read_table(path, [("timestamp", as_int), ("internal_usd_per_mwh", as_float),
+                          ("external_usd_per_mwh", as_float)], key=("timestamp",))
     try:
         return HealthSeries(t.columns[0], np.stack(t.columns[1:], axis=1))
     except ValueError as exc:

@@ -22,9 +22,8 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from itertools import islice
-from operator import itemgetter
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -50,12 +49,13 @@ EXCLUDED = "EXCLUDED"
 CANONICAL_FUELS = ("COL", "NG", "OIL", "NUC", "WAT", "WND", "SUN", "OTH")
 ZERO_EMISSION_FUELS = frozenset({"NUC", "WAT", "WND", "SUN"})
 
-# Rows per block in the fuel-mix reader and the hourly writer; bounds their
-# temporaries without a per-row cost.
+# Rows per block in the hourly writer; bounds its temporaries without a per-row cost.
 _BLOCK_ROWS = 2048
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 _HOUR = timedelta(hours=1)
 _LAST_ISO_HOUR = datetime(9999, 12, 31, 23)   # later hours print with 5-digit years
+_ISO_FORMS = ("%Y-%m-%dT%H:%M:%S", "%Y-%m-%d %H:%M:%S", "%Y-%m-%dT%H:%M", "%Y-%m-%d %H:%M",
+              "%Y-%m-%dT%H", "%Y-%m-%d %H")
 
 
 @contextmanager
@@ -77,7 +77,7 @@ def open_csv(path: str | Path):
 
 @dataclass(eq=False)
 class Table:
-    """Typed columns of one CSV file, one per header column; `lines[i]` is row i's line."""
+    """Parsed columns of one CSV file, one per header column; `lines[i]` is row i's line."""
 
     path: str | Path
     header: tuple[str, ...]
@@ -101,15 +101,17 @@ class Table:
         return out
 
 
-def read_table(path: str | Path, columns: list[tuple[str, type]], tail: type | None = None,
-               key: tuple[str, ...] = ()) -> Table:
-    """Read the CSV file `path` into typed columns.
+def read_table(path: str | Path, columns: list[tuple[str, Callable]],
+               tail: Callable | None = None, key: tuple[str, ...] = ()) -> Table:
+    """Read the CSV file `path` into parsed columns.
 
-    The header is the names of `columns`, followed, given a `tail` kind, by
-    any further columns of that kind. Cells are parsed as `str` (stripped),
-    `int` (in int64 range) or `float`. The first row with a wrong cell
-    count or a bad cell, left to right, raises MalformedRow
-    ``{path}:{line}: ...``; then the first row repeating a `key`.
+    The header is the names of `columns`, followed, given a `tail` parser,
+    by any further columns it parses; no name may appear twice. A column
+    parser, such as `as_str`, `as_int` or `as_float`, maps a column's name
+    and cells to (values, None), or to (None, (row, message)) for its first
+    bad cell. The first row with a wrong cell count or a bad cell, left to
+    right, raises MalformedRow ``{path}:{line}: ...``; then the first row
+    repeating a `key`.
     """
     names = tuple(name for name, _ in columns)
     with open_csv(path) as reader:
@@ -117,14 +119,17 @@ def read_table(path: str | Path, columns: list[tuple[str, type]], tail: type | N
         if header[:len(names)] != names or (tail is None and len(header) != len(names)):
             raise MalformedRow(f"{path}: expected header "
                                f"{','.join(names)}{',<columns...>' if tail else ''}")
+        repeated = next((name for name, n in Counter(header).items() if n > 1), None)
+        if repeated is not None:
+            raise MalformedRow(f"{path}: header label {repeated!r} appears more than once")
         rows, lines = [], []
         for row in reader:
             rows.append(row)
             lines.append(reader.line_num)
     n = next((i for i, row in enumerate(rows) if len(row) != len(header)), len(rows))
     cells = list(zip(*rows[:n])) if n else [()] * len(header)
-    kinds = [kind for _, kind in columns] + [tail] * (len(header) - len(names))
-    parsed = [_parse_column(column, kind, name) for name, kind, column in zip(header, kinds, cells)]
+    parsers = [parse for _, parse in columns] + [tail] * (len(header) - len(names))
+    parsed = [parse(name, column) for name, parse, column in zip(header, parsers, cells)]
     t = Table(path, header, [values for values, _ in parsed], lines)
     faults = [fault for _, fault in parsed if fault]
     if faults:
@@ -139,23 +144,38 @@ def read_table(path: str | Path, columns: list[tuple[str, type]], tail: type | N
     return t
 
 
-def _parse_column(column: tuple[str, ...], kind: type, name: str):
-    """The cells as an array of `kind`, or None and the first bad cell as (row, message)."""
-    if kind is str:
-        return np.array([c.strip() for c in column], dtype=str), None
+def as_str(name: str, cells: tuple[str, ...]):
+    """The cells stripped of surrounding whitespace."""
+    return np.array([c.strip() for c in cells], dtype=str), None
+
+
+def as_int(name: str, cells: tuple[str, ...]):
+    """Python integers in the int64 range."""
+    values, fault = _convert(name, cells, int, "an integer")
+    if fault:
+        return None, fault
+    if values and not _INT64_MIN <= min(values) <= max(values) <= _INT64_MAX:
+        i = next(i for i, v in enumerate(values) if not _INT64_MIN <= v <= _INT64_MAX)
+        return None, (i, f"{name} {cells[i].strip()!r} out of range")
+    return np.array(values, dtype=np.int64), None
+
+
+def as_float(name: str, cells: tuple[str, ...]):
+    """Anything Python's `float` reads, `nan` and `inf` included."""
+    values, fault = _convert(name, cells, float, "a number")
+    return (None, fault) if fault else (np.array(values, dtype=np.float64), None)
+
+
+def _convert(name: str, cells: tuple[str, ...], kind: type, what: str):
+    """`kind` of each cell, or [] and the first cell it rejects as (row, message)."""
     try:
-        values = list(map(kind, column))
+        return list(map(kind, cells)), None
     except ValueError:
-        for i, cell in enumerate(column):
+        for i, cell in enumerate(cells):
             try:
                 kind(cell)
             except ValueError:
-                what = "an integer" if kind is int else "a number"
-                return None, (i, f"{name} {cell.strip()!r} is not {what}")
-    if kind is int and values and not _INT64_MIN <= min(values) <= max(values) <= _INT64_MAX:
-        i = next(i for i, v in enumerate(values) if not _INT64_MIN <= v <= _INT64_MAX)
-        return None, (i, f"{name} {column[i].strip()!r} out of range")
-    return np.array(values, dtype=np.int64 if kind is int else np.float64), None
+                return [], (i, f"{name} {cell.strip()!r} is not {what}")
 
 
 def read_json_object(path: str | Path) -> dict:
@@ -243,7 +263,7 @@ class FuelCategoryMap:
     @classmethod
     def from_csv(cls, path: str | Path) -> "FuelCategoryMap":
         """Read `raw_label,canonical` rows; a raw label may appear once."""
-        t = read_table(path, [("raw_label", str), ("canonical", str)], key=("raw_label",))
+        t = read_table(path, [("raw_label", as_str), ("canonical", as_str)], key=("raw_label",))
         return cls(dict(zip(t["raw_label"].tolist(), t["canonical"].tolist())))
 
 
@@ -267,148 +287,91 @@ class PlantRecord:
 
 def load_plants(path: str | Path) -> list[PlantRecord]:
     """Read a plant registry CSV: plant_id,region_id,fuel,capacity_basis,<pollutants...>."""
-    t = read_table(path, [("plant_id", str), ("region_id", str), ("fuel", str),
-                          ("capacity_basis", float)], tail=float)
+    t = read_table(path, [("plant_id", as_str), ("region_id", as_str), ("fuel", as_str),
+                          ("capacity_basis", as_float)], tail=as_float)
     return t.records(lambda plant, region, fuel, basis, *rates: PlantRecord(
         plant, region, fuel, basis, dict(zip(t.header[4:], rates))))
 
 
-def _parse_timestamp(text: str, path: str | Path, row_no: int) -> tuple[bool, int | datetime]:
-    text = text.strip()
+def _parse_stamp(text: str) -> int | datetime:
+    """An integer hour in the int64 range, or an ISO hour; ValueError names the fault."""
     try:
         hour = int(text)
     except ValueError:
-        pass
-    else:
-        if not _INT64_MIN <= hour <= _INT64_MAX:
-            raise MalformedRow(f"{path}: row {row_no}: timestamp {text!r} out of range")
-        return True, hour
-    for fmt in ("%Y-%m-%dT%H:%M:%S", "%Y-%m-%d %H:%M:%S", "%Y-%m-%dT%H:%M",
-                "%Y-%m-%d %H:%M", "%Y-%m-%dT%H", "%Y-%m-%d %H"):
-        try:
-            return False, datetime.strptime(text, fmt)
-        except ValueError:
-            continue
-    raise MalformedRow(f"{path}: row {row_no}: unparseable timestamp {text!r}")
-
-
-class _FuelMixBlocks:
-    """One fuel-mix file's column layout and hour clock, read a block of rows at a time.
-
-    A row whose stripped stamp equals the canonical text of the hour it
-    should hold (``str(first + i)``, or ISO ``YYYY-MM-DDTHH:MM:SS`` counted
-    from the first row) takes that hour without parsing; any other stamp
-    goes through `_parse_timestamp`, so every accepted format still is.
-    """
-
-    def __init__(self, path: str | Path, width: int, kept: list[int], columns: list[int],
-                 n_fuels: int):
-        self.path = path
-        self.width = width
-        self.kept = kept
-        self.columns = columns
-        self.n_fuels = n_fuels
-        # the kept cells of a row, as a tuple (itemgetter needs two or more indices)
-        self.pick = itemgetter(*kept) if len(kept) > 1 else lambda row: tuple(row[k] for k in kept)
-        self.integer_stamps: bool | None = None
-        self.epoch: datetime | None = None
-        self.first = 0          # hour of the first row
-        self.n_canonical = 0    # rows past this many have no canonical stamp text
-
-    def _start(self, text: str) -> None:
-        is_int, ts = _parse_timestamp(text, self.path, 2)
-        self.integer_stamps = is_int
-        if is_int:
-            self.first = ts
-            self.n_canonical = _INT64_MAX - ts + 1
-        else:
-            self.epoch = ts
-            self.n_canonical = (_LAST_ISO_HOUR - ts) // _HOUR + 1
-
-    def _hour(self, text: str, row_no: int) -> int:
-        is_int, ts = _parse_timestamp(text, self.path, row_no)
-        if is_int != self.integer_stamps:
-            raise MalformedRow(f"{self.path}: row {row_no}: mixes integer and ISO timestamps")
-        if is_int:
-            return ts
-        if ts.minute or ts.second:
-            raise MalformedRow(f"{self.path}: row {row_no}: timestamp {text!r} is not on the hour")
-        return int((ts - self.epoch).total_seconds() // 3600)
-
-    def _canonical(self, g0: int, n: int) -> list[str]:
-        n = max(0, min(n, self.n_canonical - g0))
-        if self.integer_stamps:
-            return list(map(str, range(self.first + g0, self.first + g0 + n)))
-        hours = np.datetime64(self.epoch, "h") + np.arange(g0, g0 + n)
-        return np.datetime_as_string(hours, unit="s").tolist()
-
-    def _raise_cell_fault(self, row: list[str], row_no: int) -> None:
-        """Raise the first bad, non-finite or negative kept cell of `row`, left to right."""
-        for cell in self.pick(row):
-            text = cell.strip()
-            if not text:
+        for fmt in _ISO_FORMS:
+            try:
+                return datetime.strptime(text, fmt)
+            except ValueError:
                 continue
+        raise ValueError(f"unparseable timestamp {text!r}") from None
+    if not _INT64_MIN <= hour <= _INT64_MAX:
+        raise ValueError(f"timestamp {text!r} out of range")
+    return hour
+
+
+def _parse_hour(text: str, first: int | datetime) -> int:
+    """The hour `text` names, of the same kind as `first`; ISO hours count from `first`."""
+    stamp = _parse_stamp(text)
+    if isinstance(stamp, int) != isinstance(first, int):
+        raise ValueError("mixes integer and ISO timestamps")
+    if isinstance(stamp, int):
+        return stamp
+    if stamp.minute or stamp.second:
+        raise ValueError(f"timestamp {text!r} is not on the hour")
+    return (stamp - first) // _HOUR
+
+
+def _as_hours(name: str, cells: tuple[str, ...]):
+    """Column parser for fuel-mix stamps: one kind per file, ISO hours from the first row.
+
+    A stamp whose stripped text is the canonical text of the hour it should
+    hold (``str(first + i)``, or ISO ``YYYY-MM-DDTHH:MM:SS``) takes that
+    hour without parsing; any other stamp goes through `_parse_hour`, so
+    every accepted form still loads.
+    """
+    texts = [c.strip() for c in cells]
+    hours = np.arange(len(texts), dtype=np.int64)
+    if not texts:
+        return hours, None
+    try:
+        first = _parse_stamp(texts[0])
+    except ValueError as exc:
+        return None, (0, str(exc))
+    if isinstance(first, int):
+        n = min(len(texts), _INT64_MAX - first + 1)   # later hours leave int64
+        canonical = map(str, range(first, first + n))
+        hours += first
+    else:
+        n = min(len(texts), max(0, (_LAST_ISO_HOUR - first) // _HOUR + 1))
+        canonical = np.datetime_as_string(np.datetime64(first, "h") + np.arange(n),
+                                          unit="s").tolist()
+    slow = [i for i, (text, want) in enumerate(zip(texts, canonical)) if text != want]
+    for i in slow + list(range(n, len(texts))):
+        try:
+            hours[i] = _parse_hour(texts[i], first)
+        except ValueError as exc:
+            return None, (i, str(exc))
+    return hours, None
+
+
+def _as_shares(name: str, cells: tuple[str, ...]):
+    """Column parser for fuel-mix shares: nonnegative finite numbers, NaN for an empty cell."""
+    try:
+        values = np.array([float(s) if (s := c.strip()) else math.nan for c in cells])
+        suspects = np.flatnonzero(~np.isfinite(values) | (values < 0)).tolist()
+    except ValueError:
+        suspects = range(len(cells))
+    for i in suspects:
+        if (text := cells[i].strip()):
             try:
                 value = float(text)
-            except ValueError as exc:
-                raise MalformedRow(f"{self.path}: row {row_no}: bad float {text!r}") from exc
+            except ValueError:
+                return None, (i, f"bad float {text!r}")
             if not math.isfinite(value):
-                raise MalformedRow(f"{self.path}: row {row_no}: non-finite value {text!r}")
+                return None, (i, f"non-finite value {text!r}")
             if value < 0:
-                raise MalformedRow(f"{self.path}: row {row_no}: negative share {value}")
-
-    def read(self, rows: list[list[str]], g0: int) -> tuple[np.ndarray, np.ndarray]:
-        """Hours (n,) and summed shares (n, F) of the rows at file positions g0, g0+1, ...
-
-        A block with any fault raises the error of its first faulty row,
-        checked in file order: cell count, timestamp, then cells left to right.
-        """
-        stop = next((i for i, row in enumerate(rows) if len(row) != self.width), len(rows))
-        fault = None
-        if stop < len(rows):
-            fault = MalformedRow(f"{self.path}: row {g0 + stop + 2}: expected {self.width} "
-                                 f"cells, got {len(rows[stop])}")
-            if stop == 0:
-                raise fault
-            rows = rows[:stop]
-        texts = [row[0].strip() for row in rows]
-        if self.integer_stamps is None:
-            self._start(texts[0])
-        canonical = self._canonical(g0, len(texts))
-        hours = np.arange(g0, g0 + len(texts), dtype=np.int64)
-        if self.integer_stamps:
-            hours += self.first
-        slow = [i for i, (text, want) in enumerate(zip(texts, canonical)) if text != want]
-        for i in slow + list(range(len(canonical), len(texts))):
-            try:
-                hours[i] = self._hour(texts[i], g0 + i + 2)
-            except MalformedRow as exc:
-                fault = exc
-                rows = rows[:i]
-                break
-
-        try:
-            cells = [float(s) if (s := c.strip()) else math.nan
-                     for row in rows for c in self.pick(row)]
-        except ValueError:
-            for i, row in enumerate(rows):
-                self._raise_cell_fault(row, g0 + i + 2)
-            raise
-        values = np.array(cells, dtype=np.float64).reshape(len(rows), len(self.kept))
-        bad = np.isinf(values) | (values < 0)
-        for i, p in zip(*np.nonzero(np.isnan(values))):
-            bad[i, p] = bool(rows[i][self.kept[p]].strip())   # a literal nan, not a gap
-        flagged = np.flatnonzero(bad.any(axis=1))
-        if flagged.size:
-            self._raise_cell_fault(rows[flagged[0]], g0 + int(flagged[0]) + 2)
-        if fault is not None:
-            raise fault
-
-        # aliased columns add in header order from zero, like a per-row `+=`
-        shares = np.zeros((len(rows), self.n_fuels))
-        for p, j in enumerate(self.columns):
-            shares[:, j] += values[:, p]
-        return hours, shares
+                return None, (i, f"negative share {value}")
+    return values, None
 
 
 def load_fuel_mix(path: str | Path, category_map: FuelCategoryMap) -> FuelMixSeries:
@@ -416,42 +379,31 @@ def load_fuel_mix(path: str | Path, category_map: FuelCategoryMap) -> FuelMixSer
 
     Columns mapped to the same canonical fuel are summed; a canonical entry
     is flagged missing if any of its contributing cells is empty. Columns
-    mapped to EXCLUDED are dropped entirely. Rows are read in blocks of
-    at most `_BLOCK_ROWS`; the first faulty row in file order raises.
+    mapped to EXCLUDED are dropped unparsed.
     """
-    with open_csv(path) as reader:
-        header = next(reader, None)
-        if header is None or not header or header[0].strip() != "timestamp":
-            raise MalformedRow(f"{path}: first header column must be 'timestamp'")
-        raw_labels = [c.strip() for c in header[1:]]
-        repeated = next((label for label, n in Counter(raw_labels).items() if n > 1), None)
-        if repeated is not None:
-            raise MalformedRow(f"{path}: header label {repeated!r} appears more than once")
+    targets: dict[str, str] = {}
+
+    def as_share_or_skip(label: str, cells: tuple[str, ...]):
         try:
-            targets = [category_map.lookup(label) for label in raw_labels]
+            targets[label] = category_map.lookup(label)
         except UnmappedLabel as exc:
             raise UnmappedLabel(f"{path}: {exc}") from None
+        return (None, None) if targets[label] == EXCLUDED else _as_shares(label, cells)
 
-        fuel_names = list(dict.fromkeys(t for t in targets if t != EXCLUDED))
-        kept = [k for k, t in enumerate(targets, start=1) if t != EXCLUDED]
-        columns = [fuel_names.index(targets[k - 1]) for k in kept]
-        blocks = _FuelMixBlocks(path, len(header), kept, columns, len(fuel_names))
-        hour_blocks, share_blocks = [], []
-        n_rows = 0
-        while rows := list(islice(reader, _BLOCK_ROWS)):
-            hours, shares = blocks.read(rows, n_rows)
-            hour_blocks.append(hours)
-            share_blocks.append(shares)
-            n_rows += len(rows)
-
-    if not hour_blocks:
+    t = read_table(path, [("timestamp", _as_hours)], tail=as_share_or_skip)
+    if not t.lines:
         raise MalformedRow(f"{path}: no data rows")
-    ts_arr = np.concatenate(hour_blocks)
-    if len(ts_arr) > 1 and not np.all(np.diff(ts_arr) == 1):
+    hours = t["timestamp"]
+    if len(hours) > 1 and not np.all(np.diff(hours) == 1):
         raise NonMonotonicTimestamp(f"{path}: timestamps must advance by exactly 1 hour")
-    shares = np.concatenate(share_blocks)
+    kept = [label for label in t.header[1:] if targets[label] != EXCLUDED]
+    fuel_names = tuple(dict.fromkeys(targets[label] for label in kept))
+    # aliased columns add in header order from zero, like a per-row `+=`
+    shares = np.zeros((len(hours), len(fuel_names)))
+    for label in kept:
+        shares[:, fuel_names.index(targets[label])] += t[label]
     flags = np.where(np.isnan(shares), MISSING, OBSERVED).astype(np.int8)
-    return FuelMixSeries(ts_arr, shares, flags, tuple(fuel_names))
+    return FuelMixSeries(hours, shares, flags, fuel_names)
 
 
 def impute_missing(series: FuelMixSeries, period: int = 24) -> FuelMixSeries:

@@ -36,7 +36,7 @@ from .errors import (
     WindowTooLarge,
 )
 from .health import HealthSeries
-from .ingest import read_table
+from .ingest import as_float, as_int, as_str, read_table
 
 BRUTE_FORCE_MAX_WINDOW = 20
 
@@ -145,8 +145,8 @@ class SessionTable:
 
 
 # The sessions CSV holds the table's columns in field order.
-SESSION_COLUMNS = [("session_id", str), ("arrival", int), ("departure", int),
-                   ("demand_kwh", float), ("rate_kw", float)]
+SESSION_COLUMNS = [("session_id", as_str), ("arrival", as_int), ("departure", as_int),
+                   ("demand_kwh", as_float), ("rate_kw", as_float)]
 
 
 @dataclass
@@ -438,6 +438,8 @@ def sample_sessions(count: int, arrival_dist, departure_dist, demand_dist,
         raise DegenerateDistribution("charging rate must be positive")
     if days < 1:
         raise DegenerateDistribution("days must be at least 1")
+    if start_hour + 24 * (days + 2) > np.iinfo(np.int64).max:   # last departure, with slack
+        raise DegenerateDistribution(f"'days' {days} puts session hours past int64")
     if not (0.0 <= long_fraction <= 1.0):
         raise DegenerateDistribution("long_fraction must be in [0, 1]")
     rng = np.random.default_rng(seed)

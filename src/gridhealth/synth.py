@@ -82,7 +82,8 @@ def load_config_dir(directory: str | Path) -> PipelineConfig:
     """
     directory = Path(directory)
     factors = EmissionFactorTable.from_csv(directory / "emission_factors.csv")
-    responses = load_concentration_responses(directory / "concentration_response.csv")
+    responses = load_concentration_responses(directory / "concentration_response.csv",
+                                             factors.pollutant_names)
     profiles = load_receptor_profiles(directory / "receptors.csv", [r.endpoint_id for r in responses])
     valuations = load_valuations(directory / "valuations.csv")
     matrix_path = directory / "sr_matrix.csv"

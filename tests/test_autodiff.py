@@ -41,7 +41,6 @@ OPS = [
     ("mean_all", lambda t: (t * t).mean(), (3, 4)),
     ("reshape", lambda t: (t.reshape(2, 6) @ Tensor(rng.normal(size=(6, 1)) * 0 + 0.7)).sum(), (3, 4)),
     ("transpose", lambda t: ((t.transpose(1, 0) @ P34) ** 2.0).sum(), (3, 4)),
-    ("relu_offset", lambda t: (t + 10.0).relu().sum(), (6,)),
     ("broadcast_bias", lambda t: ((P34 + t) ** 2.0).sum(), (4,)),
 ]
 
@@ -171,12 +170,6 @@ def test_adam_zero_gradient_no_movement():
     (p * 0.0).sum().backward()
     opt.step()
     assert p.data[0] == 1.0
-
-
-def test_detach_stops_gradient():
-    x = Tensor(np.array([2.0]), requires_grad=True)
-    y = x.detach() * 3.0
-    assert not y.requires_grad
 
 
 def _gelu_composite(x):

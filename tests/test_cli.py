@@ -86,6 +86,25 @@ class TestSynth:
         assert capsys.readouterr().err.startswith(f"error: {cdir / 'plume.json'}: ")
         assert not list(out.glob("*"))
 
+    def test_permuted_response_columns_rejected(self, tmp_path, capsys):
+        # the same coefficients under a VOC,SO2,NOX,PM2.5 header used to load by position
+        src = default_config_path(".")
+        cdir = tmp_path / "conf"
+        cdir.mkdir()
+        for name in ("emission_factors.csv", "receptors.csv", "valuations.csv", "plume.json"):
+            (cdir / name).write_bytes((src / name).read_bytes())
+        rows = read_rows(src / "concentration_response.csv")
+        assert rows[0][2:] == ["PM2.5", "SO2", "NOX", "VOC"]
+        with open(cdir / "concentration_response.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(r[:2] + [r[5], r[3], r[4], r[2]]
+                                                          for r in rows)
+        out = tmp_path / "out"
+        assert run("synth", "--out", out, "--hours", 48, "--config-dir", cdir) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.rstrip().endswith(
+            "concentration_response.csv: expected header endpoint_id,form,PM2.5,SO2,NOX,VOC")
+        assert not list(out.glob("*"))
+
     def test_manifest_contents(self, bundle):
         manifest = json.loads((bundle / "manifest.json").read_text())
         assert manifest["command"] == "synth"
@@ -143,7 +162,7 @@ class TestIngest:
         self.write_map(cmap)
         out = tmp_path / "out"
         assert run("ingest", "--mix", mix, "--category-map", cmap, "--out", out) == 1
-        assert f"{mix}: row 4: bad float 'abc'" in capsys.readouterr().err
+        assert f"{mix}:4: bad float 'abc'" in capsys.readouterr().err
         assert not (out / "dataset.csv").exists()
 
     def test_imputed_count_matches_masked(self, tmp_path, capsys):
@@ -441,6 +460,10 @@ class TestSchedule:
         ({"count": 5}, "arrival_hist"),
         ({"count": "five", "rate_kw": 6.0, "arrival_hist": [1.0] * 24,
           "departure_hist": [1.0] * 24, "demand": [10.0]}, "count"),
+        ({"count": 5, "rate_kw": 6.0, "arrival_hist": [1.0] * 24,
+          "departure_hist": [1.0] * 24, "demand": [10.0], "days": 1e30}, "days"),
+        ({"count": 5, "rate_kw": 6.0, "arrival_hist": [1.0] * 24,
+          "departure_hist": [1.0] * 24, "demand": [10.0], "days": 2**61}, "days"),
     ])
     def test_bad_sample_config_names_key(self, tmp_path, capsys, spec, key):
         sig, spec_path = tmp_path / "sig.csv", tmp_path / "fleet.json"
