@@ -18,13 +18,15 @@ outputs are removed and the exit code is nonzero.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
+import math
 import shutil
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .errors import DegenerateDistribution, GridHealthError
@@ -50,6 +52,7 @@ from .ingest import (
     open_csv,
     read_json_object,
     write_fuel_mix_csv,
+    write_table,
 )
 from .scheduler import (
     ALL_STRATEGIES,
@@ -64,14 +67,12 @@ from .scheduler import (
 )
 from .synth import (
     CONFIG_FILES,
-    PlumeSpec,
     default_config_path,
     load_config_dir,
     oracle_labels,
     synthetic_mix_series,
 )
-from .dispersion import build_plume_matrix
-from .emissions import EmissionFactorTable
+from .dispersion import SR_MATRIX_COLUMNS
 
 
 def _sha256(path: Path) -> str:
@@ -135,17 +136,6 @@ def _load_canonical_mix(path: str | Path):
     return load_fuel_mix(path, identity)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 # -- subcommand bodies ---------------------------------------------------------
 
 def cmd_ingest(args, ctx: CommandContext) -> None:
@@ -164,23 +154,20 @@ def cmd_ingest(args, ctx: CommandContext) -> None:
 
 def cmd_synth(args, ctx: CommandContext) -> None:
     config_src = Path(args.config_dir) if args.config_dir else default_config_path(".")
+    config = load_config_dir(config_src, from_plume=True)
     for name in CONFIG_FILES:
         src = config_src / name
         ctx.register_input(src)
         shutil.copyfile(src, ctx.output(name))
 
-    factors = EmissionFactorTable.from_csv(config_src / "emission_factors.csv")
-    spec = PlumeSpec.from_json(config_src / "plume.json")
-    matrix = build_plume_matrix(
-        spec.params, len(spec.receptor_ids), len(factors.pollutant_names),
-        receptor_ids=spec.receptor_ids, pollutant_names=factors.pollutant_names,
-    )
-    matrix.to_csv(ctx.output("sr_matrix.csv"))
+    matrix = config.sr_matrix
+    pollutant, receptor = np.meshgrid(matrix.pollutant_names, matrix.receptor_ids, indexing="ij")
+    write_table(ctx.output("sr_matrix.csv"), [name for name, _ in SR_MATRIX_COLUMNS],
+                [pollutant.ravel(), receptor.ravel(), matrix.gains.ravel()])
 
     series = synthetic_mix_series(args.hours, args.seed)
     write_fuel_mix_csv(ctx.output("fuel_mix.csv"), series)
 
-    config = load_config_dir(ctx.out_dir)
     labels = oracle_labels(series, config)
     write_signals_csv(ctx.output("labels.csv"), labels)
     print(f"hours: {args.hours}")
@@ -208,9 +195,9 @@ def cmd_train(args, ctx: CommandContext) -> None:
     model, converter = build_models(data.mixes.shape[1], cfg, architecture=args.arch)
     model, converter, history = train(model, converter, data, cfg)
     save_checkpoint(ctx.output("checkpoint.json"), model, converter)
-    _write_csv(ctx.output("loss_history.csv"),
-               ["epoch", "train_loss", "val_loss"],
-               [[h["epoch"], _fmt(h["train_loss"]), _fmt(h["val_loss"])] for h in history])
+    header = ["epoch", "train_loss", "val_loss"]
+    write_table(ctx.output("loss_history.csv"), header,
+                [[h[name] for h in history] for name in header])
     if history:
         print(f"epochs: {len(history)}")
         print(f"final_train_loss: {history[-1]['train_loss']:.6g}")
@@ -222,11 +209,10 @@ def cmd_train(args, ctx: CommandContext) -> None:
 def cmd_sweep(args, ctx: CommandContext) -> None:
     data = _load_training_data(args, ctx)
     cfg = _train_config(args)
-    betas = [float(b) for b in args.betas.split(",") if b.strip()]
-    points = beta_sweep(data, betas, cfg, architecture=args.arch)
-    _write_csv(ctx.output("tradeoff.csv"),
-               ["beta", "fuel_nmae", "health_nmae"],
-               [[_fmt(p.beta), _fmt(p.fuel_nmae), _fmt(p.health_nmae)] for p in points])
+    points = beta_sweep(data, args.betas, cfg, architecture=args.arch)
+    header = ["beta", "fuel_nmae", "health_nmae"]
+    write_table(ctx.output("tradeoff.csv"), header,
+                [[getattr(p, name) for p in points] for name in header])
     for p in points:
         print(f"beta={p.beta}: fuel_nmae={p.fuel_nmae:.6g} health_nmae={p.health_nmae:.6g}")
 
@@ -297,24 +283,37 @@ def cmd_schedule(args, ctx: CommandContext) -> None:
     def reduction(total: float, baseline: float) -> float:
         return 100.0 * (baseline - total) / baseline if baseline > 0 else 0.0
 
-    rows = []
-    for strategy in report:
-        t = totals[strategy]
-        rows.append([
-            strategy, _fmt(t),
-            _fmt(reduction(t, totals[STRATEGY_FIRST])),
-            _fmt(reduction(t, totals[STRATEGY_LATEST])),
-            _fmt(reduction(t, totals[STRATEGY_CONTINUOUS])),
-        ])
-    _write_csv(ctx.output("results.csv"),
-               ["strategy", "total_usd", "reduction_vs_first_pct",
-                "reduction_vs_latest_pct", "reduction_vs_continuous_pct"],
-               rows)
+    write_table(ctx.output("results.csv"),
+                ["strategy", "total_usd", "reduction_vs_first_pct", "reduction_vs_latest_pct",
+                 "reduction_vs_continuous_pct"],
+                [list(report), [totals[s] for s in report],
+                 *([reduction(totals[s], totals[b]) for s in report]
+                   for b in (STRATEGY_FIRST, STRATEGY_LATEST, STRATEGY_CONTINUOUS))])
     for strategy in report:
         print(f"{strategy}: total_usd={totals[strategy]:.4f}")
 
 
 # -- argument plumbing -----------------------------------------------------------
+
+def _flag_type(convert, what: str, ok=lambda value: True):
+    """Flag type: `convert(text)` where that succeeds and `ok` holds, else a usage error."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return parse
+
+
+_COUNT = _flag_type(int, "an integer >= 0", lambda n: n >= 0)
+_POSITIVE = _flag_type(int, "an integer >= 1", lambda n: n >= 1)
+_STEP_SIZE = _flag_type(float, "a finite positive number", lambda x: math.isfinite(x) and x > 0)
+_BETAS = _flag_type(lambda text: [float(b) for b in text.split(",") if b.strip()],
+                    "a list of numbers")
+
 
 def _add_train_flags(p: argparse.ArgumentParser):
     p.add_argument("--dataset", required=True, help="canonical fuel-mix CSV")
@@ -322,10 +321,10 @@ def _add_train_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--window", type=int, choices=(24, 72), default=24)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=0.004)
-    p.add_argument("--batch", type=int, default=128)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=_COUNT, default=100)
+    p.add_argument("--lr", type=_STEP_SIZE, default=0.004)
+    p.add_argument("--batch", type=_POSITIVE, default=128)
+    p.add_argument("--seed", type=_COUNT, default=0)
     p.add_argument("--arch", choices=(ATTENTION, LINEAR_BASELINE), default=ATTENTION)
 
 
@@ -342,14 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mix", required=True)
     p.add_argument("--category-map", dest="category_map", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--period", type=int, default=24)
+    p.add_argument("--period", type=_POSITIVE, default=24)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("synth", help="generate a synthetic region bundle")
     p.add_argument("--out", required=True)
     p.add_argument("--hours", type=int, default=2160)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_COUNT, default=0)
     p.add_argument("--config-dir", dest="config_dir", default=None,
                    help="directory with config CSVs + plume.json (defaults packaged)")
     p.add_argument("--config", default=None)
@@ -362,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="trade-off curve across betas")
     _add_train_flags(p)
-    p.add_argument("--betas", default="0.5,0.998", help="comma-separated betas")
+    p.add_argument("--betas", type=_BETAS, default="0.5,0.998", help="comma-separated betas")
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_sweep)
 
@@ -381,14 +380,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--strategy", choices=ALL_STRATEGIES, default=None,
                    help="report only this strategy's row (baselines still computed)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_COUNT, default=0)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_schedule)
     return parser
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Fold --config file values in as subcommand defaults; flags override."""
+    """Fold --config file values in as subcommand defaults; flags override.
+
+    A value must pass argparse's type and choices checks of its flag.
+    """
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
     known, _ = probe.parse_known_args(argv)
@@ -400,11 +402,18 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     for action in parser._subparsers._group_actions:  # noqa: SLF001
         if command in action.choices:
             sub = action.choices[command]
-            valid = {a.dest for a in sub._actions}  # noqa: SLF001
-            unknown = set(overrides) - valid
+            flags = {a.dest: a for a in sub._actions}  # noqa: SLF001
+            unknown = set(overrides) - set(flags)
             if unknown:
                 raise GridHealthError(f"unknown config keys: {sorted(unknown)}")
-            sub.set_defaults(**overrides)
+            for key, value in overrides.items():
+                # a JSON string's text is its own, any other value's its JSON text
+                text = value if isinstance(value, str) else json.dumps(value)
+                try:
+                    sub.set_defaults(**{key: sub._get_values(flags[key], [text])})  # noqa: SLF001
+                except argparse.ArgumentError as exc:
+                    raise GridHealthError(
+                        f"{known.config}: bad value for key {key!r}: {exc}") from None
             break
     return argv
 

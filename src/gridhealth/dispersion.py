@@ -10,7 +10,6 @@ shared autodiff engine.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +30,9 @@ KG_PER_HOUR_TO_UG_RATE = 1e9 / 3600.0 / 8760.0
 
 SIGMA_Y_EXPONENT = 0.9
 SIGMA_Z_EXPONENT = 0.85
+
+# sr_matrix.csv: one row per (pollutant, receptor) pair.
+SR_MATRIX_COLUMNS = [("pollutant", as_str), ("receptor_id", as_str), ("gain", as_float)]
 
 
 @dataclass
@@ -57,8 +59,7 @@ class SourceReceptorMatrix:
         Pollutants and receptors are ordered by first appearance; every
         pair must appear exactly once.
         """
-        t = read_table(path, [("pollutant", as_str), ("receptor_id", as_str), ("gain", as_float)],
-                       key=("pollutant", "receptor_id"))
+        t = read_table(path, SR_MATRIX_COLUMNS, key=("pollutant", "receptor_id"))
         pollutants, k = _first_seen(t["pollutant"])
         receptors, i = _first_seen(t["receptor_id"])
         gains = np.zeros((len(pollutants), len(receptors)))
@@ -73,14 +74,6 @@ class SourceReceptorMatrix:
             return cls(gains, receptors, pollutants)
         except ValueError as exc:
             raise MalformedRow(f"{path}: {exc}") from exc
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["pollutant", "receptor_id", "gain"])
-            for k, pollutant in enumerate(self.pollutant_names):
-                for i, receptor in enumerate(self.receptor_ids):
-                    writer.writerow([pollutant, receptor, repr(float(self.gains[k, i]))])
 
 
 def _first_seen(column: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:

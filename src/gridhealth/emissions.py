@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,13 +48,6 @@ class EmissionFactorTable:
             return cls(np.array(t.columns[1:]).T, t["fuel"].tolist(), t.header[1:])
         except ValueError as exc:
             raise MalformedRow(f"{path}: {exc}") from exc
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["fuel", *self.pollutant_names])
-            for i, fuel in enumerate(self.fuel_names):
-                writer.writerow([fuel, *[repr(float(v)) for v in self.factors[i]]])
 
 
 @dataclass

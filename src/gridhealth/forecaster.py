@@ -67,6 +67,8 @@ class TrainConfig:
             raise ValueError("window must be at least 1 hour")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("bad batch size or epoch count")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError(f"step size must be finite and positive, got {self.step_size}")
         if not (0.0 <= self.test_fraction < 1.0 and 0.0 <= self.val_fraction < 1.0):
             raise ValueError("split fractions must lie in [0, 1)")
 
@@ -521,6 +523,8 @@ def train(model: ForecastModel, converter: HealthConverterNet, data: TrainingDat
             with autodiff.no_grad():
                 val_loss = float(_batch_loss(model, converter, val_hist, val_target,
                                              val_impact, cfg.beta).data)
+            if not math.isfinite(val_loss):
+                raise DivergedLoss(f"non-finite validation loss at epoch {epoch}")
         else:
             val_loss = float(np.mean(losses))
         history.append({"epoch": epoch, "train_loss": float(np.mean(losses)),

@@ -32,11 +32,12 @@ from .errors import (
     MissingValuation,
     UnknownReceptor,
 )
-from .ingest import FuelMixRecord, as_float, as_int, as_str, read_table, write_hourly_csv
+from .ingest import FuelMixRecord, as_float, as_int, as_str, read_table, write_table
 
 LOG_LINEAR = "log_linear"
 LINEAR = "linear"
-SIGNAL_HEADER = ["timestamp", "internal_usd_per_mwh", "external_usd_per_mwh"]
+SIGNAL_COLUMNS = [("timestamp", as_int), ("internal_usd_per_mwh", as_float),
+                  ("external_usd_per_mwh", as_float)]
 
 
 @dataclass
@@ -318,13 +319,12 @@ def load_valuations(path: str | Path) -> list[HealthValuation]:
 
 def write_signals_csv(path: str | Path, signals: HealthSeries) -> None:
     """Write `timestamp,internal_usd_per_mwh,external_usd_per_mwh` rows."""
-    write_hourly_csv(path, SIGNAL_HEADER, signals.timestamps, signals.costs)
+    write_table(path, [name for name, _ in SIGNAL_COLUMNS], [signals.timestamps, *signals.costs.T])
 
 
 def load_signals_csv(path: str | Path) -> HealthSeries:
     """Read a file `write_signals_csv` wrote; each hour may appear once, in increasing order."""
-    t = read_table(path, [("timestamp", as_int), ("internal_usd_per_mwh", as_float),
-                          ("external_usd_per_mwh", as_float)], key=("timestamp",))
+    t = read_table(path, SIGNAL_COLUMNS, key=("timestamp",))
     try:
         return HealthSeries(t.columns[0], np.stack(t.columns[1:], axis=1))
     except ValueError as exc:

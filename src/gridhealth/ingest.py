@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -49,13 +50,14 @@ EXCLUDED = "EXCLUDED"
 CANONICAL_FUELS = ("COL", "NG", "OIL", "NUC", "WAT", "WND", "SUN", "OTH")
 ZERO_EMISSION_FUELS = frozenset({"NUC", "WAT", "WND", "SUN"})
 
-# Rows per block in the hourly writer; bounds its temporaries without a per-row cost.
+# Rows per block in `write_table`; bounds its temporaries without a per-row cost.
 _BLOCK_ROWS = 2048
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 _HOUR = timedelta(hours=1)
 _LAST_ISO_HOUR = datetime(9999, 12, 31, 23)   # later hours print with 5-digit years
 _ISO_FORMS = ("%Y-%m-%dT%H:%M:%S", "%Y-%m-%d %H:%M:%S", "%Y-%m-%dT%H:%M", "%Y-%m-%d %H:%M",
               "%Y-%m-%dT%H", "%Y-%m-%d %H")
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 @contextmanager
@@ -142,6 +144,36 @@ def read_table(path: str | Path, columns: list[tuple[str, Callable]],
             shown = value[0] if len(key) == 1 else value
             raise t.error(i, f"{'/'.join(key)} {shown!r} already on line {lines[j]}")
     return t
+
+
+def write_table(path: str | Path, header: list[str], columns: list) -> None:
+    """Write the CSV file `path`: the `header` row, then row i of `columns`.
+
+    The inverse of `read_table`. A float cell is its `repr`, so it reads
+    back exactly; an integer is its decimal; a string is as it is, unless it
+    holds a comma, a double quote, CR or LF: then it is quoted, each double
+    quote doubled. The header takes the string rule. Rows go out
+    `_BLOCK_ROWS` at a time.
+    """
+    columns = [np.asarray(c) for c in columns]
+    if len(columns) != len(header) or len({len(c) for c in columns}) > 1:
+        raise ValueError("write_table needs one column per header name, all of one length")
+    texts = [_CELL_TEXT[c.dtype.kind] for c in columns]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(map(_quote, header)) + "\n")
+        for start in range(0, len(columns[0]) if columns else 0, _BLOCK_ROWS):
+            cells = [map(text, c[start:start + _BLOCK_ROWS].tolist())
+                     for text, c in zip(texts, columns)]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+def _quote(text: str) -> str:
+    """`text` as a CSV cell: quoted, each `"` doubled, when it holds `,`, `"`, CR or LF."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+
+
+# The text of a cell, by its column's numpy dtype kind.
+_CELL_TEXT = {"f": repr, "i": str, "u": str, "U": _quote}
 
 
 def as_str(name: str, cells: tuple[str, ...]):
@@ -491,24 +523,6 @@ def allocate_generation(
     return allocation
 
 
-def write_hourly_csv(path: str | Path, header: list[str], timestamps: np.ndarray,
-                     values: np.ndarray) -> None:
-    """Write `header`, then one `timestamp,v_1,...,v_K` row per entry of `timestamps`.
-
-    Each value is written as ``repr(float(v))``, so the file reads back to the
-    same floats. Integer stamps and float reprs never need quoting, so the
-    bytes are those `csv.writer` would give the same rows.
-    """
-    timestamps = np.asarray(timestamps, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        for start in range(0, len(timestamps), _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            fh.writelines(",".join([str(t), *map(repr, row)]) + "\n"
-                          for t, row in zip(timestamps[block].tolist(), values[block].tolist()))
-
-
 def write_fuel_mix_csv(path: str | Path, series: FuelMixSeries) -> None:
     """Write a series back out in the standard fuel-mix CSV schema."""
-    write_hourly_csv(path, ["timestamp", *series.fuel_names], series.timestamps, series.shares)
+    write_table(path, ["timestamp", *series.fuel_names], [series.timestamps, *series.shares.T])

@@ -19,7 +19,6 @@ Costs are in dollars: h carries $/kWh per slot and energies are kWh.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
 from itertools import combinations
@@ -36,7 +35,7 @@ from .errors import (
     WindowTooLarge,
 )
 from .health import HealthSeries
-from .ingest import as_float, as_int, as_str, read_table
+from .ingest import as_float, as_int, as_str, read_table, write_table
 
 BRUTE_FORCE_MAX_WINDOW = 20
 
@@ -514,10 +513,5 @@ def load_sessions(path: str | Path) -> SessionTable:
 
 
 def write_sessions(path: str | Path, sessions: SessionTable) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([name for name, _ in SESSION_COLUMNS])
-        writer.writerows(zip(sessions.session_id.tolist(), sessions.arrival.tolist(),
-                             sessions.departure.tolist(),
-                             map(repr, sessions.demand_kwh.tolist()),
-                             map(repr, sessions.rate_kw.tolist())))
+    write_table(path, [name for name, _ in SESSION_COLUMNS],
+                [getattr(sessions, name) for name, _ in SESSION_COLUMNS])

@@ -11,7 +11,6 @@ the written files bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -46,39 +45,33 @@ def default_config_path(name: str) -> Path:
     return Path(resources.files("gridhealth").joinpath("data", name))
 
 
-@dataclass
-class PlumeSpec:
-    """Plume parameters plus the receptor ids they generate gains for."""
-
-    params: PlumeParams
-    receptor_ids: tuple[str, ...]
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "PlumeSpec":
-        raw = read_json_object(path)
-        try:
-            receptors = raw["receptors"]
-            params = PlumeParams(
-                wind_speed=float(raw["wind_speed"]),
-                effective_height=float(raw["effective_height"]),
-                sigma_y_coeff=float(raw["sigma_y_coeff"]),
-                sigma_z_coeff=float(raw["sigma_z_coeff"]),
-                receptor_offsets=[
-                    (float(r["downwind_x"]), float(r["crosswind_y"])) for r in receptors
-                ],
-            )
-            ids = tuple(r["id"] for r in receptors)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InvalidParams(f"{path}: malformed plume spec ({exc})") from exc
-        params.validate()
-        return cls(params, ids)
+def _plume_matrix(path: Path, pollutant_names: tuple[str, ...]) -> SourceReceptorMatrix:
+    """The plume-kernel matrix of the JSON spec at `path`, one row per pollutant."""
+    raw = read_json_object(path)
+    try:
+        receptors = raw["receptors"]
+        params = PlumeParams(
+            wind_speed=float(raw["wind_speed"]),
+            effective_height=float(raw["effective_height"]),
+            sigma_y_coeff=float(raw["sigma_y_coeff"]),
+            sigma_z_coeff=float(raw["sigma_z_coeff"]),
+            receptor_offsets=[
+                (float(r["downwind_x"]), float(r["crosswind_y"])) for r in receptors
+            ],
+        )
+        ids = tuple(r["id"] for r in receptors)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParams(f"{path}: malformed plume spec ({exc})") from exc
+    return build_plume_matrix(params, len(ids), len(pollutant_names), receptor_ids=ids,
+                              pollutant_names=pollutant_names)
 
 
-def load_config_dir(directory: str | Path) -> PipelineConfig:
+def load_config_dir(directory: str | Path, from_plume: bool = False) -> PipelineConfig:
     """Assemble a PipelineConfig from a bundle/config directory.
 
-    Expects the four config CSVs plus either sr_matrix.csv or plume.json
-    (the matrix file wins when both exist).
+    Expects the four config CSVs plus either sr_matrix.csv or plume.json.
+    The matrix file wins when both exist, unless `from_plume` is set, as
+    `synth` sets it to build the matrix its bundle ships.
     """
     directory = Path(directory)
     factors = EmissionFactorTable.from_csv(directory / "emission_factors.csv")
@@ -87,14 +80,10 @@ def load_config_dir(directory: str | Path) -> PipelineConfig:
     profiles = load_receptor_profiles(directory / "receptors.csv", [r.endpoint_id for r in responses])
     valuations = load_valuations(directory / "valuations.csv")
     matrix_path = directory / "sr_matrix.csv"
-    if matrix_path.exists():
+    if matrix_path.exists() and not from_plume:
         matrix = SourceReceptorMatrix.from_csv(matrix_path)
     else:
-        spec = PlumeSpec.from_json(directory / "plume.json")
-        matrix = build_plume_matrix(
-            spec.params, len(spec.receptor_ids), len(factors.pollutant_names),
-            receptor_ids=spec.receptor_ids, pollutant_names=factors.pollutant_names,
-        )
+        matrix = _plume_matrix(directory / "plume.json", factors.pollutant_names)
     return PipelineConfig(factors, matrix, profiles, responses, valuations)
 
 

@@ -3,6 +3,8 @@
 import base64
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,12 @@ def run(*argv):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def readme_fleet_spec():
+    """The `fleet.json` sampling spec the README's quick start uses."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
 
 
 @pytest.fixture(scope="module")
@@ -100,9 +108,8 @@ class TestSynth:
                                                           for r in rows)
         out = tmp_path / "out"
         assert run("synth", "--out", out, "--hours", 48, "--config-dir", cdir) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.rstrip().endswith(
-            "concentration_response.csv: expected header endpoint_id,form,PM2.5,SO2,NOX,VOC")
+        assert capsys.readouterr().err == (f"error: {cdir / 'concentration_response.csv'}: "
+                                           "expected header endpoint_id,form,PM2.5,SO2,NOX,VOC\n")
         assert not list(out.glob("*"))
 
     def test_manifest_contents(self, bundle):
@@ -264,6 +271,16 @@ class TestTrainPredictSweep:
         assert ((tmp_path / "p1" / "predicted_signal.csv").read_bytes()
                 == (tmp_path / "p2" / "predicted_signal.csv").read_bytes())
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_training_rejected(self, tmp_path, capsys):
+        data = tmp_path / "bundle"
+        assert run("synth", "--out", data, "--hours", 200) == 0
+        out = tmp_path / "run"
+        assert run("train", "--dataset", data / "fuel_mix.csv", "--labels", data / "labels.csv",
+                   "--out", out, "--epochs", 1, "--lr", 1e300) == 1
+        assert capsys.readouterr().err == "error: non-finite validation loss at epoch 0\n"
+        assert not list(out.glob("*"))
+
     def test_non_utf8_dataset_rejected(self, bundle, tmp_path, capsys):
         dataset = tmp_path / "fuel_mix.csv"
         dataset.write_bytes((bundle / "fuel_mix.csv").read_bytes().replace(b"\n", b"\n\xe9", 1))
@@ -410,6 +427,16 @@ class TestSchedule:
         assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
         assert (a / "sessions.csv").read_bytes() == (b / "sessions.csv").read_bytes()
 
+    def test_sampled_sessions_feed_back(self, bundle, tmp_path):
+        spec = tmp_path / "fleet.json"
+        spec.write_text(json.dumps(readme_fleet_spec()))
+        sampled, replayed = tmp_path / "sampled", tmp_path / "replayed"
+        assert run("schedule", "--signal", bundle / "labels.csv", "--sample-config", spec,
+                   "--out", sampled, "--seed", 12) == 0
+        assert run("schedule", "--signal", bundle / "labels.csv",
+                   "--sessions", sampled / "sessions.csv", "--out", replayed) == 0
+        assert (replayed / "results.csv").read_bytes() == (sampled / "results.csv").read_bytes()
+
     def test_coverage_gap_names_offender(self, tmp_path, capsys):
         sig, ses = tmp_path / "sig.csv", tmp_path / "ses.csv"
         self.write_signal(sig, hours=24)
@@ -483,6 +510,38 @@ class TestSchedule:
         assert "sample-config" in capsys.readouterr().err
 
 
+def _argv(command, bundle, tmp_path):
+    """A complete command line for `command`, writing to tmp_path/out."""
+    out = tmp_path / "out"
+    if command in ("train", "sweep"):
+        return [command, "--dataset", bundle / "fuel_mix.csv", "--labels", bundle / "labels.csv",
+                "--out", out, "--epochs", 0, "--arch", "linear_baseline"]
+    if command == "ingest":
+        cmap = tmp_path / "map.csv"
+        cmap.write_text("raw_label,canonical\n" + "".join(
+            f"{f},{f}\n" for f in ("COL", "NG", "OIL", "NUC", "WAT", "WND", "SUN", "OTH")))
+        return ["ingest", "--mix", bundle / "fuel_mix.csv", "--category-map", cmap, "--out", out]
+    if command == "schedule":
+        spec = tmp_path / "fleet.json"
+        spec.write_text(json.dumps(readme_fleet_spec()))
+        return ["schedule", "--signal", bundle / "labels.csv", "--sample-config", spec,
+                "--out", out]
+    return ["synth", "--out", out, "--hours", 48]
+
+
+BAD_FLAGS = [("train", "--batch", 0), ("train", "--epochs", -1), ("train", "--seed", -1),
+             ("train", "--lr", 0), ("train", "--lr", "nan"), ("sweep", "--betas", "0.5,x"),
+             ("synth", "--seed", -1), ("schedule", "--seed", -1), ("ingest", "--period", 0)]
+
+
+@pytest.mark.parametrize("command, flag, value", BAD_FLAGS)
+def test_bad_flag_value_rejected(bundle, tmp_path, capsys, command, flag, value):
+    with pytest.raises(SystemExit) as info:
+        run(*_argv(command, bundle, tmp_path), flag, value)
+    assert info.value.code == 2 and f"argument {flag}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestConfigFile:
     def test_config_defaults_with_flag_override(self, tmp_path, bundle):
         conf = tmp_path / "conf.json"
@@ -505,6 +564,17 @@ class TestConfigFile:
                    "--labels", bundle / "labels.csv", "--out", out, "--config", conf) == 1
         assert capsys.readouterr().err.startswith(f"error: {conf}: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "window", 48), ("train", "arch", "foo"), ("train", "epochs", 1.5),
+        ("train", "epochs", True), ("sweep", "betas", [0.5, 0.9]),
+        *((command, flag[2:], value) for command, flag, value in BAD_FLAGS)])
+    def test_bad_config_value_names_key(self, tmp_path, bundle, capsys, command, key, value):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({key: value}))
+        assert run(*_argv(command, bundle, tmp_path), "--config", conf) == 1
+        assert capsys.readouterr().err.startswith(f"error: {conf}: bad value for key {key!r}: ")
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, bundle, capsys):
         conf = tmp_path / "conf.json"

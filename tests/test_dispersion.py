@@ -102,16 +102,6 @@ class TestPlume:
         with pytest.raises(InvalidParams):
             build_plume_matrix(_params(**kw), len(_params(**kw).receptor_offsets), 1)
 
-    def test_matrix_csv_round_trip(self, tmp_path):
-        m = build_plume_matrix(_params(receptor_offsets=[(5000.0, 0.0), (9000.0, 400.0)]), 2, 2,
-                               receptor_ids=("X", "Y"), pollutant_names=POLL)
-        p = tmp_path / "sr.csv"
-        m.to_csv(p)
-        again = SourceReceptorMatrix.from_csv(p)
-        np.testing.assert_array_equal(again.gains, m.gains)
-        assert again.receptor_ids == m.receptor_ids
-        assert again.pollutant_names == m.pollutant_names
-
 
 def _pairs_from_matrix(matrix, n, seed=0, scale=5.0):
     rng = np.random.default_rng(seed)

@@ -66,14 +66,6 @@ def test_zero_emission_fuel_rows_enforced():
         EmissionFactorTable([[0.5]], ("WND",), ("SO2",))
 
 
-def test_table_csv_round_trip(tmp_path):
-    p = tmp_path / "factors.csv"
-    TABLE.to_csv(p)
-    again = EmissionFactorTable.from_csv(p)
-    np.testing.assert_array_equal(again.factors, TABLE.factors)
-    assert again.fuel_names == TABLE.fuel_names
-
-
 PLANTS = [
     PlantRecord("p1", "BA", "COL", 1.0, {"NOX": 0.8}),
     PlantRecord("p2", "BA", "COL", 1.0, {"NOX": 2.0}),

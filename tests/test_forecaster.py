@@ -230,6 +230,14 @@ class TestTrain:
         with pytest.raises(DivergedLoss):
             train(model, conv, data, cfg)
 
+    def test_diverged_validation_loss_aborts(self):
+        data = linear_impact_data(80)
+        data.impacts[60, 0] = np.nan  # hour 60 is a target of validation windows only
+        cfg = self.small_cfg(epochs=1)
+        model, conv = self.small_models(cfg)
+        with pytest.raises(DivergedLoss, match="validation"):
+            train(model, conv, data, cfg)
+
     def test_insufficient_data(self):
         data = linear_impact_data(7)
         cfg = self.small_cfg()
@@ -429,7 +437,9 @@ def test_window_72_contract():
 
 
 @pytest.mark.parametrize("kw", [dict(beta=0.999), dict(beta=0.0), dict(window=0),
-                                dict(test_fraction=1.0), dict(epochs=-1)])
+                                dict(test_fraction=1.0), dict(epochs=-1), dict(step_size=0.0),
+                                dict(step_size=-0.004), dict(step_size=float("nan")),
+                                dict(step_size=float("inf"))])
 def test_train_config_validation(kw):
     base = dict(beta=0.5, window=24, epochs=1, seed=0)
     base.update(kw)

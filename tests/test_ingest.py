@@ -35,18 +35,19 @@ from gridhealth.ingest import (
     load_plants,
     normalize_mix,
     write_fuel_mix_csv,
-    write_hourly_csv,
+    write_table,
 )
 
-from gridhealth.dispersion import SourceReceptorMatrix
+from gridhealth.dispersion import SR_MATRIX_COLUMNS, SourceReceptorMatrix
 from gridhealth.emissions import EmissionFactorTable
 from gridhealth.health import (
+    SIGNAL_COLUMNS,
     load_concentration_responses,
     load_receptor_profiles,
     load_signals_csv,
     load_valuations,
 )
-from gridhealth.scheduler import load_sessions
+from gridhealth.scheduler import SESSION_COLUMNS, load_sessions
 
 from conftest import make_record, make_series
 from reference_ingest import load_fuel_mix_rowwise
@@ -293,26 +294,100 @@ def test_columnar_reader_matches_rowwise_reference(text):
     assert got.fuel_names == expected.fuel_names
 
 
-@given(st.integers(0, 3).flatmap(lambda f: st.lists(
-           st.tuples(st.integers(-2**63, 2**63 - 1),
-                     st.lists(st.floats(), min_size=f, max_size=f)),
-           max_size=7).map(lambda rows: (f, rows))),
+# CR-free text (csv.writer leaves a CR unquoted, write_table quotes it) without NUL,
+# which a numpy str array drops from the end of a string
+CSV_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\x00"))
+
+
+@given(st.tuples(st.integers(0, 3), st.integers(0, 2)).flatmap(lambda shape: st.tuples(
+           st.lists(CSV_TEXT, min_size=shape[1], max_size=shape[1]),
+           st.lists(st.tuples(st.integers(-2**63, 2**63 - 1),
+                              st.lists(st.floats(), min_size=shape[0], max_size=shape[0]),
+                              st.lists(CSV_TEXT, min_size=shape[1], max_size=shape[1])),
+                    max_size=7),
+           st.just(shape[0]))),
        st.sampled_from([2, 2048]))
 @settings(max_examples=100, deadline=None)
 def test_hourly_writer_matches_csv_writer(case, block_rows):
-    n_values, rows = case
-    header = ["timestamp", *(f"v{k}" for k in range(n_values))]
-    stamps = np.array([t for t, _ in rows], dtype=np.int64)
-    values = np.array([v for _, v in rows], dtype=np.float64).reshape(len(rows), n_values)
+    # csv.writer is the oracle for write_table's bytes on int, float and str columns
+    text_names, rows, n_values = case
+    header = ["timestamp", *(f"v{k}" for k in range(n_values)), *text_names]
+    columns = [np.array([t for t, _, _ in rows], dtype=np.int64),
+               *np.array([v for _, v, _ in rows], dtype=np.float64).reshape(len(rows), n_values).T,
+               *(np.array([texts[j] for _, _, texts in rows], dtype=str)
+                 for j in range(len(text_names)))]
     with tempfile.TemporaryDirectory() as tmp:
         got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
         with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
-            write_hourly_csv(got, header, stamps, values)
-        with open(want, "w", newline="") as fh:
+            write_table(got, header, columns)
+        with open(want, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows([t, *(repr(float(v)) for v in vs)] for t, vs in rows)
+            writer.writerows([t, *(repr(float(v)) for v in vs), *texts] for t, vs, texts in rows)
         assert got.read_bytes() == want.read_bytes()
+
+
+TRICKY = 'a,"b"\nc\rd'
+BARE_CR = "c\rd"   # the one character csv.writer would leave unquoted
+EXACT = [0.1, 1 / 3, 5e-324, 1.7976931348623157e308, 0.0]   # floats whose text must round trip
+
+
+def _names(columns):
+    return tuple(name for name, _ in columns)
+
+
+def _fuel_mix_read(path):
+    with ingest.open_csv(path) as reader:
+        labels = next(reader)[1:]
+    s = load_fuel_mix(path, FuelCategoryMap({label: label for label in labels}))
+    return ("timestamp", *s.fuel_names), [s.timestamps, *s.shares.T]
+
+
+def _signals_read(path):
+    s = load_signals_csv(path)
+    return _names(SIGNAL_COLUMNS), [s.timestamps, *s.costs.T]
+
+
+def _sessions_read(path):
+    t = load_sessions(path)
+    return _names(SESSION_COLUMNS), [getattr(t, name) for name in _names(SESSION_COLUMNS)]
+
+
+def _sr_matrix_read(path):
+    m = SourceReceptorMatrix.from_csv(path)
+    pollutant, receptor = np.meshgrid(m.pollutant_names, m.receptor_ids, indexing="ij")
+    return _names(SR_MATRIX_COLUMNS), [pollutant.ravel(), receptor.ravel(), m.gains.ravel()]
+
+
+def _factors_read(path):
+    t = EmissionFactorTable.from_csv(path)
+    return ("fuel", *t.pollutant_names), [np.array(t.fuel_names), *t.factors.T]
+
+
+# file: (header, columns, reader giving back (header, columns))
+WRITER_READER_PAIRS = {
+    "fuel_mix": (("timestamp", BARE_CR, TRICKY), [np.arange(5, 10), EXACT, EXACT[::-1]],
+                 _fuel_mix_read),
+    "signals": (_names(SIGNAL_COLUMNS), [np.arange(-2, 3), EXACT, EXACT[::-1]], _signals_read),
+    "sessions": (_names(SESSION_COLUMNS),
+                 [[TRICKY, BARE_CR, "", "s,3"], [0, 4, 2**62, -7], [3, 4, 2**62, -7],
+                  [0.1, 1 / 3, 5e-324, 0.0], [0.1, 1 / 3, 1e308, 5e-324]], _sessions_read),
+    "sr_matrix": (_names(SR_MATRIX_COLUMNS),
+                  [[TRICKY, TRICKY, "SO2", "SO2"], ["R0", 'R"1', "R0", 'R"1'], EXACT[:4]],
+                  _sr_matrix_read),
+    "emission_factors": (("fuel", TRICKY, "SO2"), [[TRICKY, "COL"], EXACT[:2], EXACT[2:4]],
+                         _factors_read),
+}
+
+
+@pytest.mark.parametrize("name", WRITER_READER_PAIRS)
+def test_writer_reader_round_trip(tmp_path, name):
+    header, columns, read = WRITER_READER_PAIRS[name]
+    p = tmp_path / f"{name}.csv"
+    write_table(p, list(header), columns)
+    got_header, got = read(p)
+    assert got_header == header
+    assert [c.tolist() for c in got] == [np.asarray(c).tolist() for c in columns]
 
 
 class TestImpute:
