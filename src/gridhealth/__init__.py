@@ -38,7 +38,6 @@ from .forecaster import (
     forecast_heldout,
     forward,
     nmae,
-    predict_heldout,
     train,
 )
 from .health import (
@@ -83,8 +82,7 @@ __all__ = [
     "EmissionFactorTable", "EmissionVector", "aggregate_plant_emissions", "emissions_from_mix",
     "Evaluation", "ForecastModel", "HealthConverterNet", "TradeoffPoint", "TrainConfig",
     "TrainingData", "beta_sweep", "composite_loss", "evaluate", "forecast_heldout",
-    "forward", "nmae",
-    "predict_heldout", "train",
+    "forward", "nmae", "train",
     "ConcentrationResponse", "HealthSeries", "HealthSignal", "HealthValuation", "PipelineConfig",
     "ReceptorProfile", "delta_health", "impact_per_mwh", "impacts", "monetize",
     "split_internal_external",

@@ -244,8 +244,11 @@ def _sampled_fleet(path: str, signals: HealthSeries, seed: int) -> SessionTable:
             raise GridHealthError(f"{path}: missing key {key!r}")
 
     def number(key, convert, default=None):
+        value = spec.get(key, default)
         try:
-            return convert(spec.get(key, default))
+            if convert is int and (type(value) is not int or value < 1):
+                raise ValueError(f"{json.dumps(value)} is not an integer >= 1")
+            return convert(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise GridHealthError(f"{path}: bad value for key {key!r}: {exc}") from exc
 
@@ -402,7 +405,9 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     for action in parser._subparsers._group_actions:  # noqa: SLF001
         if command in action.choices:
             sub = action.choices[command]
-            flags = {a.dest: a for a in sub._actions}  # noqa: SLF001
+            # the subcommand's own value flags; --help takes no value, --config names this file
+            flags = {a.dest: a for a in sub._actions  # noqa: SLF001
+                     if a.nargs != 0 and a.dest != "config"}
             unknown = set(overrides) - set(flags)
             if unknown:
                 raise GridHealthError(f"unknown config keys: {sorted(unknown)}")

@@ -443,11 +443,14 @@ def _heldout_starts(n_hours: int, window: int, test_fraction: float) -> list[int
     return [q - window for q in range(boundary, n_hours - window + 1, window) if q >= window]
 
 
+def _window_rows(starts, t: int) -> np.ndarray:
+    """(windows, t) row indices: row w holds hours starts[w] .. starts[w] + t - 1."""
+    return np.asarray(starts, dtype=np.intp)[:, None] + np.arange(t)
+
+
 def _gather(data: TrainingData, starts, t: int):
-    hist = np.stack([data.mixes[s:s + t] for s in starts])
-    target = np.stack([data.mixes[s + t:s + 2 * t] for s in starts])
-    impact = np.stack([data.impacts[s + t:s + 2 * t] for s in starts])
-    return hist, target, impact
+    rows = _window_rows(starts, t)
+    return data.mixes[rows], data.mixes[rows + t], data.impacts[rows + t]
 
 
 def _batch_loss(model, converter, hist, target, impact, beta,
@@ -558,37 +561,24 @@ def forecast_heldout(model: ForecastModel, converter: HealthConverterNet, mixes:
     starts = _heldout_starts(len(mixes), window, test_fraction)
     if not starts:
         raise InsufficientData("test split holds no complete window")
-    hist = np.stack([mixes[s:s + window] for s in starts])
+    rows = _window_rows(starts, window)
     with autodiff.no_grad():
-        pred = model.forward_tensor(Tensor(hist), training=False)
+        pred = model.forward_tensor(Tensor(mixes[rows]), training=False)
         b = pred.shape[0]
         pred_imp = converter.forward_tensor(
             pred.reshape(b * window, model.n_fuels)).reshape(b, window, 2)
-    stamps = np.concatenate([timestamps[s + window:s + 2 * window] for s in starts])
+    stamps = timestamps[rows + window].ravel()
     return pred.data.reshape(-1, model.n_fuels), pred_imp.data.reshape(-1, 2), stamps
-
-
-def predict_heldout(model: ForecastModel, converter: HealthConverterNet,
-                    data: TrainingData, cfg: TrainConfig):
-    """Held-out predictions with their truth, non-overlapping windows.
-
-    Returns (pred_mixes, pred_impacts, truth_mixes, truth_impacts,
-    timestamps), all flattened to per-hour rows in time order.
-    """
-    pred_mixes, pred_impacts, stamps = forecast_heldout(
-        model, converter, data.mixes, data.timestamps, cfg.window, cfg.test_fraction)
-    t = cfg.window
-    starts = _heldout_starts(len(data), t, cfg.test_fraction)
-    truth_mixes = np.concatenate([data.mixes[s + t:s + 2 * t] for s in starts])
-    truth_impacts = np.concatenate([data.impacts[s + t:s + 2 * t] for s in starts])
-    return pred_mixes, pred_impacts, truth_mixes, truth_impacts, stamps
 
 
 def evaluate(model: ForecastModel, converter: HealthConverterNet, data: TrainingData,
              cfg: TrainConfig) -> Evaluation:
     """Held-out-test NMAE of mixes and impacts, non-overlapping windows."""
-    pred_mixes, pred_impacts, truth_mixes, truth_impacts, stamps = predict_heldout(
-        model, converter, data, cfg)
+    pred_mixes, pred_impacts, stamps = forecast_heldout(
+        model, converter, data.mixes, data.timestamps, cfg.window, cfg.test_fraction)
+    target = _window_rows(_heldout_starts(len(data), cfg.window, cfg.test_fraction),
+                          cfg.window).ravel() + cfg.window
+    truth_mixes, truth_impacts = data.mixes[target], data.impacts[target]
     return Evaluation(
         fuel_nmae=nmae(pred_mixes, truth_mixes),
         internal_nmae=nmae(pred_impacts[:, 0], truth_impacts[:, 0]),

@@ -177,8 +177,12 @@ _CELL_TEXT = {"f": repr, "i": str, "u": str, "U": _quote}
 
 
 def as_str(name: str, cells: tuple[str, ...]):
-    """The cells stripped of surrounding whitespace."""
-    return np.array([c.strip() for c in cells], dtype=str), None
+    """The cells stripped of surrounding whitespace; none may hold NUL."""
+    values = [c.strip() for c in cells]
+    if "\0" in "".join(values):   # a numpy str array would drop a trailing NUL
+        i = next(i for i, v in enumerate(values) if "\0" in v)
+        return None, (i, f"{name} {values[i]!r} holds NUL")
+    return np.array(values, dtype=str), None
 
 
 def as_int(name: str, cells: tuple[str, ...]):
@@ -455,31 +459,31 @@ def impute_missing(series: FuelMixSeries, period: int = 24) -> FuelMixSeries:
     missing = series.flags == MISSING
 
     # Step 1: single-hour gaps bounded by observed neighbors.
-    for t, f in zip(*np.nonzero(missing)):
-        if 0 < t < n - 1 and observed[t - 1, f] and observed[t + 1, f]:
-            out.shares[t, f] = 0.5 * (series.shares[t - 1, f] + series.shares[t + 1, f])
-            out.flags[t, f] = IMPUTED
+    mid = missing[1:-1] & observed[:-2] & observed[2:]
+    out.shares[1:-1][mid] = 0.5 * (series.shares[:-2][mid] + series.shares[2:][mid])
+    out.flags[1:-1][mid] = IMPUTED
 
-    # Step 2: daily-cycle donors at expanding day radius.
-    still = out.flags == MISSING
-    max_radius = n // period + 1
-    for t, f in zip(*np.nonzero(still)):
-        filled = False
-        for radius in range(1, max_radius + 1):
-            donors = []
-            for cand in (t - radius * period, t + radius * period):
-                if 0 <= cand < n and observed[cand, f]:
-                    donors.append(series.shares[cand, f])
-            if donors:
-                out.shares[t, f] = float(np.mean(donors))
-                out.flags[t, f] = IMPUTED
-                filled = True
-                break
-        if not filled:
-            pos = int(series.timestamps[t]) % period
-            raise UnimputableSeries(
-                f"no observed value for fuel {series.fuel_names[f]!r} at hour-of-period {pos}"
-            )
+    # Step 2: daily-cycle donors at expanding day radius, every pending entry at once.
+    # The mean is np.mean's arithmetic: a sum from +0.0 over the donors (an absent one
+    # adds -0.0, which changes nothing), divided by their count.
+    t, f = np.nonzero(out.flags == MISSING)
+    for radius in range(1, n // period + 2):
+        if not len(t):
+            break
+        total, count = 0.0, 0
+        for rows in (t - radius * period, t + radius * period):
+            ok = (rows >= 0) & (rows < n) & observed[rows.clip(0, n - 1), f]
+            total = total + np.where(ok, series.shares[rows.clip(0, n - 1), f], -0.0)
+            count = count + ok
+        done = count > 0
+        out.shares[t[done], f[done]] = total[done] / count[done]
+        out.flags[t[done], f[done]] = IMPUTED
+        t, f = t[~done], f[~done]
+    if len(t):
+        pos = int(series.timestamps[t[0]]) % period
+        raise UnimputableSeries(
+            f"no observed value for fuel {series.fuel_names[f[0]]!r} at hour-of-period {pos}"
+        )
     return out
 
 

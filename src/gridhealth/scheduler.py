@@ -426,7 +426,9 @@ def sample_sessions(count: int, arrival_dist, departure_dist, demand_dist,
     histogram, which keeps overnight windows intact. A `long_fraction`
     share of vehicles stays parked one extra day (weekend / work-from-home
     pattern). Demands beyond what the window can deliver are clipped to
-    the feasible maximum. Session i is named ``S{i:05d}``.
+    the feasible maximum. Session i is named ``S{i:05d}``. Each column is
+    drawn for the whole fleet at once, in the order day, arrival hour,
+    departure hour, long stay, demand.
 
     `demand_dist` is either a sequence of empirical kWh values or
     {"kind": "uniform", "low": .., "high": ..}.
@@ -435,6 +437,8 @@ def sample_sessions(count: int, arrival_dist, departure_dist, demand_dist,
     departure_p = _normalize_hist(departure_dist, "departure")
     if rate <= 0:
         raise DegenerateDistribution("charging rate must be positive")
+    if count < 1:
+        raise DegenerateDistribution("count must be at least 1")
     if days < 1:
         raise DegenerateDistribution("days must be at least 1")
     if start_hour + 24 * (days + 2) > np.iinfo(np.int64).max:   # last departure, with slack
@@ -442,24 +446,16 @@ def sample_sessions(count: int, arrival_dist, departure_dist, demand_dist,
     if not (0.0 <= long_fraction <= 1.0):
         raise DegenerateDistribution("long_fraction must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    arrivals, departures, demands = [], [], []
-    for _ in range(count):
-        day = int(rng.integers(0, days))
-        arr_hour = int(rng.choice(24, p=arrival_p))
-        arrival = start_hour + 24 * day + arr_hour
-        dep_hour = int(rng.choice(24, p=departure_p))
-        # first slot strictly after arrival with this hour-of-day
-        offset = (dep_hour - (arrival + 1)) % 24
-        departure = arrival + 1 + offset
-        if rng.random() < long_fraction:
-            departure += 24
-        window = departure - arrival + 1
-        demand = _draw_demand(demand_dist, rng)
-        arrivals.append(arrival)
-        departures.append(departure)
-        demands.append(min(demand, rate * window))
-    return SessionTable([f"S{i:05d}" for i in range(count)], arrivals, departures, demands,
-                        np.full(len(arrivals), float(rate)))
+    day = rng.integers(0, days, size=count)
+    arrival = start_hour + 24 * day + rng.choice(24, size=count, p=arrival_p)
+    dep_hour = rng.choice(24, size=count, p=departure_p)
+    # first slot strictly after arrival with this hour-of-day
+    departure = arrival + 1 + (dep_hour - (arrival + 1)) % 24
+    departure += 24 * (rng.random(count) < long_fraction)
+    demand = np.minimum(_draw_demands(demand_dist, rng, count),
+                        rate * (departure - arrival + 1))
+    ids = np.char.add("S", np.char.zfill(np.arange(count).astype(str), 5))
+    return SessionTable(ids, arrival, departure, demand, np.full(count, float(rate)))
 
 
 def _normalize_hist(dist, name: str) -> np.ndarray:
@@ -479,7 +475,8 @@ def _normalize_hist(dist, name: str) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _draw_demand(demand_dist, rng: np.random.Generator) -> float:
+def _draw_demands(demand_dist, rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` demands in kWh from `demand_dist`, checked once."""
     try:
         if isinstance(demand_dist, dict):
             kind = demand_dist.get("kind")
@@ -487,14 +484,14 @@ def _draw_demand(demand_dist, rng: np.random.Generator) -> float:
                 lo, hi = float(demand_dist["low"]), float(demand_dist["high"])
                 if hi < lo or hi <= 0:
                     raise DegenerateDistribution("bad uniform demand bounds")
-                return float(rng.uniform(lo, hi))
+                return rng.uniform(lo, hi, size=count)
             raise DegenerateDistribution(f"unknown demand spec {demand_dist!r}")
         values = np.asarray(demand_dist, dtype=np.float64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DegenerateDistribution(f"bad demand spec: {exc!r}") from exc
     if values.ndim != 1 or values.size == 0 or np.any(values < 0):
         raise DegenerateDistribution("empirical demand list is empty or negative")
-    return float(values[int(rng.integers(0, values.size))])
+    return values[rng.integers(0, values.size, size=count)]
 
 
 # -- session CSV interface -----------------------------------------------------

@@ -1,11 +1,16 @@
-"""Row-at-a-time reference for `ingest.load_fuel_mix`.
+"""Entry-at-a-time references for `ingest.load_fuel_mix` and `ingest.impute_missing`.
 
-This is the loader as it was before the columnar reader replaced it. The
-fuzz test in test_ingest.py feeds both the same raw CSVs and requires equal
-arrays on valid input and the same exception and message on bad input.
-Header handling is `read_table`'s (duplicate labels, path-qualified
-unmapped labels) and a row fault names the row's physical line, so the two
-differ only in how they walk the rows.
+`load_fuel_mix_rowwise` is the loader as it was before the columnar reader
+replaced it. The fuzz test in test_ingest.py feeds both the same raw CSVs
+and requires equal arrays on valid input and the same exception and
+message on bad input. Header handling is `read_table`'s (duplicate labels,
+path-qualified unmapped labels) and a row fault names the row's physical
+line, so the two differ only in how they walk the rows.
+
+`impute_missing_loop` is gap filling as it was before the array form: one
+missing entry at a time, with `np.mean` over each entry's donors. Its
+Hypothesis test requires bit-identical arrays and the same
+`UnimputableSeries` message.
 """
 
 from __future__ import annotations
@@ -17,9 +22,15 @@ from pathlib import Path
 
 import numpy as np
 
-from gridhealth.errors import MalformedRow, NonMonotonicTimestamp, UnmappedLabel
+from gridhealth.errors import (
+    MalformedRow,
+    NonMonotonicTimestamp,
+    UnimputableSeries,
+    UnmappedLabel,
+)
 from gridhealth.ingest import (
     EXCLUDED,
+    IMPUTED,
     MISSING,
     OBSERVED,
     FuelCategoryMap,
@@ -129,3 +140,40 @@ def load_fuel_mix_rowwise(path: str | Path, category_map: FuelCategoryMap) -> Fu
     if len(ts_arr) > 1 and not np.all(np.diff(ts_arr) == 1):
         raise NonMonotonicTimestamp(f"{path}: timestamps must advance by exactly 1 hour")
     return FuelMixSeries(ts_arr, np.vstack(share_rows), np.vstack(flag_rows), tuple(fuel_names))
+
+
+def impute_missing_loop(series: FuelMixSeries, period: int = 24) -> FuelMixSeries:
+    n = len(series)
+    if n < 2 * period:
+        raise UnimputableSeries(f"need at least {2 * period} records, have {n}")
+    out = series.copy()
+    observed = series.flags == OBSERVED
+    missing = series.flags == MISSING
+
+    # Step 1: single-hour gaps bounded by observed neighbors.
+    for t, f in zip(*np.nonzero(missing)):
+        if 0 < t < n - 1 and observed[t - 1, f] and observed[t + 1, f]:
+            out.shares[t, f] = 0.5 * (series.shares[t - 1, f] + series.shares[t + 1, f])
+            out.flags[t, f] = IMPUTED
+
+    # Step 2: daily-cycle donors at expanding day radius.
+    still = out.flags == MISSING
+    max_radius = n // period + 1
+    for t, f in zip(*np.nonzero(still)):
+        filled = False
+        for radius in range(1, max_radius + 1):
+            donors = []
+            for cand in (t - radius * period, t + radius * period):
+                if 0 <= cand < n and observed[cand, f]:
+                    donors.append(series.shares[cand, f])
+            if donors:
+                out.shares[t, f] = float(np.mean(donors))
+                out.flags[t, f] = IMPUTED
+                filled = True
+                break
+        if not filled:
+            pos = int(series.timestamps[t]) % period
+            raise UnimputableSeries(
+                f"no observed value for fuel {series.fuel_names[f]!r} at hour-of-period {pos}"
+            )
+    return out

@@ -491,6 +491,10 @@ class TestSchedule:
           "departure_hist": [1.0] * 24, "demand": [10.0], "days": 1e30}, "days"),
         ({"count": 5, "rate_kw": 6.0, "arrival_hist": [1.0] * 24,
           "departure_hist": [1.0] * 24, "demand": [10.0], "days": 2**61}, "days"),
+        *(({"rate_kw": 6.0, "arrival_hist": [1.0] * 24, "departure_hist": [1.0] * 24,
+            "demand": [10.0], "count": 5, key: value}, key)
+          for key, value in (("count", -5), ("count", 0), ("count", 1.5), ("count", True),
+                             ("days", 2.9), ("days", 0), ("days", False), ("days", None))),
     ])
     def test_bad_sample_config_names_key(self, tmp_path, capsys, spec, key):
         sig, spec_path = tmp_path / "sig.csv", tmp_path / "fleet.json"
@@ -583,3 +587,11 @@ class TestConfigFile:
                    "--labels", bundle / "labels.csv", "--out", tmp_path / "o",
                    "--config", conf) == 1
         assert "gpu" in capsys.readouterr().err
+
+    def test_help_and_config_are_not_config_keys(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"help": True, "config": "elsewhere.json"}))
+        out = tmp_path / "out"
+        assert run("synth", "--out", out, "--hours", "48", "--config", conf) == 1
+        assert capsys.readouterr().err == "error: unknown config keys: ['config', 'help']\n"
+        assert not out.exists()

@@ -50,7 +50,7 @@ from gridhealth.health import (
 from gridhealth.scheduler import SESSION_COLUMNS, load_sessions
 
 from conftest import make_record, make_series
-from reference_ingest import load_fuel_mix_rowwise
+from reference_ingest import impute_missing_loop, load_fuel_mix_rowwise
 
 
 def write_csv(path, rows):
@@ -472,6 +472,40 @@ class TestImpute:
             impute_missing(series)
 
 
+# Shares with signed zeros and subnormals, whose halves and sums show any change of order.
+_IMPUTE_SHARES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300]),
+                           st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@given(data=st.data(), period=st.integers(1, 6), n_fuels=st.integers(1, 3),
+       start=st.integers(-60, 60))
+@settings(max_examples=300, deadline=None)
+def test_impute_matches_entry_loop(data, period, n_fuels, start):
+    """The array form equals the entry-at-a-time loop bit for bit, or raises its message."""
+    n = data.draw(st.integers(max(1, 2 * period - 2), 8 * period), label="n")
+    cells = n * n_fuels
+    shares = np.array(data.draw(st.lists(_IMPUTE_SHARES, min_size=cells, max_size=cells),
+                                label="shares")).reshape(n, n_fuels)
+    gaps = data.draw(st.integers(1, 9), label="gaps in 11")
+    kinds = st.sampled_from([MISSING] * gaps + [OBSERVED] * (10 - gaps) + [IMPUTED])
+    flags = np.array(data.draw(st.lists(kinds, min_size=cells, max_size=cells),
+                               label="flags"), dtype=np.int8).reshape(n, n_fuels)
+    shares[flags == MISSING] = np.nan
+    series = make_series(shares, ("COL", "NG", "SUN")[:n_fuels], flags=flags, start=start)
+    before = series.shares.tobytes(), series.flags.tobytes()
+    try:
+        want = impute_missing_loop(series, period)
+    except UnimputableSeries as exc:
+        with pytest.raises(UnimputableSeries) as got:
+            impute_missing(series, period)
+        assert str(got.value) == str(exc)
+        return
+    got = impute_missing(series, period)
+    assert got.shares.tobytes() == want.shares.tobytes()
+    assert got.flags.tobytes() == want.flags.tobytes()
+    assert (series.shares.tobytes(), series.flags.tobytes()) == before   # input left alone
+
+
 class TestNormalize:
     def test_uniform_rescale(self):
         out = normalize_mix(make_series([[2.0, 2.0]], ("COL", "NG")))
@@ -659,9 +693,9 @@ VALID_ROWS = {
     "sessions": "a,0,3,1.0,1.0",
 }
 # Cells the gate writes: numbers at and past the int64 and float ranges,
-# non-finite and empty values, and words some loaders give meaning.
+# non-finite and empty values, words some loaders give meaning, and a NUL.
 FUZZ_CELLS = ("0", "-1", " 7 ", "1e308", "-1e308", "1e-320", "nan", "inf", "", "abc", "1_0",
-              "99999999999999999999", "-9223372036854775808", "true", "linear")
+              "99999999999999999999", "-9223372036854775808", "true", "linear", "a\0")
 
 
 def _load_or_gridhealth_error(load, header, rows):

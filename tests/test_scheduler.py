@@ -433,6 +433,48 @@ class TestSampling:
         tv = 0.5 * np.abs(counts / len(fleet) - hist).sum()
         assert tv < 0.02
 
+    def test_departure_frequencies_match_histogram(self):
+        hist = np.zeros(24)
+        hist[[5, 6, 7, 8, 9]] = [0.08, 0.25, 0.34, 0.23, 0.10]
+        fleet = sample_sessions(10000, np.ones(24), hist, [10.0], rate=5.0, seed=3, days=5,
+                                long_fraction=0.3)
+        counts = np.bincount(fleet.departure % 24, minlength=24)
+        tv = 0.5 * np.abs(counts / len(fleet) - hist).sum()
+        assert tv < 0.02
+
+    @given(seed=st.integers(0, 2**32), low=st.floats(0.0, 50.0), width=st.floats(1e-3, 50.0))
+    @settings(max_examples=50, deadline=None)
+    def test_uniform_demands_within_bounds(self, seed, low, width):
+        high = low + width
+        fleet = sample_sessions(200, ARRIVAL, DEPART, {"kind": "uniform", "low": low,
+                                                       "high": high}, rate=100.0, seed=seed)
+        assert np.all((fleet.demand_kwh >= low) & (fleet.demand_kwh <= high))
+
+    @given(seed=st.integers(0, 2**32),
+           values=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=5))
+    @settings(max_examples=50, deadline=None)
+    def test_empirical_demands_come_from_the_list(self, seed, values):
+        fleet = sample_sessions(300, ARRIVAL, DEPART, values, rate=100.0, seed=seed)
+        assert np.isin(fleet.demand_kwh, values).all()
+        # 300 draws from at most 5 values leave one out with chance below 5 * 0.8**300
+        assert set(fleet.demand_kwh.tolist()) == set(values)
+
+    @given(seed=st.integers(0, 2**32), start_hour=st.integers(0, 10**9))
+    @settings(max_examples=50, deadline=None)
+    def test_start_hour_offsets_every_arrival(self, seed, start_hour):
+        at_zero = sample_sessions(100, np.ones(24), DEPART, [5.0], rate=5.0, seed=seed, days=3)
+        fleet = sample_sessions(100, np.ones(24), DEPART, [5.0], rate=5.0, seed=seed, days=3,
+                                start_hour=start_hour)
+        assert np.array_equal(fleet.arrival, at_zero.arrival + start_hour)
+        assert np.all(fleet.departure % 24 == 7)
+        assert np.all((fleet.departure > fleet.arrival)
+                      & (fleet.departure - fleet.arrival <= 24))
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_count_below_one_rejected(self, count):
+        with pytest.raises(DegenerateDistribution, match="count must be at least 1"):
+            sample_sessions(count, ARRIVAL, DEPART, [5.0], rate=5.0, seed=1)
+
     def test_departure_always_after_arrival(self):
         fleet = as_sessions(sample_sessions(500, np.ones(24), np.ones(24),
                                             {"kind": "uniform", "low": 1, "high": 5},
@@ -470,6 +512,7 @@ class TestSampling:
     ("a,0,1,1e308,1e-10", InfeasibleSession),          # demand / rate overflows
     ("a,99999999999999999999,3,1.0,1.0", MalformedRow),  # beyond int64
     ("a,0,99999999999999999999,1.0,1.0", MalformedRow),
+    ("a\0,0,3,1.0,1.0", MalformedRow),                 # a str array drops a trailing NUL
 ])
 def test_load_sessions_names_path_and_line(tmp_path, row, error):
     p = tmp_path / "sessions.csv"
