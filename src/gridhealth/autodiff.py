@@ -4,10 +4,12 @@ A `Tensor` wraps an ndarray and remembers how it was produced; calling
 `backward()` on a scalar output walks the recorded graph in reverse
 topological order and accumulates gradients into every tensor created
 with `requires_grad=True`. The walk frees the graph as it goes, so each
-graph supports one `backward()`. Only the operations the forecaster,
-health converter, and dispersion layer actually need are implemented;
-the forecaster's hot composites (`linear`, `gelu`, `layer_norm_affine`,
-`attention`) are single nodes with hand-written backward passes.
+graph supports one `backward()`. The operations are those the forecaster,
+health converter, and dispersion layer use, plus `sqrt`, `log`, `**`, `/`,
+`layer_norm` and `@`, which no model calls: the tests check them and build
+the unfused composites from them. The forecaster's hot composites
+(`linear`, `gelu`, `layer_norm_affine`, `attention`) are single nodes with
+hand-written backward passes.
 
 All data is float64. Gradients of broadcast operands are summed back to
 the operand's shape, so biases and per-feature scales behave like their

@@ -101,7 +101,10 @@ class CommandContext:
         self.inputs[str(path)] = _sha256(path)
 
     def output(self, name: str) -> Path:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        if not self.outputs:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            # a failed rerun must not leave the last run's manifest naming its outputs
+            (self.out_dir / "manifest.json").unlink(missing_ok=True)
         path = self.out_dir / name
         self.outputs.append(path)
         return path

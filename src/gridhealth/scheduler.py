@@ -7,12 +7,17 @@ weights it by that partial energy. With the remainder on the last-selected
 (most expensive) slot, picking the n cheapest slots is globally optimal,
 which `brute_force_schedule` verifies by enumeration.
 
-Fleet evaluation is array-form: `evaluate_fleet` groups sessions by window
-length, gathers one (sessions, window) price block per group and costs every
-strategy in batch. The per-session functions (`optimal_schedule`,
-`baseline_schedule`, `schedule_for`, `brute_force_schedule`) are the oracle
-it is tested against: each session's cost is the `math.fsum` of the same
-energy x price products `Schedule.cost` adds, so it is equal with `==`.
+Fleet evaluation is array-form and makes one pass over the fleet:
+`evaluate_fleet` takes sessions in chunks of one window length, gathers each
+chunk's (sessions, window) price block once and costs every strategy on it.
+`continuous` compares the contiguous runs of n slots on prefix sums of the
+prices, rate x (P[s+n-1] - P[s]) + remainder x h[s+n-1] with
+P = [0, *cumsum(h)]; a row-wise cumsum adds in the order of the 1-d one, so
+the engine and `baseline_schedule` pick the same run. The per-session
+functions (`optimal_schedule`, `baseline_schedule`, `schedule_for`,
+`brute_force_schedule`) are the oracle the engine is tested against: each
+session's cost is the `math.fsum` of the same energy x price products
+`Schedule.cost` adds, so it is equal with `==`.
 
 Costs are in dollars: h carries $/kWh per slot and energies are kWh.
 """
@@ -23,10 +28,8 @@ import math
 from dataclasses import dataclass, fields
 from itertools import combinations
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateDistribution,
@@ -96,7 +99,9 @@ class SessionTable:
     """A fleet as columns, entry i for session i, held to `ChargingSession`'s rules.
 
     The first session those rules reject raises its `ChargingSession` error,
-    which carries the session's index as `row`.
+    which carries the session's index as `row`. Before those rules, the first
+    session id that holds NUL raises `InfeasibleSession` with its `row`: a
+    numpy str array would drop a trailing NUL.
     """
 
     session_id: np.ndarray   # (S,) str, "" for an unnamed session
@@ -106,7 +111,8 @@ class SessionTable:
     rate_kw: np.ndarray      # (S,) float64
 
     def __post_init__(self):
-        self.session_id = np.asarray(self.session_id, dtype=str)
+        given = self.session_id
+        self.session_id = np.asarray(given, dtype=str)
         self.arrival = np.asarray(self.arrival, dtype=np.int64)
         self.departure = np.asarray(self.departure, dtype=np.int64)
         self.demand_kwh = np.asarray(self.demand_kwh, dtype=np.float64)
@@ -114,6 +120,12 @@ class SessionTable:
         if not (self.arrival.shape == self.departure.shape == self.demand_kwh.shape
                 == self.rate_kw.shape == self.session_id.shape == (len(self.arrival),)):
             raise ValueError("session columns must be 1-d and of one length")
+        given = given.tolist() if isinstance(given, np.ndarray) else given
+        if "\0" in "".join(map(str, given)):
+            i = next(i for i, name in enumerate(map(str, given)) if "\0" in name)
+            exc = InfeasibleSession(f"session id {given[i]!r} holds NUL")
+            exc.row = i
+            raise exc
         # the rules over whole columns flag the sessions to build one by one; a
         # window beyond 2**53 slots is flagged by its rounded float length
         window = (self.departure - self.arrival).astype(np.float64) + 1
@@ -243,7 +255,11 @@ def brute_force_schedule(session: ChargingSession, h) -> Schedule:
 
 
 def baseline_schedule(session: ChargingSession, h, strategy: str) -> Schedule:
-    """first_hours, latest_hours, or best contiguous block."""
+    """first_hours, latest_hours, or best contiguous block.
+
+    The best block is the first start with the least rate x (prefix-sum
+    difference over its leading slots) + remainder x its last slot's price.
+    """
     h = _check_h(session, h)
     n = session.slots_needed
     w = session.window_length
@@ -255,10 +271,11 @@ def baseline_schedule(session: ChargingSession, h, strategy: str) -> Schedule:
         if n == 0:
             return _make_schedule(session, [])
         remainder = session.demand_kwh - (n - 1) * session.rate_kw
+        lead = np.concatenate(([0.0], np.cumsum(h)))
         best_cost, best_start = math.inf, 0
         for start in range(w - n + 1):
-            block = h[start:start + n]
-            cost = session.rate_kw * (block[:-1].sum() if n > 1 else 0.0) + remainder * block[-1]
+            cost = (session.rate_kw * (lead[start + n - 1] - lead[start])
+                    + remainder * h[start + n - 1])
             if cost < best_cost:
                 best_cost = cost
                 best_start = start
@@ -294,31 +311,30 @@ def evaluate_fleet(sessions: SessionTable, signals: HealthSeries,
     for strategy in strategies:
         if strategy not in ALL_STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
-    prices, t0 = signal_to_slot_prices(signals)
-    fleet = _fleet_arrays(sessions, prices, t0)
-    totals = {}
-    for strategy in strategies:
-        costs = _session_costs(fleet, prices, strategy)
-        # accumulate is sequential, like +=; sum() and np.sum round differently
-        totals[strategy] = float(np.add.accumulate(costs, out=costs)[-1]) if len(costs) else 0.0
-    return totals
+    # accumulate is sequential, like +=; sum() and np.sum round differently
+    running = np.add.accumulate(_session_costs(sessions, signals, strategies), axis=1)
+    return {s: float(row[-1]) if len(row) else 0.0 for s, row in zip(strategies, running)}
 
 
 # Elements in one temporary block of the fleet engine; bounds its memory.
 _BLOCK_ELEMENTS = 1 << 13
 
 
-class _Fleet(NamedTuple):
-    lo: np.ndarray         # each window's first slot, as an index into the prices
-    width: np.ndarray      # window lengths
-    rate: np.ndarray
-    n: np.ndarray          # slots needed
-    remainder: np.ndarray  # energy of the last-selected slot, as `_make_schedule` has it
-    chunks: list           # (window length, session indices), at most one block each
+def _session_costs(sessions: SessionTable, signals: HealthSeries, strategies) -> np.ndarray:
+    """Each strategy's cost per session, a (strategies, sessions) matrix.
 
-
-def _fleet_arrays(sessions: SessionTable, prices: np.ndarray, t0: int) -> _Fleet:
-    """The engine's session arrays, chunked by window length; raises on a coverage gap."""
+    Raises `SignalCoverageGap` naming the first session outside the signal.
+    Sessions are taken in chunks of one window length and at most
+    `_BLOCK_ELEMENTS` prices; each chunk's (sessions, window) price block is
+    gathered once and costed for every strategy. A row's chosen slots are
+    columns start..start+n-1 of its block (sorted for `optimal`), the last
+    carrying the remainder, and its cost is the `math.fsum` of the products
+    `Schedule.cost` adds, so it equals `schedule_for(...).total_cost`.
+    `continuous` compares runs on row-wise prefix sums of the block, which add
+    in the order `baseline_schedule`'s 1-d prefix sums do, so it picks the same
+    start.
+    """
+    prices, t0 = signal_to_slot_prices(signals)
     lo = sessions.arrival - t0
     hi = sessions.departure - t0
     outside = (lo < 0) | (hi >= len(prices))
@@ -331,89 +347,41 @@ def _fleet_arrays(sessions: SessionTable, prices: np.ndarray, t0: int) -> _Fleet
         )
     # slot indices fit int32 and it halves the engine's index memory
     lo, width = lo.astype(np.int32), (hi - lo + 1).astype(np.int32)
-    order = np.argsort(width, kind="stable").astype(np.int32)
-    chunks = []
-    for group in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):
-        if len(group):
-            w = int(width[group[0]])
-            step = max(1, _BLOCK_ELEMENTS // w)
-            chunks.extend((w, group[at:at + step]) for at in range(0, len(group), step))
     rate = sessions.rate_kw
     # `ChargingSession.slots_needed`'s arithmetic; a zero demand gives ceil(-1e-9) = 0
-    n = np.ceil(sessions.demand_kwh / rate - 1e-9).astype(np.int32)
-    remainder = np.where(n > 0, sessions.demand_kwh - (n - 1) * rate, 0.0)
-    return _Fleet(lo, width, rate, n, remainder, chunks)
-
-
-def _session_costs(fleet: _Fleet, prices: np.ndarray, strategy: str) -> np.ndarray:
-    """One strategy's cost per session, in session order.
-
-    The chosen slots of a row are columns start..start+n-1 of its price
-    block (sorted for `optimal`); the last carries the remainder. Each cost
-    is the `math.fsum` of the products `Schedule.cost` adds, so it equals
-    `schedule_for(...).total_cost`.
-    """
-    if strategy == STRATEGY_CONTINUOUS:
-        best_start = _continuous_starts(fleet, prices)
-    costs = np.zeros(len(fleet.n))
-    for w, idx in fleet.chunks:
-        col = np.arange(w)
-        block = prices[fleet.lo[idx, None] + col]
-        n, rate, remainder = fleet.n[idx], fleet.rate[idx], fleet.remainder[idx]
-        if strategy == STRATEGY_OPTIMAL:
-            block.sort(axis=1, kind="stable")
-            start = np.zeros_like(n)
-        elif strategy == STRATEGY_FIRST:
-            start = np.zeros_like(n)
-        elif strategy == STRATEGY_LATEST:
-            start = w - n
-        else:
-            start = best_start[idx]
-        last = (start + n - 1)[:, None]
-        energy = np.where(col == last, remainder[:, None],
-                          np.where((col >= start[:, None]) & (col < last), rate[:, None], 0.0))
-        costs[idx] = [math.fsum(row) for row in (energy * block).tolist()]
-    return costs
-
-
-def _continuous_starts(fleet: _Fleet, prices: np.ndarray) -> np.ndarray:
-    """First start of each session's cheapest contiguous run, as `baseline_schedule` finds it.
-
-    A run of n slots from slot p costs rate x (numpy sum of prices[p:p+n-1])
-    + remainder x prices[p+n-1], the scalar loop's arithmetic. The leading
-    sum depends only on p and n, so it is taken once per (n, p) that some
-    session needs, each the pairwise sum of one contiguous row: it rounds
-    like the scalar slice, where a cumsum difference would not.
-    """
-    n, width, lo = fleet.n, fleet.width, fleet.lo
-    best_start = np.zeros_like(n)
-    for m in np.flatnonzero(np.bincount(n)).tolist():
-        rows = np.flatnonzero((n == m) & (width > m))
-        if m == 0 or not len(rows):
+    slots = np.ceil(sessions.demand_kwh / rate - 1e-9).astype(np.int32)
+    remainder = np.where(slots > 0, sessions.demand_kwh - (slots - 1) * rate, 0.0)
+    costs = np.zeros((len(strategies), len(sessions)))
+    order = np.argsort(width, kind="stable").astype(np.int32)
+    for group in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):
+        if not len(group):
             continue
-        starts = width[rows] - m + 1
-        lead = np.zeros(len(prices))
-        if m > 1:
-            # slots where some run starts: +1 at each lo, -1 past its last start
-            cover = np.cumsum(np.bincount(lo[rows], minlength=len(prices) + 1)
-                              - np.bincount(lo[rows] + starts, minlength=len(prices) + 1))
-            needed = np.flatnonzero(cover[:-1])
-            runs = sliding_window_view(prices, m - 1)
-            step = max(1, _BLOCK_ELEMENTS // (m - 1))
-            for at in range(0, len(needed), step):
-                p = needed[at:at + step]
-                lead[p] = runs[p].sum(axis=-1)
-        span = np.arange(int(starts.max()))
-        step = max(1, _BLOCK_ELEMENTS // len(span))
-        for at in range(0, len(rows), step):
-            r = rows[at:at + step]
-            valid = span < starts[at:at + step, None]
-            p = np.where(valid, lo[r, None] + span, lo[r, None])
-            cost = (fleet.rate[r, None] * lead[p]
-                    + fleet.remainder[r, None] * prices[p + m - 1])
-            cost[~valid] = np.inf
-            best_start[r] = np.argmin(cost, axis=1)
-    return best_start
+        w = int(width[group[0]])
+        col = np.arange(w)
+        step = max(1, _BLOCK_ELEMENTS // w)
+        for at in range(0, len(group), step):
+            idx = group[at:at + step]
+            block = prices[lo[idx, None] + col]
+            n, c, r = slots[idx, None], rate[idx, None], remainder[idx, None]
+            for k, strategy in enumerate(strategies):
+                h, start = block, np.zeros_like(n)
+                if strategy == STRATEGY_OPTIMAL:
+                    h = np.sort(block, axis=1, kind="stable")
+                elif strategy == STRATEGY_LATEST:
+                    start = w - n
+                elif strategy == STRATEGY_CONTINUOUS:
+                    # run from column s: rate x (P[s+n-1] - P[s]) + remainder x h[s+n-1]
+                    lead = np.zeros((len(idx), w + 1))
+                    np.cumsum(block, axis=1, out=lead[:, 1:])
+                    end = np.clip(col + n - 1, 0, w - 1)
+                    run = (c * (np.take_along_axis(lead, end, axis=1) - lead[:, :w])
+                           + r * np.take_along_axis(block, end, axis=1))
+                    run[col > w - n] = np.inf   # a zero-demand row charges nothing at any start
+                    start = np.argmin(run, axis=1)[:, None]
+                last = start + n - 1
+                energy = np.where(col == last, r, np.where((col >= start) & (col < last), c, 0.0))
+                costs[k, idx] = [math.fsum(row) for row in (energy * h).tolist()]
+    return costs
 
 
 def sample_sessions(count: int, arrival_dist, departure_dist, demand_dist,
@@ -446,16 +414,19 @@ def sample_sessions(count: int, arrival_dist, departure_dist, demand_dist,
     if not (0.0 <= long_fraction <= 1.0):
         raise DegenerateDistribution("long_fraction must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    day = rng.integers(0, days, size=count)
-    arrival = start_hour + 24 * day + rng.choice(24, size=count, p=arrival_p)
-    dep_hour = rng.choice(24, size=count, p=departure_p)
-    # first slot strictly after arrival with this hour-of-day
-    departure = arrival + 1 + (dep_hour - (arrival + 1)) % 24
-    departure += 24 * (rng.random(count) < long_fraction)
-    demand = np.minimum(_draw_demands(demand_dist, rng, count),
-                        rate * (departure - arrival + 1))
-    ids = np.char.add("S", np.char.zfill(np.arange(count).astype(str), 5))
-    return SessionTable(ids, arrival, departure, demand, np.full(count, float(rate)))
+    try:
+        day = rng.integers(0, days, size=count)
+        arrival = start_hour + 24 * day + rng.choice(24, size=count, p=arrival_p)
+        dep_hour = rng.choice(24, size=count, p=departure_p)
+        # first slot strictly after arrival with this hour-of-day
+        departure = arrival + 1 + (dep_hour - (arrival + 1)) % 24
+        departure += 24 * (rng.random(count) < long_fraction)
+        demand = np.minimum(_draw_demands(demand_dist, rng, count),
+                            rate * (departure - arrival + 1))
+        ids = np.char.add("S", np.char.zfill(np.arange(count).astype(str), 5))
+        return SessionTable(ids, arrival, departure, demand, np.full(count, float(rate)))
+    except MemoryError as exc:
+        raise DegenerateDistribution(f"'count' {count}: the fleet does not fit in memory") from exc
 
 
 def _normalize_hist(dist, name: str) -> np.ndarray:

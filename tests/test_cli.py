@@ -427,6 +427,18 @@ class TestSchedule:
         assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
         assert (a / "sessions.csv").read_bytes() == (b / "sessions.csv").read_bytes()
 
+    def test_failed_rerun_removes_stale_manifest(self, tmp_path):
+        sig, spec_path, out = tmp_path / "sig.csv", tmp_path / "fleet.json", tmp_path / "c"
+        self.write_signal(sig, hours=240)
+        spec = readme_fleet_spec()
+        spec_path.write_text(json.dumps(spec))
+        assert run("schedule", "--signal", sig, "--sample-config", spec_path, "--out", out) == 0
+        assert (out / "manifest.json").exists()
+        # 400 days of sessions fall outside the 240 h signal
+        spec_path.write_text(json.dumps({**spec, "days": 400}))
+        assert run("schedule", "--signal", sig, "--sample-config", spec_path, "--out", out) == 1
+        assert not (out / "manifest.json").exists() and not (out / "sessions.csv").exists()
+
     def test_sampled_sessions_feed_back(self, bundle, tmp_path):
         spec = tmp_path / "fleet.json"
         spec.write_text(json.dumps(readme_fleet_spec()))
@@ -494,7 +506,8 @@ class TestSchedule:
         *(({"rate_kw": 6.0, "arrival_hist": [1.0] * 24, "departure_hist": [1.0] * 24,
             "demand": [10.0], "count": 5, key: value}, key)
           for key, value in (("count", -5), ("count", 0), ("count", 1.5), ("count", True),
-                             ("days", 2.9), ("days", 0), ("days", False), ("days", None))),
+                             ("days", 2.9), ("days", 0), ("days", False), ("days", None),
+                             ("count", 10**13))),
     ])
     def test_bad_sample_config_names_key(self, tmp_path, capsys, spec, key):
         sig, spec_path = tmp_path / "sig.csv", tmp_path / "fleet.json"

@@ -23,7 +23,7 @@ from gridhealth.scheduler import (
     STRATEGY_LATEST,
     ChargingSession,
     SessionTable,
-    _fleet_arrays,
+    _BLOCK_ELEMENTS,
     _session_costs,
     baseline_schedule,
     brute_force_schedule,
@@ -243,6 +243,12 @@ class TestSessionValidation:
                 SessionTable(ids, *columns)
             assert str(info.value) == expected
 
+    @pytest.mark.parametrize("name", ["a\0", "a\0b", "\0"])
+    def test_table_rejects_nul_in_id(self, name):
+        with pytest.raises(InfeasibleSession, match="holds NUL") as info:
+            SessionTable(["ok", name], [0, 0], [1, 1], [1.0, 1.0], [1.0, 1.0])
+        assert info.value.row == 1
+
     @given(st.integers(1, 100), st.floats(1e-4, 1e3), st.floats(-1e-12, 1e-12),
            st.integers(-3, 3))
     @settings(max_examples=200, deadline=None)
@@ -316,8 +322,7 @@ class TestFleet:
 
 
 def engine_costs(sessions, signals, strategy):
-    prices, t0 = signal_to_slot_prices(signals)
-    return _session_costs(_fleet_arrays(table(sessions), prices, t0), prices, strategy)
+    return _session_costs(table(sessions), signals, [strategy])[0]
 
 
 @st.composite
@@ -380,6 +385,28 @@ class TestFleetEngine:
             ChargingSession(30, 46, 5 * 11.0, 11.0, "exact-multiple"),
             ChargingSession(19, 40, 20.5, 3.6, "partial"),
         ]
+        prices, t0 = signal_to_slot_prices(signals)
+        for strategy in ALL_STRATEGIES:
+            costs = engine_costs(sessions, signals, strategy)
+            for s, cost in zip(sessions, costs):
+                h = prices[s.arrival - t0:s.departure - t0 + 1]
+                assert cost == schedule_for(s, h, strategy).total_cost, (strategy, s)
+
+    def test_chunk_split_matches_scalar_oracle(self):
+        # 300 windows of 40 h fill more than one price block, and one window
+        # is wider than a block; tie-heavy prices test the tie breaks
+        rng = np.random.default_rng(11)
+        hours, width = 9000, 40
+        costs = 0.37 * rng.integers(0, 4, size=hours)
+        signals = HealthSeries(np.arange(hours), np.column_stack([costs * 600.0, costs * 400.0]))
+        sessions = []
+        for i, arrival in enumerate(rng.integers(0, hours - width, size=300).tolist()):
+            rate = [3.6, 7.2, 11.0][i % 3]
+            n = int(rng.integers(0, width + 1))
+            demand = n * rate if i % 2 else float(rng.uniform(0.0, rate * width))
+            sessions.append(ChargingSession(arrival, arrival + width - 1, demand, rate, f"E{i}"))
+        sessions.append(ChargingSession(100, 8599, 1234.5, 3.6, "long"))
+        assert 300 * width > _BLOCK_ELEMENTS and _BLOCK_ELEMENTS < 8500 < hours
         prices, t0 = signal_to_slot_prices(signals)
         for strategy in ALL_STRATEGIES:
             costs = engine_costs(sessions, signals, strategy)
