@@ -9,10 +9,12 @@ One executable, six subcommands:
   predict   held-out-span health-signal predictions from a checkpoint
   schedule  fleet charging simulation against a health signal
 
-Every command writes a manifest.json recording the resolved configuration,
-sha-256 digests of its inputs, and its outputs; reruns with identical
-manifest inputs produce byte-identical CSVs. On failure all partial
-outputs are removed and the exit code is nonzero.
+Every command writes its outputs into a private staging directory beside
+--out and publishes them into --out only when it succeeds, manifest.json
+last. The manifest records the resolved configuration, sha-256 digests of
+the inputs and the command's own outputs; reruns with identical manifest
+inputs produce byte-identical CSVs. A command that fails or is interrupted
+exits nonzero and leaves --out as it was.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -84,14 +88,15 @@ def _sha256(path: Path) -> str:
 
 
 class CommandContext:
-    """Tracks inputs/outputs of one command so failures can roll back."""
+    """Inputs and outputs of one command; outputs are staged until `finish`."""
 
-    def __init__(self, command: str, out_dir: Path, config: dict):
+    def __init__(self, command: str, out_dir: Path, staging: Path, config: dict):
         self.command = command
         self.out_dir = out_dir
+        self.staging = staging
         self.config = config
         self.inputs: dict[str, str] = {}
-        self.outputs: list[Path] = []
+        self.outputs: list[str] = []
         self.started = time.monotonic()
 
     def register_input(self, path: str | Path | None):
@@ -101,34 +106,31 @@ class CommandContext:
         self.inputs[str(path)] = _sha256(path)
 
     def output(self, name: str) -> Path:
-        if not self.outputs:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
-            # a failed rerun must not leave the last run's manifest naming its outputs
-            (self.out_dir / "manifest.json").unlink(missing_ok=True)
-        path = self.out_dir / name
-        self.outputs.append(path)
-        return path
-
-    def rollback(self):
-        for path in self.outputs:
-            if path.exists():
-                path.unlink()
+        self.outputs.append(name)
+        return self.staging / name
 
     def finish(self):
-        for path in self.outputs:
+        """Check the staged outputs, then move them into `out_dir`, manifest last."""
+        for name in self.outputs:
+            path = self.staging / name
             if not path.exists() or path.stat().st_size == 0:
-                raise GridHealthError(f"output {path} missing or empty")
+                raise GridHealthError(f"output {self.out_dir / name} missing or empty")
         manifest = {
             "command": self.command,
             "tool_version": __version__,
             "config": self.config,
             "inputs": self.inputs,
-            "outputs": [str(p) for p in self.outputs],
+            "outputs": [str(self.out_dir / name) for name in self.outputs],
             "seed": self.config.get("seed"),
             "wall_time_s": round(time.monotonic() - self.started, 3),
         }
-        path = self.out_dir / "manifest.json"
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        (self.staging / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        self.out_dir.mkdir(exist_ok=True)
+        # while the moves run, --out holds no manifest, so nothing there looks complete
+        (self.out_dir / "manifest.json").unlink(missing_ok=True)
+        for name in [*self.outputs, "manifest.json"]:
+            os.replace(self.staging / name, self.out_dir / name)
 
 
 def _load_canonical_mix(path: str | Path):
@@ -248,9 +250,10 @@ def _sampled_fleet(path: str, signals: HealthSeries, seed: int) -> SessionTable:
 
     def number(key, convert, default=None):
         value = spec.get(key, default)
+        what = "an integer >= 1" if convert is int else "a finite positive number"
         try:
-            if convert is int and (type(value) is not int or value < 1):
-                raise ValueError(f"{json.dumps(value)} is not an integer >= 1")
+            if (convert is int and type(value) is not int) or not 0 < convert(value) < math.inf:
+                raise ValueError(f"{json.dumps(value)} is not {what}")
             return convert(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise GridHealthError(f"{path}: bad value for key {key!r}: {exc}") from exc
@@ -317,7 +320,7 @@ def _flag_type(convert, what: str, ok=lambda value: True):
 _COUNT = _flag_type(int, "an integer >= 0", lambda n: n >= 0)
 _POSITIVE = _flag_type(int, "an integer >= 1", lambda n: n >= 1)
 _STEP_SIZE = _flag_type(float, "a finite positive number", lambda x: math.isfinite(x) and x > 0)
-_BETAS = _flag_type(lambda text: [float(b) for b in text.split(",") if b.strip()],
+_BETAS = _flag_type(lambda text: [float(b) for b in text.split(",") if b.strip()] or None,
                     "a list of numbers")
 
 
@@ -348,34 +351,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--category-map", dest="category_map", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--period", type=_POSITIVE, default=24)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("synth", help="generate a synthetic region bundle")
     p.add_argument("--out", required=True)
-    p.add_argument("--hours", type=int, default=2160)
+    p.add_argument("--hours", type=_POSITIVE, default=2160)
     p.add_argument("--seed", type=_COUNT, default=0)
     p.add_argument("--config-dir", dest="config_dir", default=None,
                    help="directory with config CSVs + plume.json (defaults packaged)")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train forecaster + converter at one beta")
     _add_train_flags(p)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sweep", help="trade-off curve across betas")
     _add_train_flags(p)
     p.add_argument("--betas", type=_BETAS, default="0.5,0.998", help="comma-separated betas")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("predict", help="predict the health signal on the held-out span")
     p.add_argument("--dataset", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("schedule", help="simulate fleet charging strategies")
@@ -387,8 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=ALL_STRATEGIES, default=None,
                    help="report only this strategy's row (baselines still computed)")
     p.add_argument("--seed", type=_COUNT, default=0)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_schedule)
+
+    for p in sub.choices.values():
+        p.add_argument("--config", default=None, help="JSON file of flag defaults")
     return parser
 
 
@@ -434,18 +434,15 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         config = {k: v for k, v in vars(args).items()
                   if k not in ("func", "command") and not callable(v)}
-        ctx = CommandContext(args.command, Path(args.out), config)
-        try:
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        # any exception, KeyboardInterrupt included, discards the staged outputs
+        with tempfile.TemporaryDirectory(dir=out.parent, prefix=f".{out.name}.") as staging:
+            ctx = CommandContext(args.command, out, Path(staging), config)
             args.func(args, ctx)
             ctx.finish()
-        except BaseException:
-            ctx.rollback()
-            raise
         return 0
-    except GridHealthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GridHealthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -602,16 +602,14 @@ def build_models(n_fuels: int, cfg: TrainConfig,
 def beta_sweep(data: TrainingData, betas: list[float], cfg: TrainConfig,
                architecture: str = ATTENTION) -> list[TradeoffPoint]:
     """Independent training runs across beta on identical splits and seeds."""
-    for b in betas:
-        if not (0.0 < b <= BETA_MAX):
-            raise BetaOutOfRange(f"beta {b} outside (0, {BETA_MAX}]")
+    runs = [replace(cfg, beta=b) for b in sorted(betas)]   # a bad beta fails before any training
     points = []
-    for b in sorted(betas):
-        run_cfg = replace(cfg, beta=b)
+    for run_cfg in runs:
         model, converter = build_models(data.mixes.shape[1], run_cfg, architecture)
         model, converter, _ = train(model, converter, data, run_cfg)
         ev = evaluate(model, converter, data, run_cfg)
-        points.append(TradeoffPoint(beta=b, fuel_nmae=ev.fuel_nmae, health_nmae=ev.health_nmae))
+        points.append(TradeoffPoint(beta=run_cfg.beta, fuel_nmae=ev.fuel_nmae,
+                                    health_nmae=ev.health_nmae))
     return points
 
 

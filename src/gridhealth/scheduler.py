@@ -403,8 +403,8 @@ def sample_sessions(count: int, arrival_dist, departure_dist, demand_dist,
     """
     arrival_p = _normalize_hist(arrival_dist, "arrival")
     departure_p = _normalize_hist(departure_dist, "departure")
-    if rate <= 0:
-        raise DegenerateDistribution("charging rate must be positive")
+    if not (math.isfinite(rate) and rate > 0):
+        raise DegenerateDistribution(f"charging rate must be finite and positive, got {rate}")
     if count < 1:
         raise DegenerateDistribution("count must be at least 1")
     if days < 1:
@@ -432,9 +432,12 @@ def sample_sessions(count: int, arrival_dist, departure_dist, demand_dist,
 def _normalize_hist(dist, name: str) -> np.ndarray:
     try:
         if isinstance(dist, dict):
+            hours = [int(hour) for hour in dist]
+            if not all(0 <= h < 24 for h in hours) or len(set(hours)) < len(hours):
+                raise DegenerateDistribution(
+                    f"{name} histogram keys must be distinct hours 0-23, got {list(dist)}")
             weights = np.zeros(24)
-            for hour, wt in dist.items():
-                weights[int(hour) % 24] = float(wt)
+            weights[hours] = [float(wt) for wt in dist.values()]
         else:
             weights = np.asarray(dist, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -453,15 +456,16 @@ def _draw_demands(demand_dist, rng: np.random.Generator, count: int) -> np.ndarr
             kind = demand_dist.get("kind")
             if kind == "uniform":
                 lo, hi = float(demand_dist["low"]), float(demand_dist["high"])
-                if hi < lo or hi <= 0:
-                    raise DegenerateDistribution("bad uniform demand bounds")
+                if not (0 <= lo <= hi < math.inf and hi > 0):
+                    raise DegenerateDistribution(f"'demand' bounds {lo}, {hi} are not "
+                                                 "finite with 0 <= low <= high, high > 0")
                 return rng.uniform(lo, hi, size=count)
-            raise DegenerateDistribution(f"unknown demand spec {demand_dist!r}")
+            raise DegenerateDistribution(f"unknown 'demand' spec {demand_dist!r}")
         values = np.asarray(demand_dist, dtype=np.float64)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DegenerateDistribution(f"bad demand spec: {exc!r}") from exc
-    if values.ndim != 1 or values.size == 0 or np.any(values < 0):
-        raise DegenerateDistribution("empirical demand list is empty or negative")
+        raise DegenerateDistribution(f"bad 'demand' spec: {exc!r}") from exc
+    if values.ndim != 1 or values.size == 0 or not np.all(np.isfinite(values) & (values >= 0)):
+        raise DegenerateDistribution("'demand' list is empty, non-finite or negative")
     return values[rng.integers(0, values.size, size=count)]
 
 

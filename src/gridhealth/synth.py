@@ -99,6 +99,16 @@ def synthetic_mix_series(hours: int, seed: int, start_hour: int = 0) -> FuelMixS
     """Diurnal + seasonal synthetic fuel mix on the 8-fuel canon."""
     if hours < 1:
         raise InvalidParams("hours must be positive")
+    too_long = InvalidParams(f"'hours' {hours}: the series does not fit in memory")
+    if hours > np.iinfo(np.intp).max // 8:   # past this numpy raises ValueError, not MemoryError
+        raise too_long
+    try:
+        return _mix_series(hours, seed, start_hour)
+    except MemoryError as exc:
+        raise too_long from exc
+
+
+def _mix_series(hours: int, seed: int, start_hour: int) -> FuelMixSeries:
     rng = np.random.default_rng(seed)
     t = np.arange(start_hour, start_hour + hours)
     hod = (t % 24).astype(np.float64)

@@ -12,7 +12,7 @@ import pytest
 from gridhealth.cli import main
 from gridhealth.forecaster import TrainConfig, build_models, load_checkpoint, save_checkpoint
 from gridhealth.health import load_signals_csv
-from gridhealth.synth import default_config_path, load_config_dir, oracle_labels
+from gridhealth.synth import CONFIG_FILES, default_config_path, load_config_dir, oracle_labels
 from gridhealth.ingest import FuelCategoryMap, load_fuel_mix
 
 
@@ -23,6 +23,11 @@ def run(*argv):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def snapshot(directory):
+    """Name -> bytes of every file in `directory`."""
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 
 def readme_fleet_spec():
@@ -111,6 +116,52 @@ class TestSynth:
         assert capsys.readouterr().err == (f"error: {cdir / 'concentration_response.csv'}: "
                                            "expected header endpoint_id,form,PM2.5,SO2,NOX,VOC\n")
         assert not list(out.glob("*"))
+
+    def test_failed_or_interrupted_rerun_leaves_bundle(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "b"
+        assert run("synth", "--out", out, "--hours", 48) == 0
+        before = snapshot(out)
+        cdir = tmp_path / "conf"
+        cdir.mkdir()
+        for name in CONFIG_FILES:
+            (cdir / name).write_bytes((default_config_path(".") / name).read_bytes())
+        (cdir / "plume.json").write_text("{}")
+        assert run("synth", "--out", out, "--hours", 48, "--config-dir", cdir) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cdir / 'plume.json'}: ")
+        assert snapshot(out) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b", "conf"]
+
+        def interrupt(path, series):
+            Path(path).write_text("partial")
+            raise KeyboardInterrupt
+        monkeypatch.setattr("gridhealth.cli.write_signals_csv", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run("synth", "--out", out, "--hours", 24)
+        assert snapshot(out) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b", "conf"]
+
+    def test_nested_out_created(self, tmp_path):
+        out = tmp_path / "x" / "y" / "z"
+        assert run("synth", "--out", out, "--hours", 48) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert str(out / "labels.csv") in manifest["outputs"]
+        assert sorted(p.name for p in out.parent.iterdir()) == ["z"]
+
+    def test_out_dot_keeps_other_files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "notes.txt").write_text("mine")
+        assert run("synth", "--out", ".", "--hours", 48) == 0
+        assert (tmp_path / "notes.txt").read_text() == "mine"
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert "labels.csv" in manifest["outputs"] and "notes.txt" not in manifest["outputs"]
+        assert not [p for p in tmp_path.iterdir() if p.is_dir()]
+
+    @pytest.mark.parametrize("hours", [10**15, 10**30])     # 8 PB; past numpy's largest array
+    def test_huge_hours_names_flag(self, tmp_path, capsys, hours):
+        out = tmp_path / "out"
+        assert run("synth", "--out", out, "--hours", hours) == 1
+        assert capsys.readouterr().err.startswith(f"error: 'hours' {hours}: ")
+        assert not list(tmp_path.iterdir())
 
     def test_manifest_contents(self, bundle):
         manifest = json.loads((bundle / "manifest.json").read_text())
@@ -427,17 +478,19 @@ class TestSchedule:
         assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
         assert (a / "sessions.csv").read_bytes() == (b / "sessions.csv").read_bytes()
 
-    def test_failed_rerun_removes_stale_manifest(self, tmp_path):
+    def test_failed_rerun_leaves_previous_outputs(self, tmp_path):
         sig, spec_path, out = tmp_path / "sig.csv", tmp_path / "fleet.json", tmp_path / "c"
         self.write_signal(sig, hours=240)
         spec = readme_fleet_spec()
         spec_path.write_text(json.dumps(spec))
         assert run("schedule", "--signal", sig, "--sample-config", spec_path, "--out", out) == 0
-        assert (out / "manifest.json").exists()
+        before = snapshot(out)
         # 400 days of sessions fall outside the 240 h signal
         spec_path.write_text(json.dumps({**spec, "days": 400}))
         assert run("schedule", "--signal", sig, "--sample-config", spec_path, "--out", out) == 1
-        assert not (out / "manifest.json").exists() and not (out / "sessions.csv").exists()
+        assert snapshot(out) == before
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == [str(out / "sessions.csv"), str(out / "results.csv")]
 
     def test_sampled_sessions_feed_back(self, bundle, tmp_path):
         spec = tmp_path / "fleet.json"
@@ -507,7 +560,10 @@ class TestSchedule:
             "demand": [10.0], "count": 5, key: value}, key)
           for key, value in (("count", -5), ("count", 0), ("count", 1.5), ("count", True),
                              ("days", 2.9), ("days", 0), ("days", False), ("days", None),
-                             ("count", 10**13))),
+                             ("count", 10**13), ("rate_kw", float("nan")),
+                             ("rate_kw", float("inf")), ("rate_kw", 0), ("demand", [float("nan")]),
+                             ("demand", {"kind": "uniform", "low": 5, "high": float("inf")}),
+                             ("demand", {"kind": "uniform", "low": -5, "high": 5}))),
     ])
     def test_bad_sample_config_names_key(self, tmp_path, capsys, spec, key):
         sig, spec_path = tmp_path / "sig.csv", tmp_path / "fleet.json"
@@ -548,7 +604,8 @@ def _argv(command, bundle, tmp_path):
 
 BAD_FLAGS = [("train", "--batch", 0), ("train", "--epochs", -1), ("train", "--seed", -1),
              ("train", "--lr", 0), ("train", "--lr", "nan"), ("sweep", "--betas", "0.5,x"),
-             ("synth", "--seed", -1), ("schedule", "--seed", -1), ("ingest", "--period", 0)]
+             ("sweep", "--betas", ","), ("synth", "--seed", -1), ("synth", "--hours", 0),
+             ("schedule", "--seed", -1), ("ingest", "--period", 0)]
 
 
 @pytest.mark.parametrize("command, flag, value", BAD_FLAGS)

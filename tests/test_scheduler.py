@@ -520,7 +520,8 @@ class TestSampling:
                                             long_fraction=1.0))
         assert all(m.departure - s.departure == 24 for s, m in zip(short, mixed))
 
-    @pytest.mark.parametrize("bad", [np.zeros(24), -np.ones(24), np.ones(5)])
+    @pytest.mark.parametrize("bad", [np.zeros(24), -np.ones(24), np.ones(5), {"41": 1},
+                                     {"-17": 1}, {"7": 1, "07": 2}])
     def test_degenerate_histograms(self, bad):
         with pytest.raises(DegenerateDistribution):
             sample_sessions(5, bad, DEPART, [5.0], rate=5.0, seed=1)
