@@ -14,7 +14,8 @@ Every command writes its outputs into a private staging directory beside
 last. The manifest records the resolved configuration, sha-256 digests of
 the inputs and the command's own outputs; reruns with identical manifest
 inputs produce byte-identical CSVs. A command that fails or is interrupted
-exits nonzero and leaves --out as it was.
+(Ctrl-C, or SIGTERM, after which the process still ends by SIGTERM) leaves
+--out as it was and no staging directory.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ import json
 import math
 import os
 import shutil
+import signal
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -320,8 +323,16 @@ def _flag_type(convert, what: str, ok=lambda value: True):
 _COUNT = _flag_type(int, "an integer >= 0", lambda n: n >= 0)
 _POSITIVE = _flag_type(int, "an integer >= 1", lambda n: n >= 1)
 _STEP_SIZE = _flag_type(float, "a finite positive number", lambda x: math.isfinite(x) and x > 0)
-_BETAS = _flag_type(lambda text: [float(b) for b in text.split(",") if b.strip()] or None,
-                    "a list of numbers")
+_NUMBERS = _flag_type(lambda text: [float(b) for b in text.split(",") if b.strip()] or None,
+                      "a list of numbers")
+
+
+def _BETAS(text: str) -> list[float]:
+    betas = _NUMBERS(text)
+    repeated = next((b for i, b in enumerate(betas) if b in betas[:i]), None)
+    if repeated is not None:
+        raise argparse.ArgumentTypeError(f"{text!r} lists beta {repeated} more than once")
+    return betas
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
@@ -426,7 +437,33 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     return argv
 
 
+class _Terminated(BaseException):
+    """SIGTERM arrived while a command ran; like KeyboardInterrupt, not an Exception."""
+
+
+def _terminate(signum, frame):
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)   # one is enough: let the cleanup finish
+    raise _Terminated
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; SIGTERM cleans up like Ctrl-C, then ends the process as before."""
+    if threading.current_thread() is not threading.main_thread():
+        return _run(argv)       # only the main thread receives signals
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    if previous is None:        # set outside Python; the default is the nearest match
+        previous = signal.SIG_DFL
+    try:
+        return _run(argv)
+    except _Terminated:
+        signal.signal(signal.SIGTERM, previous)
+        signal.raise_signal(signal.SIGTERM)
+        return 128 + signal.SIGTERM     # the previous handler returned
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _run(argv: list[str] | None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
@@ -436,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
                   if k not in ("func", "command") and not callable(v)}
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        # any exception, KeyboardInterrupt included, discards the staged outputs
+        # any exception, KeyboardInterrupt and SIGTERM included, discards the staged outputs
         with tempfile.TemporaryDirectory(dir=out.parent, prefix=f".{out.name}.") as staging:
             ctx = CommandContext(args.command, out, Path(staging), config)
             args.func(args, ctx)

@@ -10,6 +10,10 @@ The composite objective weighs fuel-mix error against the error of the
 monetized health impacts predicted from the forecast mix by a 3-layer
 perceptron converter; `beta` near 1 is mix-driven, smaller `beta` is
 health-driven. Training is plain SGD and fully deterministic given a seed.
+
+`beta_sweep` trains its members in worker processes forked from the caller,
+at most one per usable CPU, each worker with one BLAS thread; its points do
+not depend on the number of workers or on the host's BLAS thread count.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ import ctypes
 import functools
 import json
 import math
+import os
 import platform
+import signal
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -31,6 +37,7 @@ from .errors import (
     BetaOutOfRange,
     CorruptCheckpoint,
     DivergedLoss,
+    GridHealthError,
     InsufficientData,
     ShapeMismatch,
     ShortHistory,
@@ -599,18 +606,114 @@ def build_models(n_fuels: int, cfg: TrainConfig,
     return model, converter
 
 
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                        "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+_sweep_state = None     # in a sweep worker: (data, run configs, architecture, member pids)
+
+
+@functools.cache
+def _blas_thread_setter():
+    """The thread-count setter of the OpenBLAS that numpy loaded, or None if none is found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
+                            if "openblas" in line})
+        libraries = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return None
+    setter = next((getattr(lib, name) for lib in libraries for name in _BLAS_THREAD_SETTERS
+                   if hasattr(lib, name)), None)
+    if setter is not None:
+        setter.argtypes, setter.restype = (ctypes.c_int,), None
+    return setter
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _start_sweep_worker(parent: int, set_blas_threads, state) -> None:
+    """Pool initializer: die with the parent, leave signals to it, use one BLAS thread."""
+    global _sweep_state
+    _sweep_state = state
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        pr_set_pdeathsig = 1
+        prctl(pr_set_pdeathsig, signal.SIGKILL)
+    if os.getppid() != parent:      # the parent died before prctl took hold
+        os._exit(1)
+    # the parent ends its workers itself; Ctrl-C reaches the whole process group
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if set_blas_threads is not None:
+        set_blas_threads(1)
+
+
+def _sweep_member(index: int) -> TradeoffPoint:
+    """Train and evaluate run `index` of the sweep, in a worker process."""
+    data, runs, architecture, pids = _sweep_state
+    cfg = runs[index]
+    pids[index] = os.getpid()
+    try:
+        model, converter = build_models(data.mixes.shape[1], cfg, architecture)
+        model, converter, _ = train(model, converter, data, cfg)
+        ev = evaluate(model, converter, data, cfg)
+    finally:
+        pids[index] = 0
+    return TradeoffPoint(beta=cfg.beta, fuel_nmae=ev.fuel_nmae, health_nmae=ev.health_nmae)
+
+
 def beta_sweep(data: TrainingData, betas: list[float], cfg: TrainConfig,
                architecture: str = ATTENTION) -> list[TradeoffPoint]:
-    """Independent training runs across beta on identical splits and seeds."""
-    runs = [replace(cfg, beta=b) for b in sorted(betas)]   # a bad beta fails before any training
-    points = []
-    for run_cfg in runs:
-        model, converter = build_models(data.mixes.shape[1], run_cfg, architecture)
-        model, converter, _ = train(model, converter, data, run_cfg)
-        ev = evaluate(model, converter, data, run_cfg)
-        points.append(TradeoffPoint(beta=run_cfg.beta, fuel_nmae=ev.fuel_nmae,
-                                    health_nmae=ev.health_nmae))
-    return points
+    """Independent training runs across beta on identical splits and seeds.
+
+    Each run trains in a worker process forked from this one, with
+    min(runs, usable CPUs) workers of one BLAS thread each (one worker if
+    numpy's OpenBLAS cannot be pinned). Points come back in ascending beta
+    order. A run's error is raised here as it was raised there, and a worker
+    that dies raises GridHealthError naming its beta. On any exception,
+    Ctrl-C included, the workers are killed before this returns.
+    """
+    betas = sorted(betas)
+    repeated = next((a for a, b in zip(betas, betas[1:]) if a == b), None)
+    if repeated is not None:
+        raise GridHealthError(f"beta {repeated} is listed more than once")
+    runs = [replace(cfg, beta=b) for b in betas]   # a bad beta fails before any training
+    # imported here, so that importing the package does not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    set_blas_threads = _blas_thread_setter()
+    workers = min(len(runs), _usable_cpus()) if set_blas_threads else 1
+    context = multiprocessing.get_context("fork")
+    pids = context.RawArray("q", len(runs))     # each run's worker pid while it trains
+    # the workers inherit data and configs through fork; only indices go down the pipe
+    with ProcessPoolExecutor(max(workers, 1), context, initializer=_start_sweep_worker,
+                             initargs=(os.getpid(), set_blas_threads,
+                                       (data, runs, architecture, pids))) as pool:
+        processes = {}
+        try:
+            futures = [pool.submit(_sweep_member, i) for i in range(len(runs))]
+            processes = dict(pool._processes)  # noqa: SLF001
+            return [future.result() for future in futures]
+        except BrokenProcessPool:
+            pass
+        except BaseException:
+            for process in pool._processes.values():  # noqa: SLF001
+                process.kill()
+            raise
+    # a worker died; the pool has joined the others, after ending them with SIGTERM
+    exit_codes = {process.pid: process.exitcode for process in processes.values()}
+    lost = [i for i, pid in enumerate(pids) if pid]
+    died = [i for i in lost if exit_codes.get(pids[i]) != -signal.SIGTERM] or lost
+    what = ", ".join(f"beta={runs[i].beta}" for i in died)
+    raise GridHealthError("a sweep worker process ended abruptly"
+                          + (f" while training {what}" if what else ""))
 
 
 # -- checkpointing -------------------------------------------------------------

@@ -1,15 +1,21 @@
 """End-to-end command tests: artifacts, error paths, manifests, determinism."""
 
 import base64
+import contextlib
 import csv
 import json
+import multiprocessing
+import os
 import re
+import signal
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gridhealth.cli import main
+from gridhealth.errors import DivergedLoss
 from gridhealth.forecaster import TrainConfig, build_models, load_checkpoint, save_checkpoint
 from gridhealth.health import load_signals_csv
 from gridhealth.synth import CONFIG_FILES, default_config_path, load_config_dir, oracle_labels
@@ -34,6 +40,21 @@ def readme_fleet_spec():
     """The `fleet.json` sampling spec the README's quick start uses."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     return json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+
+
+@contextlib.contextmanager
+def catching_sigterm():
+    """Record each SIGTERM in a list instead of dying of it; yields (list, handler)."""
+    received = []
+
+    def handler(signum, frame):
+        received.append(signum)
+
+    previous = signal.signal(signal.SIGTERM, handler)
+    try:
+        yield received, handler
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +160,23 @@ class TestSynth:
             run("synth", "--out", out, "--hours", 24)
         assert snapshot(out) == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["b", "conf"]
+
+    def test_sigterm_cleans_up_then_ends_by_sigterm(self, tmp_path, monkeypatch):
+        out = tmp_path / "b"
+        assert run("synth", "--out", out, "--hours", 48) == 0
+        before = snapshot(out)
+
+        def terminate(path, series):
+            Path(path).write_text("partial")
+            os.kill(os.getpid(), signal.SIGTERM)
+
+        monkeypatch.setattr("gridhealth.cli.write_signals_csv", terminate)
+        with catching_sigterm() as (received, handler):
+            assert run("synth", "--out", out, "--hours", 24) == 128 + signal.SIGTERM
+            assert signal.getsignal(signal.SIGTERM) is handler
+        assert received == [signal.SIGTERM]
+        assert snapshot(out) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b"]
 
     def test_nested_out_created(self, tmp_path):
         out = tmp_path / "x" / "y" / "z"
@@ -260,6 +298,37 @@ class TestTrainPredictSweep:
         rows = read_rows(out / "tradeoff.csv")
         assert rows[0] == ["beta", "fuel_nmae", "health_nmae"]
         assert [r[0] for r in rows[1:]] == ["0.5", "0.998"]
+
+    def test_sweep_member_error_reported(self, bundle, tmp_path, capsys, monkeypatch):
+        def diverge(model, converter, data, cfg):
+            raise DivergedLoss(f"non-finite loss at epoch {int(cfg.beta > 0.9)}")
+
+        monkeypatch.setattr("gridhealth.forecaster.train", diverge)
+        assert run("sweep", "--dataset", bundle / "fuel_mix.csv",
+                   "--labels", bundle / "labels.csv", "--out", tmp_path / "sweep",
+                   "--betas", "0.998,0.5", "--epochs", 1, "--arch", "linear_baseline") == 1
+        assert capsys.readouterr().err == "error: non-finite loss at epoch 0\n"
+        assert not list(tmp_path.iterdir())
+        assert multiprocessing.active_children() == []
+
+    def test_sigterm_ends_sweep_workers(self, bundle, tmp_path, monkeypatch):
+        def stall(model, converter, data, cfg):
+            if cfg.beta == 0.5:
+                os.kill(os.getppid(), signal.SIGTERM)
+            time.sleep(60)
+
+        monkeypatch.setattr("gridhealth.forecaster.train", stall)
+        with catching_sigterm() as (received, handler):
+            started = time.monotonic()
+            assert run("sweep", "--dataset", bundle / "fuel_mix.csv",
+                       "--labels", bundle / "labels.csv", "--out", tmp_path / "sweep",
+                       "--betas", "0.5,0.9,0.998", "--epochs", 1,
+                       "--arch", "linear_baseline") == 128 + signal.SIGTERM
+            assert time.monotonic() - started < 10
+            assert signal.getsignal(signal.SIGTERM) is handler
+        assert received == [signal.SIGTERM]
+        assert multiprocessing.active_children() == []
+        assert not list(tmp_path.iterdir())
 
     def test_predict_recomputation_matches_sweep(self, bundle, tmp_path):
         beta, seed, epochs = 0.5, 4, 1
@@ -605,7 +674,8 @@ def _argv(command, bundle, tmp_path):
 BAD_FLAGS = [("train", "--batch", 0), ("train", "--epochs", -1), ("train", "--seed", -1),
              ("train", "--lr", 0), ("train", "--lr", "nan"), ("sweep", "--betas", "0.5,x"),
              ("sweep", "--betas", ","), ("synth", "--seed", -1), ("synth", "--hours", 0),
-             ("schedule", "--seed", -1), ("ingest", "--period", 0)]
+             ("schedule", "--seed", -1), ("ingest", "--period", 0),
+             ("sweep", "--betas", "0.5,0.5")]
 
 
 @pytest.mark.parametrize("command, flag, value", BAD_FLAGS)

@@ -2,17 +2,21 @@
 
 import base64
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridhealth import forecaster
 from gridhealth.autodiff import Tensor, grad_check
 from gridhealth.errors import (
     BetaOutOfRange,
     CorruptCheckpoint,
     DivergedLoss,
+    GridHealthError,
     InsufficientData,
     ShapeMismatch,
     ShortHistory,
@@ -320,6 +324,55 @@ class TestSweep:
         cfg = TrainConfig(beta=0.5, window=24, epochs=0, seed=2)
         with pytest.raises(BetaOutOfRange):
             beta_sweep(data, [0.999], cfg)
+
+    def test_repeated_beta_rejected(self, synth_bundle):
+        series, labels = synth_bundle
+        data = TrainingData.from_series(series, labels)
+        cfg = TrainConfig(beta=0.5, window=24, epochs=0, seed=2)
+        with pytest.raises(GridHealthError, match=r"^beta 0\.5 is listed more than once$"):
+            beta_sweep(data, [0.5, 0.9, 0.5], cfg)
+
+    def test_worker_count_does_not_change_points(self, synth_bundle, monkeypatch, tmp_path):
+        series, labels = synth_bundle
+        data = TrainingData.from_series(series, labels)
+        cfg = TrainConfig(beta=0.5, window=24, epochs=1, step_size=0.004,
+                          batch_size=128, seed=3)
+        real_train = forecaster.train
+
+        def train_noting_pid(model, converter, data, cfg):
+            (tmp_path / f"{cfg.beta}-{os.getpid()}").touch()
+            return real_train(model, converter, data, cfg)
+
+        monkeypatch.setattr(forecaster, "train", train_noting_pid)
+        points, pids = {}, {}
+        for cpus in (1, 3):
+            monkeypatch.setattr(forecaster, "_usable_cpus", lambda: cpus)
+            points[cpus] = beta_sweep(data, [0.998, 0.5, 0.9], cfg)
+            pids[cpus] = {p.name.split("-")[1] for p in tmp_path.iterdir()}
+            for p in tmp_path.iterdir():
+                p.unlink()
+        assert points[1] == points[3]
+        assert [p.beta for p in points[1]] == [0.5, 0.9, 0.998]
+        assert len(pids[1]) == 1 and len(pids[3]) >= 2 and str(os.getpid()) not in pids[3]
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_named_by_beta(self, synth_bundle, monkeypatch):
+        series, labels = synth_bundle
+        data = TrainingData.from_series(series, labels)
+        cfg = TrainConfig(beta=0.5, window=24, epochs=1, seed=2)
+        real_train = forecaster.train
+
+        def train_or_die(model, converter, data, cfg):
+            if cfg.beta == 0.9:
+                os._exit(3)
+            return real_train(model, converter, data, cfg)
+
+        monkeypatch.setattr(forecaster, "train", train_or_die)
+        with pytest.raises(GridHealthError,
+                           match=r"^a sweep worker process ended abruptly while training "
+                                 r"beta=0\.9$"):
+            beta_sweep(data, [0.5, 0.9], cfg)
+        assert multiprocessing.active_children() == []
 
 
 def _small_networks():
