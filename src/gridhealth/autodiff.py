@@ -19,12 +19,18 @@ full-rank counterparts.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
 from .errors import GraphReleased, NonFiniteValue
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    enabled = True      # per thread: `no_grad` in one thread leaves the others recording
+
+
+_grad_mode = _GradMode()
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
@@ -35,17 +41,15 @@ def _released(g):
 
 
 class no_grad:
-    """Context manager that disables graph construction (inference mode)."""
+    """Context manager that disables graph construction (inference mode) in this thread."""
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._prev = _grad_mode.enabled
+        _grad_mode.enabled = False
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _grad_mode.enabled = self._prev
         return False
 
 
@@ -88,7 +92,7 @@ class Tensor:
 
     @staticmethod
     def _make(data, parents, backward):
-        track = _grad_enabled and any(p.requires_grad for p in parents)
+        track = _grad_mode.enabled and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=track)
         if track:
             out._parents = parents

@@ -51,7 +51,7 @@ class UnknownPlant(GridHealthError):
 
 
 class InvalidParams(GridHealthError):
-    """Plume or synthesis parameters violate their invariants."""
+    """Plume, synthesis or health-chain parameters violate their invariants."""
 
 
 class EmptyTrainingSet(GridHealthError):

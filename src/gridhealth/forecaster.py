@@ -11,9 +11,11 @@ monetized health impacts predicted from the forecast mix by a 3-layer
 perceptron converter; `beta` near 1 is mix-driven, smaller `beta` is
 health-driven. Training is plain SGD and fully deterministic given a seed.
 
-`beta_sweep` trains its members in worker processes forked from the caller,
-at most one per usable CPU, each worker with one BLAS thread; its points do
-not depend on the number of workers or on the host's BLAS thread count.
+`beta_sweep` trains its members in plain worker processes forked from the
+caller, at most one per usable CPU, each with one BLAS thread and a fixed
+share of the betas; each worker sends its points back down its own pipe.
+The points do not depend on the number of workers or on the host's BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -609,8 +611,6 @@ def build_models(n_fuels: int, cfg: TrainConfig,
 _BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                         "openblas_set_num_threads64_", "openblas_set_num_threads")
 
-_sweep_state = None     # in a sweep worker: (data, run configs, architecture, member pids)
-
 
 @functools.cache
 def _blas_thread_setter():
@@ -635,10 +635,9 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _start_sweep_worker(parent: int, set_blas_threads, state) -> None:
-    """Pool initializer: die with the parent, leave signals to it, use one BLAS thread."""
-    global _sweep_state
-    _sweep_state = state
+def _sweep_worker(parent: int, set_blas_threads, data: TrainingData, runs: list[TrainConfig],
+                  architecture: str, sender) -> None:
+    """Train `runs` in order in a forked worker; send each point, or the error, to `sender`."""
     prctl = getattr(ctypes.CDLL(None), "prctl", None)
     if prctl is not None:
         prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
@@ -649,71 +648,69 @@ def _start_sweep_worker(parent: int, set_blas_threads, state) -> None:
     # the parent ends its workers itself; Ctrl-C reaches the whole process group
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM, signal.SIGINT})
     if set_blas_threads is not None:
         set_blas_threads(1)
-
-
-def _sweep_member(index: int) -> TradeoffPoint:
-    """Train and evaluate run `index` of the sweep, in a worker process."""
-    data, runs, architecture, pids = _sweep_state
-    cfg = runs[index]
-    pids[index] = os.getpid()
     try:
-        model, converter = build_models(data.mixes.shape[1], cfg, architecture)
-        model, converter, _ = train(model, converter, data, cfg)
-        ev = evaluate(model, converter, data, cfg)
-    finally:
-        pids[index] = 0
-    return TradeoffPoint(beta=cfg.beta, fuel_nmae=ev.fuel_nmae, health_nmae=ev.health_nmae)
+        for cfg in runs:
+            model, converter = build_models(data.mixes.shape[1], cfg, architecture)
+            model, converter, _ = train(model, converter, data, cfg)
+            ev = evaluate(model, converter, data, cfg)
+            sender.send(TradeoffPoint(cfg.beta, ev.fuel_nmae, ev.health_nmae))
+    except Exception as exc:
+        sender.send(exc)
 
 
 def beta_sweep(data: TrainingData, betas: list[float], cfg: TrainConfig,
                architecture: str = ATTENTION) -> list[TradeoffPoint]:
     """Independent training runs across beta on identical splits and seeds.
 
-    Each run trains in a worker process forked from this one, with
-    min(runs, usable CPUs) workers of one BLAS thread each (one worker if
-    numpy's OpenBLAS cannot be pinned). Points come back in ascending beta
-    order. A run's error is raised here as it was raised there, and a worker
-    that dies raises GridHealthError naming its beta. On any exception,
-    Ctrl-C included, the workers are killed before this returns.
+    The sorted runs go to n = min(runs, usable CPUs) forked workers with one
+    BLAS thread each (n = 1 if numpy's OpenBLAS cannot be pinned); worker w
+    trains runs w, w + n, ... and sends each point or error down its own pipe.
+    An error is raised here as it was raised there, and a worker that dies
+    raises GridHealthError naming its beta. SIGTERM and SIGINT are held while
+    forking; on any exception, Ctrl-C included, the workers are killed.
     """
     betas = sorted(betas)
     repeated = next((a for a, b in zip(betas, betas[1:]) if a == b), None)
     if repeated is not None:
         raise GridHealthError(f"beta {repeated} is listed more than once")
     runs = [replace(cfg, beta=b) for b in betas]   # a bad beta fails before any training
-    # imported here, so that importing the package does not pay for them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    import multiprocessing      # here, so that importing the package does not pay for it
 
     set_blas_threads = _blas_thread_setter()
-    workers = min(len(runs), _usable_cpus()) if set_blas_threads else 1
+    n = min(len(runs), _usable_cpus()) if set_blas_threads else 1
     context = multiprocessing.get_context("fork")
-    pids = context.RawArray("q", len(runs))     # each run's worker pid while it trains
-    # the workers inherit data and configs through fork; only indices go down the pipe
-    with ProcessPoolExecutor(max(workers, 1), context, initializer=_start_sweep_worker,
-                             initargs=(os.getpid(), set_blas_threads,
-                                       (data, runs, architecture, pids))) as pool:
-        processes = {}
-        try:
-            futures = [pool.submit(_sweep_member, i) for i in range(len(runs))]
-            processes = dict(pool._processes)  # noqa: SLF001
-            return [future.result() for future in futures]
-        except BrokenProcessPool:
-            pass
-        except BaseException:
-            for process in pool._processes.values():  # noqa: SLF001
-                process.kill()
-            raise
-    # a worker died; the pool has joined the others, after ending them with SIGTERM
-    exit_codes = {process.pid: process.exitcode for process in processes.values()}
-    lost = [i for i, pid in enumerate(pids) if pid]
-    died = [i for i in lost if exit_codes.get(pids[i]) != -signal.SIGTERM] or lost
-    what = ", ".join(f"beta={runs[i].beta}" for i in died)
-    raise GridHealthError("a sweep worker process ended abruptly"
-                          + (f" while training {what}" if what else ""))
+    workers, receivers = [], []
+    # a signal handled inside fork's at-fork callbacks would be reported there and lost
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM, signal.SIGINT})
+    try:
+        for w in range(n):
+            receiver, sender = context.Pipe(duplex=False)
+            receivers.append(receiver)
+            with sender:            # held by its worker alone, so the worker's death reads as EOF
+                worker = context.Process(target=_sweep_worker, args=(
+                    os.getpid(), set_blas_threads, data, runs[w::n], architecture, sender))
+                worker.start()
+            workers.append(worker)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        points = []
+        for i, run in enumerate(runs):
+            try:
+                points.append(receivers[i % n].recv())
+            except EOFError:
+                raise GridHealthError("a sweep worker process ended abruptly"
+                                      f" while training beta={run.beta}") from None
+            if isinstance(points[-1], BaseException):
+                raise points[-1]
+        return points
+    finally:
+        for worker in workers:
+            worker.kill()
+            worker.join()
+            worker.close()
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 # -- checkpointing -------------------------------------------------------------

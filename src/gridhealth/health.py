@@ -29,6 +29,7 @@ from .dispersion import SourceReceptorMatrix
 from .emissions import EmissionFactorTable
 from .errors import (
     DimensionMismatch,
+    InvalidParams,
     MissingValuation,
     UnknownReceptor,
 )
@@ -198,16 +199,17 @@ class PipelineConfig:
             raise DimensionMismatch(
                 "factor table and source-receptor matrix disagree on pollutants"
             )
-        k = len(self.factors.pollutant_names)
-        for cr in self.responses:
-            if cr.alpha.shape != (k,):
-                raise DimensionMismatch(f"endpoint {cr.endpoint_id}: alpha must have length {k}")
         profile_ids = {p.receptor_id for p in self.profiles}
         for rid in self.sr_matrix.receptor_ids:
             if rid not in profile_ids:
                 raise UnknownReceptor(f"matrix receptor {rid!r} has no profile")
+        k = len(self.factors.pollutant_names)
         valued = {v.endpoint_id for v in self.valuations}
-        for cr in self.responses:
+        for i, cr in enumerate(self.responses):
+            if cr.alpha.shape != (k,):
+                raise DimensionMismatch(f"endpoint {cr.endpoint_id}: alpha must have length {k}")
+            if any(other.endpoint_id == cr.endpoint_id for other in self.responses[:i]):
+                raise InvalidParams(f"endpoint {cr.endpoint_id!r} has more than one response")
             if cr.endpoint_id not in valued:
                 raise MissingValuation(f"endpoint {cr.endpoint_id!r} has no valuation")
             for p in self.profiles:
@@ -229,17 +231,14 @@ def _receptor_dollars(shares: np.ndarray, fuel_names: tuple[str, ...],
 
     Elementwise, each term is what `emissions_from_mix`,
     `apply_source_receptor`, `delta_health` and `monetize` compute for one
-    hour; sums over fuels, pollutants and endpoints run in index order, so
-    every row depends on that row alone. Endpoints follow
-    `config.responses`; a repeated endpoint id keeps its first position and
-    its last response, as `monetize`'s dict does.
+    hour; sums over fuels, pollutants and endpoints (`config.responses`)
+    run in index order, so every row depends on that row alone.
     """
     shares = np.asarray(shares, dtype=np.float64)
     if shares.ndim != 2 or shares.shape[1] != len(fuel_names):
         raise DimensionMismatch(
             f"shares have shape {shares.shape}, expected (N, {len(fuel_names)})")
     factors = np.vstack([config.factors.row(fuel) for fuel in fuel_names])  # (F, K)
-    responses = list({cr.endpoint_id: cr for cr in config.responses}.values())
     values = {v.endpoint_id: v.dollars_per_case for v in config.valuations}
     profiles = [config.profile_for(rid) for rid in config.sr_matrix.receptor_ids]
     internal = np.array([p.internal for p in profiles], dtype=bool)  # (M,)
@@ -252,7 +251,7 @@ def _receptor_dollars(shares: np.ndarray, fuel_names: tuple[str, ...],
     conc = config.sr_matrix.gains.T[None, :, :] * emitted[:, None, :]  # (N, M, K)
 
     dollars = np.zeros(conc.shape[:2])
-    for cr in responses:
+    for cr in config.responses:
         base = np.array([p.baseline_rates[cr.endpoint_id] * p.population for p in profiles])
         exposure = np.zeros(conc.shape[:2])
         for k, alpha in enumerate(cr.alpha):

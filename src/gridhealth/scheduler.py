@@ -41,6 +41,7 @@ from .health import HealthSeries
 from .ingest import as_float, as_int, as_str, read_table, write_table
 
 BRUTE_FORCE_MAX_WINDOW = 20
+_SLOT_TOLERANCE = 1e-9     # demand / rate this far above a whole slot count rounds down to it
 
 STRATEGY_OPTIMAL = "optimal"
 STRATEGY_FIRST = "first_hours"
@@ -75,7 +76,7 @@ class ChargingSession:
             raise InfeasibleSession(f"{name}: rate must be finite and positive, "
                                     f"got {self.rate_kw}")
         # ceil(x) > w exactly when x > w, for an integer w; x may be inf
-        needed = self.demand_kwh / self.rate_kw - 1e-9
+        needed = self.demand_kwh / self.rate_kw - _SLOT_TOLERANCE
         if needed > self.window_length:
             slots = math.ceil(needed) if math.isfinite(needed) else needed
             raise InfeasibleSession(
@@ -91,7 +92,7 @@ class ChargingSession:
     def slots_needed(self) -> int:
         if self.demand_kwh == 0:
             return 0
-        return int(math.ceil(self.demand_kwh / self.rate_kw - 1e-9))
+        return int(math.ceil(self.demand_kwh / self.rate_kw - _SLOT_TOLERANCE))
 
 
 @dataclass(eq=False)
@@ -130,7 +131,7 @@ class SessionTable:
         # window beyond 2**53 slots is flagged by its rounded float length
         window = (self.departure - self.arrival).astype(np.float64) + 1
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            needed = self.demand_kwh / self.rate_kw - 1e-9
+            needed = self.demand_kwh / self.rate_kw - _SLOT_TOLERANCE
         bad = ((self.departure < self.arrival) | (needed > window)
                | ~(np.isfinite(self.demand_kwh) & (self.demand_kwh >= 0))
                | ~(np.isfinite(self.rate_kw) & (self.rate_kw > 0)))
@@ -348,8 +349,8 @@ def _session_costs(sessions: SessionTable, signals: HealthSeries, strategies) ->
     # slot indices fit int32 and it halves the engine's index memory
     lo, width = lo.astype(np.int32), (hi - lo + 1).astype(np.int32)
     rate = sessions.rate_kw
-    # `ChargingSession.slots_needed`'s arithmetic; a zero demand gives ceil(-1e-9) = 0
-    slots = np.ceil(sessions.demand_kwh / rate - 1e-9).astype(np.int32)
+    # `ChargingSession.slots_needed`'s arithmetic; a zero demand gives ceil(-tolerance) = 0
+    slots = np.ceil(sessions.demand_kwh / rate - _SLOT_TOLERANCE).astype(np.int32)
     remainder = np.where(slots > 0, sessions.demand_kwh - (slots - 1) * rate, 0.0)
     costs = np.zeros((len(strategies), len(sessions)))
     order = np.argsort(width, kind="stable").astype(np.int32)

@@ -29,8 +29,6 @@ from .health import (
 )
 from .ingest import CANONICAL_FUELS, OBSERVED, FuelMixSeries, read_json_object
 
-ENDPOINTS = ("mortality", "asthma_er", "work_loss_days")
-
 CONFIG_FILES = (
     "emission_factors.csv",
     "receptors.csv",

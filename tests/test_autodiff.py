@@ -1,6 +1,7 @@
 """Gradient engine: every differentiable op checks against central differences."""
 
 import math
+import threading
 import weakref
 
 import numpy as np
@@ -146,6 +147,37 @@ def test_no_grad_blocks_graph():
     with no_grad():
         y = (x * 2.0).sum()
     assert y._backward is None and not y.requires_grad
+
+
+def test_no_grad_is_per_thread():
+    # first enters, second enters, first leaves, second leaves: with one
+    # process-wide flag, second would restore the "off" it found on entry
+    first_in, second_in, first_out = (threading.Event() for _ in range(3))
+    recording = {}
+
+    def first():
+        with no_grad():
+            first_in.set()
+            second_in.wait(10)
+        first_out.set()
+
+    def second():
+        first_in.wait(10)
+        with no_grad():
+            second_in.set()
+            first_out.wait(10)
+        x = Tensor(np.ones(3), requires_grad=True)
+        recording["second"] = (x * x).sum().requires_grad
+
+    threads = [threading.Thread(target=f) for f in (first, second)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10)
+    assert not any(t.is_alive() for t in threads)
+    x = Tensor(np.ones(3), requires_grad=True)
+    assert recording == {"second": True}
+    assert (x * x).sum().requires_grad
 
 
 def test_grad_check_rejects_nonfinite():

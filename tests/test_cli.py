@@ -330,6 +330,31 @@ class TestTrainPredictSweep:
         assert multiprocessing.active_children() == []
         assert not list(tmp_path.iterdir())
 
+    def test_sigterm_while_forking_ends_sweep(self, bundle, tmp_path, monkeypatch):
+        # Python runs a handler due inside an at-fork callback there, and an
+        # exception it raises is reported and dropped: the SIGTERM would be lost
+        armed = [True]
+
+        def terminate_once():
+            if armed:
+                armed.clear()
+                os.kill(os.getpid(), signal.SIGTERM)
+
+        monkeypatch.setattr("gridhealth.forecaster.train", lambda *args: time.sleep(60))
+        os.register_at_fork(after_in_parent=terminate_once)    # cannot be unregistered
+        with catching_sigterm() as (received, handler):
+            started = time.monotonic()
+            assert run("sweep", "--dataset", bundle / "fuel_mix.csv",
+                       "--labels", bundle / "labels.csv", "--out", tmp_path / "sweep",
+                       "--betas", "0.5,0.9,0.998", "--epochs", 1,
+                       "--arch", "linear_baseline") == 128 + signal.SIGTERM
+            assert time.monotonic() - started < 10
+            assert signal.getsignal(signal.SIGTERM) is handler
+        assert not armed
+        assert received == [signal.SIGTERM]
+        assert multiprocessing.active_children() == []
+        assert not list(tmp_path.iterdir())
+
     def test_predict_recomputation_matches_sweep(self, bundle, tmp_path):
         beta, seed, epochs = 0.5, 4, 1
         train_out = tmp_path / "train"

@@ -12,6 +12,7 @@ from gridhealth.dispersion import SourceReceptorMatrix, apply_source_receptor
 from gridhealth.emissions import EmissionFactorTable, emissions_from_mix
 from gridhealth.errors import (
     DimensionMismatch,
+    InvalidParams,
     MalformedRow,
     MissingValuation,
     UnknownReceptor,
@@ -321,6 +322,13 @@ class TestConfigValidation:
         matrix = SourceReceptorMatrix([[0.1]], ("R",), ("SO2",))
         with pytest.raises(MissingValuation):
             PipelineConfig(factors, matrix, [profile()], [cr([0.1])], [])
+
+    def test_repeated_endpoint(self):
+        factors = EmissionFactorTable([[1.0]], ("COL",), ("SO2",))
+        matrix = SourceReceptorMatrix([[0.1]], ("R",), ("SO2",))
+        with pytest.raises(InvalidParams, match=r"^endpoint 'ep' has more than one response$"):
+            PipelineConfig(factors, matrix, [profile()], [cr([0.1]), cr([0.2])],
+                           [HealthValuation("ep", 1.0)])
 
 
 def test_health_signal_rejects_negative():
