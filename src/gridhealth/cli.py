@@ -14,8 +14,9 @@ Every command writes its outputs into a private staging directory beside
 last. The manifest records the resolved configuration, sha-256 digests of
 the inputs and the command's own outputs; reruns with identical manifest
 inputs produce byte-identical CSVs. A command that fails or is interrupted
-(Ctrl-C, or SIGTERM, after which the process still ends by SIGTERM) leaves
---out as it was and no staging directory.
+(Ctrl-C, after which it prints one line and exits 130, or SIGTERM, after
+which the process still ends by SIGTERM) leaves --out as it was and no
+staging directory.
 """
 
 from __future__ import annotations
@@ -447,7 +448,7 @@ def _terminate(signum, frame):
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; SIGTERM cleans up like Ctrl-C, then ends the process as before."""
+    """Run one command; after cleaning up, Ctrl-C returns 130 and SIGTERM ends the process."""
     if threading.current_thread() is not threading.main_thread():
         return _run(argv)       # only the main thread receives signals
     previous = signal.signal(signal.SIGTERM, _terminate)
@@ -455,6 +456,9 @@ def main(argv: list[str] | None = None) -> int:
         previous = signal.SIG_DFL
     try:
         return _run(argv)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 128 + signal.SIGINT
     except _Terminated:
         signal.signal(signal.SIGTERM, previous)
         signal.raise_signal(signal.SIGTERM)

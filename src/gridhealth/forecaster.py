@@ -11,11 +11,10 @@ monetized health impacts predicted from the forecast mix by a 3-layer
 perceptron converter; `beta` near 1 is mix-driven, smaller `beta` is
 health-driven. Training is plain SGD and fully deterministic given a seed.
 
-`beta_sweep` trains its members in plain worker processes forked from the
-caller, at most one per usable CPU, each with one BLAS thread and a fixed
-share of the betas; each worker sends its points back down its own pipe.
-The points do not depend on the number of workers or on the host's BLAS
-thread count.
+`beta_sweep` trains each member in its own plain worker process forked
+from the caller, with one BLAS thread and one pipe for its point; the
+workers start in waves that keep every usable CPU busy. The points do not
+depend on the number of CPUs or on the host's BLAS thread count.
 """
 
 from __future__ import annotations
@@ -110,6 +109,13 @@ def _dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | Non
     return x if mask is None else x * Tensor(mask)
 
 
+def _check_sizes(least: int, **sizes) -> None:
+    """Raise ValueError naming the first of `sizes` below `least`."""
+    for name, value in sizes.items():
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value!r}")
+
+
 class ForecastModel:
     """Sequence-to-sequence fuel-mix predictor.
 
@@ -132,6 +138,11 @@ class ForecastModel:
     ):
         if architecture not in (ATTENTION, LINEAR_BASELINE):
             raise ValueError(f"unknown architecture {architecture!r}")
+        _check_sizes(1, n_fuels=n_fuels, window=window, embed_dim=embed_dim, heads=heads,
+                     ff_dim=ff_dim)
+        _check_sizes(0, encoder_layers=encoder_layers, decoder_layers=decoder_layers)
+        if not 0.0 <= dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {dropout!r}")
         if embed_dim % heads != 0:
             raise ValueError("embed_dim must be divisible by heads")
         self.architecture = architecture
@@ -315,6 +326,7 @@ class HealthConverterNet:
     forced nonnegative by a softplus output."""
 
     def __init__(self, n_fuels: int, hidden: int = 64, seed: int = 0):
+        _check_sizes(1, n_fuels=n_fuels, hidden=hidden)
         self.n_fuels = n_fuels
         self.hidden = hidden
         self.seed = seed
@@ -635,9 +647,9 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _sweep_worker(parent: int, set_blas_threads, data: TrainingData, runs: list[TrainConfig],
+def _sweep_worker(parent: int, set_blas_threads, data: TrainingData, cfg: TrainConfig,
                   architecture: str, sender) -> None:
-    """Train `runs` in order in a forked worker; send each point, or the error, to `sender`."""
+    """Train `cfg` in a forked worker; send its point, or its error, to `sender`."""
     prctl = getattr(ctypes.CDLL(None), "prctl", None)
     if prctl is not None:
         prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
@@ -652,25 +664,47 @@ def _sweep_worker(parent: int, set_blas_threads, data: TrainingData, runs: list[
     if set_blas_threads is not None:
         set_blas_threads(1)
     try:
-        for cfg in runs:
-            model, converter = build_models(data.mixes.shape[1], cfg, architecture)
-            model, converter, _ = train(model, converter, data, cfg)
-            ev = evaluate(model, converter, data, cfg)
-            sender.send(TradeoffPoint(cfg.beta, ev.fuel_nmae, ev.health_nmae))
+        model, converter = build_models(data.mixes.shape[1], cfg, architecture)
+        model, converter, _ = train(model, converter, data, cfg)
+        ev = evaluate(model, converter, data, cfg)
+        sender.send(TradeoffPoint(cfg.beta, ev.fuel_nmae, ev.health_nmae))
     except Exception as exc:
         sender.send(exc)
+
+
+def _wave_sizes(runs: int, cpus: int) -> list[int]:
+    """Sizes of the waves in which to start `runs` equal runs on `cpus` CPUs.
+
+    All at once if they fit; otherwise waves of `cpus` and a last one of
+    `cpus` plus the remainder r, so no CPU idles while a run is left.
+    Time-shared, that takes (q + r/cpus) run times, q = runs // cpus, never
+    more than the ceil(runs/cpus) of a static share of the runs.
+    """
+    if runs <= cpus:
+        return [runs]
+    q, r = divmod(runs, cpus)
+    return [cpus] * (q - 1) + [cpus + r]
+
+
+def _end_workers(workers: list) -> None:
+    """Kill, reap and close each of `workers`, emptying the list; safe to repeat."""
+    while workers:
+        workers[-1].kill()      # a no-op for a worker already reaped
+        workers[-1].join()
+        workers.pop().close()
 
 
 def beta_sweep(data: TrainingData, betas: list[float], cfg: TrainConfig,
                architecture: str = ATTENTION) -> list[TradeoffPoint]:
     """Independent training runs across beta on identical splits and seeds.
 
-    The sorted runs go to n = min(runs, usable CPUs) forked workers with one
-    BLAS thread each (n = 1 if numpy's OpenBLAS cannot be pinned); worker w
-    trains runs w, w + n, ... and sends each point or error down its own pipe.
-    An error is raised here as it was raised there, and a worker that dies
-    raises GridHealthError naming its beta. SIGTERM and SIGINT are held while
-    forking; on any exception, Ctrl-C included, the workers are killed.
+    Each sorted run trains in its own forked worker (one BLAS thread) and
+    sends its point or error down its own pipe. Workers start in waves of
+    `_wave_sizes(runs, n)`, n the usable CPUs (1 if numpy's OpenBLAS cannot
+    be pinned); each wave is read in beta order and reaped before the next
+    forks. An error is raised here as it was raised there, and a worker that
+    dies raises GridHealthError naming its beta. SIGTERM and SIGINT are held
+    while forking; on any exception, Ctrl-C included, the workers are killed.
     """
     betas = sorted(betas)
     repeated = next((a for a, b in zip(betas, betas[1:]) if a == b), None)
@@ -680,36 +714,36 @@ def beta_sweep(data: TrainingData, betas: list[float], cfg: TrainConfig,
     import multiprocessing      # here, so that importing the package does not pay for it
 
     set_blas_threads = _blas_thread_setter()
-    n = min(len(runs), _usable_cpus()) if set_blas_threads else 1
+    cpus = _usable_cpus() if set_blas_threads else 1
     context = multiprocessing.get_context("fork")
-    workers, receivers = [], []
-    # a signal handled inside fork's at-fork callbacks would be reported there and lost
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM, signal.SIGINT})
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, set())
+    points, workers = [], []
     try:
-        for w in range(n):
-            receiver, sender = context.Pipe(duplex=False)
-            receivers.append(receiver)
-            with sender:            # held by its worker alone, so the worker's death reads as EOF
-                worker = context.Process(target=_sweep_worker, args=(
-                    os.getpid(), set_blas_threads, data, runs[w::n], architecture, sender))
-                worker.start()
-            workers.append(worker)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        points = []
-        for i, run in enumerate(runs):
-            try:
-                points.append(receivers[i % n].recv())
-            except EOFError:
-                raise GridHealthError("a sweep worker process ended abruptly"
-                                      f" while training beta={run.beta}") from None
-            if isinstance(points[-1], BaseException):
-                raise points[-1]
+        for size in _wave_sizes(len(runs), cpus):
+            wave, receivers = runs[len(points):len(points) + size], []
+            # a signal handled inside fork's at-fork callbacks would be reported there and lost
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM, signal.SIGINT})
+            for run in wave:
+                receiver, sender = context.Pipe(duplex=False)
+                receivers.append(receiver)
+                with sender:        # held by its worker alone, so the worker's death reads as EOF
+                    worker = context.Process(target=_sweep_worker, args=(
+                        os.getpid(), set_blas_threads, data, run, architecture, sender))
+                    worker.start()
+                workers.append(worker)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            for run, receiver in zip(wave, receivers):
+                try:
+                    points.append(receiver.recv())
+                except EOFError:
+                    raise GridHealthError("a sweep worker process ended abruptly"
+                                          f" while training beta={run.beta}") from None
+                if isinstance(points[-1], BaseException):
+                    raise points[-1]
+            _end_workers(workers)
         return points
     finally:
-        for worker in workers:
-            worker.kill()
-            worker.join()
-            worker.close()
+        _end_workers(workers)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 

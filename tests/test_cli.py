@@ -8,6 +8,8 @@ import multiprocessing
 import os
 import re
 import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -156,8 +158,8 @@ class TestSynth:
             Path(path).write_text("partial")
             raise KeyboardInterrupt
         monkeypatch.setattr("gridhealth.cli.write_signals_csv", interrupt)
-        with pytest.raises(KeyboardInterrupt):
-            run("synth", "--out", out, "--hours", 24)
+        assert run("synth", "--out", out, "--hours", 24) == 128 + signal.SIGINT
+        assert capsys.readouterr().err == "error: interrupted\n"
         assert snapshot(out) == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["b", "conf"]
 
@@ -355,6 +357,47 @@ class TestTrainPredictSweep:
         assert multiprocessing.active_children() == []
         assert not list(tmp_path.iterdir())
 
+    def test_ctrl_c_ends_sweep_with_one_line(self, bundle, tmp_path):
+        # a real process, so that SIGINT arrives while the caller waits on a pipe
+        script = tmp_path / "stalled_sweep.py"
+        script.write_text(
+            "import os, sys, time\n"
+            "from pathlib import Path\n"
+            "from gridhealth import cli, forecaster\n"
+            "def stall(*args):\n"
+            "    Path(sys.argv[1], str(os.getpid())).touch()\n"
+            "    time.sleep(60)\n"
+            "forecaster.train = stall\n"
+            "sys.exit(cli.main(sys.argv[2:]))\n")
+        started = tmp_path / "started"
+        started.mkdir()
+        src = str(Path(main.__code__.co_filename).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = tmp_path / "sweep"
+        proc = subprocess.Popen(
+            [sys.executable, script, started, "sweep", "--dataset", bundle / "fuel_mix.csv",
+             "--labels", bundle / "labels.csv", "--out", out, "--betas", "0.5,0.9,0.998",
+             "--epochs", "1", "--arch", "linear_baseline"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env, text=True)
+        try:
+            deadline = time.monotonic() + 30
+            while not any(started.iterdir()) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            workers = [int(p.name) for p in started.iterdir()]
+            assert workers
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=20)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 128 + signal.SIGINT
+        assert err == "error: interrupted\n"
+        for pid in workers:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["stalled_sweep.py", "started"]
+
     def test_predict_recomputation_matches_sweep(self, bundle, tmp_path):
         beta, seed, epochs = 0.5, 4, 1
         train_out = tmp_path / "train"
@@ -484,6 +527,22 @@ class TestCorruptCheckpoint:
                    "--checkpoint", ckpt, "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(ckpt) in err and repr(key) in err
+        assert not (out / "predicted_signal.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("heads", 0), ("embed_dim", 0), ("heads", -4)])
+    def test_predict_rejects_bad_network(self, bundle, tmp_path, capsys, key, value):
+        train_out = tmp_path / "train"
+        assert run("train", "--dataset", bundle / "fuel_mix.csv",
+                   "--labels", bundle / "labels.csv", "--out", train_out, "--epochs", 0) == 0
+        data = json.loads((train_out / "checkpoint.json").read_text())
+        data["model"][key] = value
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps(data))
+        out = tmp_path / "pred"
+        assert run("predict", "--dataset", bundle / "fuel_mix.csv",
+                   "--checkpoint", ckpt, "--out", out) == 1
+        assert capsys.readouterr().err == (f"error: {ckpt}: bad network description "
+                                           f"({key} must be at least 1, got {value})\n")
         assert not (out / "predicted_signal.csv").exists()
 
     def test_predict_rejects_non_json(self, bundle, tmp_path, capsys):

@@ -344,17 +344,26 @@ class TestSweep:
             return real_train(model, converter, data, cfg)
 
         monkeypatch.setattr(forecaster, "train", train_noting_pid)
-        points, pids = {}, {}
-        for cpus in (1, 3):
+        points = {}
+        for cpus in (1, 2, 3):
             monkeypatch.setattr(forecaster, "_usable_cpus", lambda: cpus)
             points[cpus] = beta_sweep(data, [0.998, 0.5, 0.9], cfg)
-            pids[cpus] = {p.name.split("-")[1] for p in tmp_path.iterdir()}
+            trained = sorted(p.name.split("-") for p in tmp_path.iterdir())
             for p in tmp_path.iterdir():
                 p.unlink()
-        assert points[1] == points[3]
+            # every beta trained once, each in a process of its own, none in the caller
+            assert [beta for beta, _ in trained] == ["0.5", "0.9", "0.998"]
+            pids = {pid for _, pid in trained}
+            assert len(pids) == 3 and str(os.getpid()) not in pids
+        assert points[1] == points[2] == points[3]
         assert [p.beta for p in points[1]] == [0.5, 0.9, 0.998]
-        assert len(pids[1]) == 1 and len(pids[3]) >= 2 and str(os.getpid()) not in pids[3]
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("runs, cpus, sizes", [
+        (3, 2, [3]), (4, 2, [2, 2]), (5, 2, [2, 3]), (3, 1, [1, 1, 1]), (2, 4, [2]),
+    ])
+    def test_wave_sizes(self, runs, cpus, sizes):
+        assert forecaster._wave_sizes(runs, cpus) == sizes
 
     def test_dead_worker_named_by_beta(self, synth_bundle, monkeypatch):
         series, labels = synth_bundle
@@ -372,6 +381,25 @@ class TestSweep:
                            match=r"^a sweep worker process ended abruptly while training "
                                  r"beta=0\.9$"):
             beta_sweep(data, [0.5, 0.9], cfg)
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_in_later_wave_named_by_beta(self, synth_bundle, monkeypatch):
+        series, labels = synth_bundle
+        data = TrainingData.from_series(series, labels)
+        cfg = TrainConfig(beta=0.5, window=24, epochs=1, seed=2)
+        real_train = forecaster.train
+
+        def train_or_die(model, converter, data, cfg):
+            if cfg.beta == 0.998:
+                os._exit(3)
+            return real_train(model, converter, data, cfg)
+
+        monkeypatch.setattr(forecaster, "train", train_or_die)
+        monkeypatch.setattr(forecaster, "_usable_cpus", lambda: 1)     # waves of one
+        with pytest.raises(GridHealthError,
+                           match=r"^a sweep worker process ended abruptly while training "
+                                 r"beta=0\.998$"):
+            beta_sweep(data, [0.5, 0.9, 0.998], cfg)
         assert multiprocessing.active_children() == []
 
 
