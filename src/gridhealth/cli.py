@@ -36,6 +36,11 @@ from pathlib import Path
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:     # not on Windows: the manifest then records no peak RSS
+    resource = None
+
 from . import __version__
 from .errors import DegenerateDistribution, GridHealthError
 from .forecaster import (
@@ -91,6 +96,21 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _peak_rss(workers: bool) -> dict[str, float]:
+    """This process's peak resident set in MB, and with `workers` the largest reaped child's.
+
+    Empty where the `resource` module is missing.
+    """
+    if resource is None:
+        return {}
+    per_mb = 1024 * 1024 if sys.platform == "darwin" else 1024   # ru_maxrss is KiB on Linux
+    peaks = {"peak_rss_mb": resource.RUSAGE_SELF}
+    if workers:
+        peaks["worker_peak_rss_mb"] = resource.RUSAGE_CHILDREN
+    return {key: round(resource.getrusage(who).ru_maxrss / per_mb, 1)
+            for key, who in peaks.items()}
+
+
 class CommandContext:
     """Inputs and outputs of one command; outputs are staged until `finish`."""
 
@@ -127,6 +147,7 @@ class CommandContext:
             "outputs": [str(self.out_dir / name) for name in self.outputs],
             "seed": self.config.get("seed"),
             "wall_time_s": round(time.monotonic() - self.started, 3),
+            **_peak_rss(self.command == "sweep"),
         }
         (self.staging / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -301,6 +301,20 @@ class TestTrainPredictSweep:
         assert rows[0] == ["beta", "fuel_nmae", "health_nmae"]
         assert [r[0] for r in rows[1:]] == ["0.5", "0.998"]
 
+    def test_manifest_records_peak_rss(self, bundle, tmp_path, monkeypatch):
+        flags = ["--dataset", bundle / "fuel_mix.csv", "--labels", bundle / "labels.csv",
+                 "--epochs", 1, "--arch", "linear_baseline"]
+        assert run("train", *flags, "--out", tmp_path / "run") == 0
+        assert run("sweep", *flags, "--out", tmp_path / "sweep", "--betas", "0.5,0.9") == 0
+        trained = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        swept = json.loads((tmp_path / "sweep" / "manifest.json").read_text())
+        assert trained["peak_rss_mb"] > 0 and "worker_peak_rss_mb" not in trained
+        assert swept["peak_rss_mb"] > 0 and swept["worker_peak_rss_mb"] > 0
+        monkeypatch.setattr("gridhealth.cli.resource", None)     # as on Windows
+        assert run("train", *flags, "--out", tmp_path / "bare") == 0
+        bare = json.loads((tmp_path / "bare" / "manifest.json").read_text())
+        assert "peak_rss_mb" not in bare and "worker_peak_rss_mb" not in bare
+
     def test_sweep_member_error_reported(self, bundle, tmp_path, capsys, monkeypatch):
         def diverge(model, converter, data, cfg):
             raise DivergedLoss(f"non-finite loss at epoch {int(cfg.beta > 0.9)}")

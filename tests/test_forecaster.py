@@ -4,11 +4,13 @@ import base64
 import json
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_train import train_full_batch
 
 from gridhealth import forecaster
 from gridhealth.autodiff import Tensor, grad_check
@@ -29,7 +31,10 @@ from gridhealth.forecaster import (
     HealthConverterNet,
     TrainConfig,
     TrainingData,
+    _MICRO_ROWS,
+    _MaskTape,
     _dropout_mask,
+    _micro_batches,
     beta_sweep,
     build_models,
     composite_loss,
@@ -401,6 +406,139 @@ class TestSweep:
                                  r"beta=0\.998$"):
             beta_sweep(data, [0.5, 0.9, 0.998], cfg)
         assert multiprocessing.active_children() == []
+
+
+def _trained_both_ways(data, cfg):
+    """Parameters and history of `train` and of the full-batch reference, same seed."""
+    runs = []
+    for run in (train, train_full_batch):
+        model, conv = build_models(data.mixes.shape[1], cfg)
+        _, _, history = run(model, conv, data, cfg)
+        params = {**{f"m.{k}": v.data for k, v in model.params.items()},
+                  **{f"c.{k}": v.data for k, v in conv.params.items()}}
+        runs.append((params, history))
+    return runs
+
+
+class TestMicroBatches:
+    @pytest.mark.parametrize("windows, window", [
+        (1, 24), (105, 24), (128, 24), (1, 72), (105, 72), (128, 72), (1513, 24), (3, 500),
+    ])
+    def test_split_rule(self, windows, window):
+        parts = _micro_batches(windows, window)
+        sizes = [hi - lo for lo, hi in parts]
+        assert parts[0][0] == 0 and parts[-1][1] == windows
+        assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
+        assert sum(sizes) == windows and max(sizes) - min(sizes) <= 1
+        assert sizes == sorted(sizes, reverse=True)
+        if windows > 1:
+            assert sizes[0] >= 2        # the tape tells per-window masks from shared ones
+        if 2 * window <= _MICRO_ROWS:
+            assert max(sizes) * window <= _MICRO_ROWS
+            assert len(parts) == -(-windows // (_MICRO_ROWS // window))
+        assert (len(parts) == 1) == (windows * window <= _MICRO_ROWS or windows <= 2)
+
+    def test_split_at_default_windows(self):
+        assert [hi - lo for lo, hi in _micro_batches(128, 24)] == [32] * 4
+        assert [hi - lo for lo, hi in _micro_batches(128, 72)] == [10] * 11 + [9] * 2
+
+    def test_one_micro_batch_per_batch_is_bit_identical(self, synth_bundle):
+        data = TrainingData.from_series(*synth_bundle)
+        cfg = TrainConfig(window=24, epochs=2, batch_size=_MICRO_ROWS // 24, seed=4)
+        (micro, micro_history), (full, full_history) = _trained_both_ways(data, cfg)
+        for name in full:
+            np.testing.assert_array_equal(micro[name], full[name], err_msg=name)
+        assert [h["train_loss"] for h in micro_history] == [h["train_loss"] for h in full_history]
+        # validation (52 windows) runs in two chunks
+        for got, want in zip(micro_history, full_history):
+            assert got["val_loss"] == pytest.approx(want["val_loss"], rel=1e-12)
+
+    @pytest.mark.parametrize("window", [24, 72])
+    def test_128_window_batch_matches_full_batch(self, synth_bundle, window):
+        series, labels = synth_bundle
+        data = TrainingData.from_series(series, labels)
+        hours = 128 + 2 * window - 1        # exactly one batch of 128 training windows
+        data = TrainingData(data.mixes[:hours], data.impacts[:hours], data.timestamps[:hours])
+        cfg = TrainConfig(window=window, epochs=1, batch_size=128, seed=1, test_fraction=0.0,
+                          val_fraction=0.0)
+        assert len(_micro_batches(128, window)) > 1
+        (micro, micro_history), (full, full_history) = _trained_both_ways(data, cfg)
+        for name in full:
+            error = np.abs(micro[name] - full[name]).max() / np.abs(full[name]).max()
+            assert error <= 1e-12, name
+        assert micro_history[0]["train_loss"] == pytest.approx(full_history[0]["train_loss"],
+                                                               rel=1e-12)
+
+    @pytest.mark.parametrize("parts", [[(0, 3), (3, 5), (5, 7)], [(0, 2), (2, 4), (4, 6), (6, 7)],
+                                       [(0, 7)]])
+    def test_tape_serves_rows_of_full_batch_draws(self, monkeypatch, parts):
+        model = ForecastModel(ATTENTION, n_fuels=4, window=6, embed_dim=8, heads=2,
+                              decoder_layers=2, ff_dim=8, dropout=0.3, seed=2)
+        x = Tensor(simplex((7, 6, 4)))
+        drawn = []
+
+        def recording(shape, p, training, rng):
+            drawn.append(_dropout_mask(shape, p, training, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(forecaster, "_dropout_mask", recording)
+        oracle_rng = np.random.default_rng(11)
+        full = model.forward_tensor(x, True, oracle_rng).data
+        oracle, drawn[:] = list(drawn), []
+        tape_rng = np.random.default_rng(11)
+        tape = _MaskTape(tape_rng, 7)
+        for lo, hi in parts:
+            tape.select(lo, hi)
+            pred = model.forward_tensor(Tensor(x.data[lo:hi]), True, tape).data
+            np.testing.assert_allclose(pred, full[lo:hi], rtol=1e-13, atol=0)
+            assert len(drawn) == len(oracle)
+            for got, want in zip(drawn, oracle):
+                np.testing.assert_array_equal(got, want if len(want) == 1 else want[lo:hi])
+            drawn[:] = []
+        # the batch-1 decoder query's self-attention and residual masks, shared by all
+        assert sum(len(mask) == 1 for mask in oracle) == 2
+        assert tape_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_micro_batch_divergence_stops_before_backward_and_step(self, synth_bundle,
+                                                                   monkeypatch):
+        data = TrainingData.from_series(*synth_bundle)
+        cfg = TrainConfig(window=24, epochs=1, batch_size=128, seed=0)
+        model, conv = build_models(data.mixes.shape[1], cfg)
+        before = {k: v.data.copy() for k, v in {**model.params, **conv.params}.items()}
+        calls = {"loss": 0, "backward": 0}
+        real_loss, real_backward = forecaster._batch_loss, Tensor.backward
+
+        def second_diverges(*args, **kwargs):
+            calls["loss"] += 1
+            loss = real_loss(*args, **kwargs)
+            return loss * np.nan if calls["loss"] == 2 else loss
+
+        def counted_backward(self):
+            calls["backward"] += 1
+            return real_backward(self)
+
+        monkeypatch.setattr(forecaster, "_batch_loss", second_diverges)
+        monkeypatch.setattr(Tensor, "backward", counted_backward)
+        with pytest.raises(DivergedLoss, match=r"^non-finite loss at epoch 0$"):
+            train(model, conv, data, cfg)
+        assert calls == {"loss": 2, "backward": 1}
+        for k, v in {**model.params, **conv.params}.items():
+            np.testing.assert_array_equal(v.data, before[k], err_msg=k)
+
+    def test_peak_memory_does_not_grow_with_batch(self, synth_bundle):
+        data = TrainingData.from_series(*synth_bundle)
+        peaks = {}
+        for batch in (128, 1024):
+            cfg = TrainConfig(window=24, epochs=1, batch_size=batch, seed=0)
+            model, conv = build_models(data.mixes.shape[1], cfg)
+            tracemalloc.start()
+            try:
+                train(model, conv, data, cfg)
+                peaks[batch] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # 477 training windows: one batch of 477 against four of at most 128
+        assert peaks[1024] <= 1.25 * peaks[128], peaks
 
 
 def _small_networks():
