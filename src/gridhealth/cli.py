@@ -42,7 +42,7 @@ except ImportError:     # not on Windows: the manifest then records no peak RSS
     resource = None
 
 from . import __version__
-from .errors import DegenerateDistribution, GridHealthError
+from .errors import DatasetGap, DegenerateDistribution, GridHealthError
 from .forecaster import (
     ATTENTION,
     LINEAR_BASELINE,
@@ -58,6 +58,7 @@ from .forecaster import (
 from .health import HealthSeries, load_signals_csv, write_signals_csv
 from .ingest import (
     IMPUTED,
+    MISSING,
     FuelCategoryMap,
     impute_missing,
     load_fuel_mix,
@@ -159,11 +160,16 @@ class CommandContext:
 
 
 def _load_canonical_mix(path: str | Path):
-    """Load a dataset CSV whose columns are already canonical fuels."""
+    """Load a dataset CSV whose columns are already canonical fuels, with no gap."""
     with open_csv(path) as reader:
         header = next(reader, [])
     identity = FuelCategoryMap({name: name for name in header[1:]})
-    return load_fuel_mix(path, identity)
+    series = load_fuel_mix(path, identity)
+    if (series.flags == MISSING).any():
+        t, f = np.argwhere(series.flags == MISSING)[0]
+        raise DatasetGap(f"{path}: no {series.fuel_names[f]} share at hour "
+                         f"{series.timestamps[t]}; fill gaps with `gridhealth ingest` first")
+    return series
 
 
 # -- subcommand bodies ---------------------------------------------------------
@@ -216,13 +222,14 @@ def _load_training_data(args, ctx) -> TrainingData:
 
 def _train_config(args) -> TrainConfig:
     return TrainConfig(beta=args.beta, window=args.window, epochs=args.epochs,
-                       step_size=args.lr, batch_size=args.batch, seed=args.seed)
+                       step_size=args.lr, batch_size=args.batch, seed=args.seed,
+                       architecture=args.arch)
 
 
 def cmd_train(args, ctx: CommandContext) -> None:
     data = _load_training_data(args, ctx)
     cfg = _train_config(args)
-    model, converter = build_models(data.mixes.shape[1], cfg, architecture=args.arch)
+    model, converter = build_models(data.mixes.shape[1], cfg)
     model, converter, history = train(model, converter, data, cfg)
     save_checkpoint(ctx.output("checkpoint.json"), model, converter)
     header = ["epoch", "train_loss", "val_loss"]
@@ -238,8 +245,7 @@ def cmd_train(args, ctx: CommandContext) -> None:
 
 def cmd_sweep(args, ctx: CommandContext) -> None:
     data = _load_training_data(args, ctx)
-    cfg = _train_config(args)
-    points = beta_sweep(data, args.betas, cfg, architecture=args.arch)
+    points = beta_sweep(data, args.betas, _train_config(args))
     header = ["beta", "fuel_nmae", "health_nmae"]
     write_table(ctx.output("tradeoff.csv"), header,
                 [[getattr(p, name) for p in points] for name in header])
@@ -254,9 +260,9 @@ def cmd_predict(args, ctx: CommandContext) -> None:
     model, converter = load_checkpoint(args.checkpoint)
     ctx.config["window"] = model.window
     # Evaluation protocol: non-overlapping windows tiling the held-out span.
-    _, pred_impacts, stamps = forecast_heldout(
-        model, converter, series.shares, series.timestamps, model.window,
-        TrainConfig.test_fraction)
+    _, pred_impacts, rows = forecast_heldout(model, converter, series.shares,
+                                             TrainConfig.test_fraction)
+    stamps = series.timestamps[rows]
     try:
         predicted = HealthSeries(stamps, pred_impacts)
     except ValueError as exc:

@@ -40,6 +40,10 @@ class NoPlantForFuel(GridHealthError):
     """A fuel has positive share but no plant with positive capacity basis."""
 
 
+class DatasetGap(GridHealthError):
+    """A dataset given to train, sweep or predict has a missing entry `ingest` would fill."""
+
+
 # --- emissions / dispersion / health --------------------------------------
 
 class DimensionMismatch(GridHealthError):

@@ -71,6 +71,7 @@ class TrainConfig:
     seed: int = 0
     test_fraction: float = 0.2
     val_fraction: float = 0.1
+    architecture: str = ATTENTION
 
     def __post_init__(self):
         if not (0.0 < self.beta <= BETA_MAX):
@@ -450,7 +451,6 @@ class TrainingData:
     mixes: np.ndarray
     impacts: np.ndarray
     timestamps: np.ndarray
-    fuel_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.mixes = np.asarray(self.mixes, dtype=np.float64)
@@ -473,8 +473,7 @@ class TrainingData:
         if not found.all():
             raise InsufficientData(
                 f"no health label for hour {series.timestamps[np.argmin(found)]}")
-        return cls(series.shares.copy(), signals.costs[at], series.timestamps.copy(),
-                   series.fuel_names)
+        return cls(series.shares.copy(), signals.costs[at], series.timestamps.copy())
 
 
 @dataclass
@@ -635,11 +634,6 @@ class Evaluation:
     fuel_nmae: float
     internal_nmae: float
     external_nmae: float
-    pred_mixes: np.ndarray        # (n_hours_eval, F)
-    pred_impacts: np.ndarray      # (n_hours_eval, 2)
-    truth_mixes: np.ndarray
-    truth_impacts: np.ndarray
-    timestamps: np.ndarray
 
     @property
     def health_nmae(self) -> float:
@@ -647,49 +641,39 @@ class Evaluation:
 
 
 def forecast_heldout(model: ForecastModel, converter: HealthConverterNet, mixes: np.ndarray,
-                     timestamps: np.ndarray, window: int, test_fraction: float):
-    """Forecasts over the held-out span, non-overlapping windows.
+                     test_fraction: float):
+    """Forecasts over the held-out span, non-overlapping windows of `model.window`.
 
-    Returns (pred_mixes, pred_impacts, timestamps), flattened to per-hour
-    rows in time order.
+    Returns (pred_mixes, pred_impacts, rows): per-hour rows in time order,
+    and the row of `mixes` each one forecasts, to index truths and stamps by.
     """
-    starts = _heldout_starts(len(mixes), window, test_fraction)
+    t = model.window
+    starts = _heldout_starts(len(mixes), t, test_fraction)
     if not starts:
         raise InsufficientData("test split holds no complete window")
-    rows = _window_rows(starts, window)
+    history = _window_rows(starts, t)
     with autodiff.no_grad():
-        pred = model.forward_tensor(Tensor(mixes[rows]), training=False)
-        b = pred.shape[0]
-        pred_imp = converter.forward_tensor(
-            pred.reshape(b * window, model.n_fuels)).reshape(b, window, 2)
-    stamps = timestamps[rows + window].ravel()
-    return pred.data.reshape(-1, model.n_fuels), pred_imp.data.reshape(-1, 2), stamps
+        pred = model.forward_tensor(Tensor(mixes[history]), training=False)
+        pred_imp = converter.forward_tensor(pred.reshape(-1, model.n_fuels))
+    return pred.data.reshape(-1, model.n_fuels), pred_imp.data, (history + t).ravel()
 
 
 def evaluate(model: ForecastModel, converter: HealthConverterNet, data: TrainingData,
              cfg: TrainConfig) -> Evaluation:
     """Held-out-test NMAE of mixes and impacts, non-overlapping windows."""
-    pred_mixes, pred_impacts, stamps = forecast_heldout(
-        model, converter, data.mixes, data.timestamps, cfg.window, cfg.test_fraction)
-    target = _window_rows(_heldout_starts(len(data), cfg.window, cfg.test_fraction),
-                          cfg.window).ravel() + cfg.window
-    truth_mixes, truth_impacts = data.mixes[target], data.impacts[target]
+    pred_mixes, pred_impacts, rows = forecast_heldout(model, converter, data.mixes,
+                                                      cfg.test_fraction)
+    truth_impacts = data.impacts[rows]
     return Evaluation(
-        fuel_nmae=nmae(pred_mixes, truth_mixes),
+        fuel_nmae=nmae(pred_mixes, data.mixes[rows]),
         internal_nmae=nmae(pred_impacts[:, 0], truth_impacts[:, 0]),
         external_nmae=nmae(pred_impacts[:, 1], truth_impacts[:, 1]),
-        pred_mixes=pred_mixes,
-        pred_impacts=pred_impacts,
-        truth_mixes=truth_mixes,
-        truth_impacts=truth_impacts,
-        timestamps=stamps,
     )
 
 
-def build_models(n_fuels: int, cfg: TrainConfig,
-                 architecture: str = ATTENTION) -> tuple[ForecastModel, HealthConverterNet]:
+def build_models(n_fuels: int, cfg: TrainConfig) -> tuple[ForecastModel, HealthConverterNet]:
     """Standard seeded construction used by training runs and sweeps."""
-    model = ForecastModel(architecture, n_fuels, cfg.window, seed=cfg.seed)
+    model = ForecastModel(cfg.architecture, n_fuels, cfg.window, seed=cfg.seed)
     converter = HealthConverterNet(n_fuels, seed=cfg.seed + 1)
     return model, converter
 
@@ -722,7 +706,7 @@ def _usable_cpus() -> int:
 
 
 def _sweep_worker(parent: int, set_blas_threads, data: TrainingData, cfg: TrainConfig,
-                  architecture: str, sender) -> None:
+                  sender) -> None:
     """Train `cfg` in a forked worker; send its point, or its error, to `sender`."""
     prctl = getattr(ctypes.CDLL(None), "prctl", None)
     if prctl is not None:
@@ -738,7 +722,7 @@ def _sweep_worker(parent: int, set_blas_threads, data: TrainingData, cfg: TrainC
     if set_blas_threads is not None:
         set_blas_threads(1)
     try:
-        model, converter = build_models(data.mixes.shape[1], cfg, architecture)
+        model, converter = build_models(data.mixes.shape[1], cfg)
         model, converter, _ = train(model, converter, data, cfg)
         ev = evaluate(model, converter, data, cfg)
         sender.send(TradeoffPoint(cfg.beta, ev.fuel_nmae, ev.health_nmae))
@@ -768,8 +752,7 @@ def _end_workers(workers: list) -> None:
         workers.pop().close()
 
 
-def beta_sweep(data: TrainingData, betas: list[float], cfg: TrainConfig,
-               architecture: str = ATTENTION) -> list[TradeoffPoint]:
+def beta_sweep(data: TrainingData, betas: list[float], cfg: TrainConfig) -> list[TradeoffPoint]:
     """Independent training runs across beta on identical splits and seeds.
 
     Each sorted run trains in its own forked worker (one BLAS thread) and
@@ -802,7 +785,7 @@ def beta_sweep(data: TrainingData, betas: list[float], cfg: TrainConfig,
                 receivers.append(receiver)
                 with sender:        # held by its worker alone, so the worker's death reads as EOF
                     worker = context.Process(target=_sweep_worker, args=(
-                        os.getpid(), set_blas_threads, data, run, architecture, sender))
+                        os.getpid(), set_blas_threads, data, run, sender))
                     worker.start()
                 workers.append(worker)
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
@@ -825,6 +808,10 @@ def beta_sweep(data: TrainingData, betas: list[float], cfg: TrainConfig,
 
 CHECKPOINT_FORMAT = "gridhealth-checkpoint-v2"
 _DTYPE = "<f8"
+# the header of each network: its constructor's arguments, stored as its attributes
+_MODEL_FIELDS = ("architecture", "n_fuels", "window", "embed_dim", "heads", "encoder_layers",
+                 "decoder_layers", "ff_dim", "dropout", "seed")
+_CONVERTER_FIELDS = ("n_fuels", "hidden", "seed")
 
 
 def _encode(a: np.ndarray) -> dict:
@@ -843,23 +830,8 @@ def save_checkpoint(path: str | Path, model: ForecastModel,
     """
     payload = {
         "format": CHECKPOINT_FORMAT,
-        "model": {
-            "architecture": model.architecture,
-            "n_fuels": model.n_fuels,
-            "window": model.window,
-            "embed_dim": model.embed_dim,
-            "heads": model.heads,
-            "encoder_layers": model.encoder_layers,
-            "decoder_layers": model.decoder_layers,
-            "ff_dim": model.ff_dim,
-            "dropout": model.dropout,
-            "seed": model.seed,
-        },
-        "converter": {
-            "n_fuels": converter.n_fuels,
-            "hidden": converter.hidden,
-            "seed": converter.seed,
-        },
+        "model": {k: getattr(model, k) for k in _MODEL_FIELDS},
+        "converter": {k: getattr(converter, k) for k in _CONVERTER_FIELDS},
         "params": {k: _encode(v.data) for k, v in model.params.items()},
         "converter_params": {k: _encode(v.data) for k, v in converter.params.items()},
     }
@@ -905,9 +877,10 @@ def load_checkpoint(path: str | Path) -> tuple[ForecastModel, HealthConverterNet
     """Rebuild both networks from `save_checkpoint` output.
 
     Every parameter must be present under its exact name, dtype tag and
-    shape, with exactly its byte count of finite values; anything else
-    raises CorruptCheckpoint naming the path and the key. Files of any
-    other format, earlier versions included, are rejected.
+    shape, with exactly its byte count of finite values, and the converter
+    must take the model's `n_fuels`; anything else raises CorruptCheckpoint
+    naming the path and the key. Files of any other format, earlier
+    versions included, are rejected.
     """
     try:
         payload = json.loads(Path(path).read_text())
@@ -916,18 +889,15 @@ def load_checkpoint(path: str | Path) -> tuple[ForecastModel, HealthConverterNet
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise CorruptCheckpoint(f"{path}: key 'format' is not {CHECKPOINT_FORMAT!r}")
     try:
-        m = payload["model"]
-        model = ForecastModel(m["architecture"], m["n_fuels"], m["window"],
-                              embed_dim=m["embed_dim"], heads=m["heads"],
-                              encoder_layers=m["encoder_layers"],
-                              decoder_layers=m["decoder_layers"], ff_dim=m["ff_dim"],
-                              dropout=m["dropout"], seed=m["seed"])
-        c = payload["converter"]
-        converter = HealthConverterNet(c["n_fuels"], hidden=c["hidden"], seed=c["seed"])
+        model = ForecastModel(**{k: payload["model"][k] for k in _MODEL_FIELDS})
+        converter = HealthConverterNet(**{k: payload["converter"][k] for k in _CONVERTER_FIELDS})
     except KeyError as exc:
         raise CorruptCheckpoint(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise CorruptCheckpoint(f"{path}: bad network description ({exc})") from exc
+    if converter.n_fuels != model.n_fuels:
+        raise CorruptCheckpoint(f"{path}: converter key 'n_fuels' is {converter.n_fuels!r},"
+                                f" the model's is {model.n_fuels!r}")
     _restore_params(path, "params", payload.get("params"), model.params)
     _restore_params(path, "converter_params", payload.get("converter_params"), converter.params)
     return model, converter

@@ -52,6 +52,17 @@ ALL_STRATEGIES = (STRATEGY_OPTIMAL, STRATEGY_FIRST, STRATEGY_LATEST, STRATEGY_CO
 USD_PER_MWH_TO_PER_KWH = 1e-3
 
 
+def _slot_plan(demand, rate):
+    """(slots, remainder) for kWh `demand` at kW `rate`, scalars or arrays, without warnings.
+
+    slots = ceil(demand / rate - _SLOT_TOLERANCE), a float (0 for zero demand);
+    remainder is the energy of the slot selected last, 0 when there is none.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        slots = np.ceil(np.divide(demand, rate) - _SLOT_TOLERANCE)
+        return slots, np.where(slots > 0, demand - (slots - 1) * rate, 0.0)
+
+
 @dataclass(frozen=True, slots=True)
 class ChargingSession:
     """One EV: arrival/departure slot indices (inclusive), kWh demand, kW rate.
@@ -75,12 +86,11 @@ class ChargingSession:
         if not math.isfinite(self.rate_kw) or self.rate_kw <= 0:
             raise InfeasibleSession(f"{name}: rate must be finite and positive, "
                                     f"got {self.rate_kw}")
-        # ceil(x) > w exactly when x > w, for an integer w; x may be inf
-        needed = self.demand_kwh / self.rate_kw - _SLOT_TOLERANCE
-        if needed > self.window_length:
-            slots = math.ceil(needed) if math.isfinite(needed) else needed
+        slots = float(_slot_plan(self.demand_kwh, self.rate_kw)[0])
+        if slots > self.window_length:
             raise InfeasibleSession(
-                f"{name}: demand {self.demand_kwh} kWh needs {slots} slots at "
+                f"{name}: demand {self.demand_kwh} kWh needs "
+                f"{int(slots) if math.isfinite(slots) else slots} slots at "
                 f"{self.rate_kw} kW, the window has {self.window_length}"
             )
 
@@ -90,9 +100,12 @@ class ChargingSession:
 
     @property
     def slots_needed(self) -> int:
-        if self.demand_kwh == 0:
-            return 0
-        return int(math.ceil(self.demand_kwh / self.rate_kw - _SLOT_TOLERANCE))
+        return int(_slot_plan(self.demand_kwh, self.rate_kw)[0])
+
+    @property
+    def remainder_kwh(self) -> float:
+        """Energy of the slot selected last; 0 when no slot is needed."""
+        return float(_slot_plan(self.demand_kwh, self.rate_kw)[1])
 
 
 @dataclass(eq=False)
@@ -130,9 +143,8 @@ class SessionTable:
         # the rules over whole columns flag the sessions to build one by one; a
         # window beyond 2**53 slots is flagged by its rounded float length
         window = (self.departure - self.arrival).astype(np.float64) + 1
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            needed = self.demand_kwh / self.rate_kw - _SLOT_TOLERANCE
-        bad = ((self.departure < self.arrival) | (needed > window)
+        slots, _ = _slot_plan(self.demand_kwh, self.rate_kw)
+        bad = ((self.departure < self.arrival) | (slots > window)
                | ~(np.isfinite(self.demand_kwh) & (self.demand_kwh >= 0))
                | ~(np.isfinite(self.rate_kw) & (self.rate_kw > 0)))
         for i in np.flatnonzero(bad).tolist():
@@ -194,21 +206,19 @@ class StrategyResult:
 def _make_schedule(session: ChargingSession, chosen_in_order: list[int]) -> Schedule:
     """Build a schedule from slots listed in selection order.
 
-    The slot selected last carries the remainder energy; earlier ones charge
-    at full rate.
+    The slots number `session.slots_needed`. The slot selected last carries
+    the remainder energy; earlier ones charge at full rate.
     """
     w = session.window_length
     bits = np.zeros(w, dtype=np.int8)
     energy = np.zeros(w)
-    n = len(chosen_in_order)
-    if n:
-        remainder = session.demand_kwh - (n - 1) * session.rate_kw
+    if chosen_in_order:
         for slot in chosen_in_order[:-1]:
             bits[slot] = 1
             energy[slot] = session.rate_kw
         last = chosen_in_order[-1]
         bits[last] = 1
-        energy[last] = remainder
+        energy[last] = session.remainder_kwh
     return Schedule(session, bits, energy)
 
 
@@ -242,7 +252,7 @@ def brute_force_schedule(session: ChargingSession, h) -> Schedule:
     n = session.slots_needed
     if n == 0:
         return _make_schedule(session, [])
-    remainder = session.demand_kwh - (n - 1) * session.rate_kw
+    remainder = session.remainder_kwh
     idx = np.array(list(combinations(range(w), n)))  # (S, n), lexicographic
     hs = h[idx]
     hmax = hs.max(axis=1)
@@ -271,7 +281,7 @@ def baseline_schedule(session: ChargingSession, h, strategy: str) -> Schedule:
     if strategy == STRATEGY_CONTINUOUS:
         if n == 0:
             return _make_schedule(session, [])
-        remainder = session.demand_kwh - (n - 1) * session.rate_kw
+        remainder = session.remainder_kwh
         lead = np.concatenate(([0.0], np.cumsum(h)))
         best_cost, best_start = math.inf, 0
         for start in range(w - n + 1):
@@ -349,9 +359,8 @@ def _session_costs(sessions: SessionTable, signals: HealthSeries, strategies) ->
     # slot indices fit int32 and it halves the engine's index memory
     lo, width = lo.astype(np.int32), (hi - lo + 1).astype(np.int32)
     rate = sessions.rate_kw
-    # `ChargingSession.slots_needed`'s arithmetic; a zero demand gives ceil(-tolerance) = 0
-    slots = np.ceil(sessions.demand_kwh / rate - _SLOT_TOLERANCE).astype(np.int32)
-    remainder = np.where(slots > 0, sessions.demand_kwh - (slots - 1) * rate, 0.0)
+    slots, remainder = _slot_plan(sessions.demand_kwh, rate)
+    slots = slots.astype(np.int32)
     costs = np.zeros((len(strategies), len(sessions)))
     order = np.argsort(width, kind="stable").astype(np.int32)
     for group in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):

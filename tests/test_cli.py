@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -483,6 +484,30 @@ class TestTrainPredictSweep:
         assert capsys.readouterr().err == "error: non-finite validation loss at epoch 0\n"
         assert not list(out.glob("*"))
 
+    @pytest.mark.parametrize("command", ["train", "sweep", "predict"])
+    def test_dataset_gap_rejected(self, bundle, tmp_path, capsys, command):
+        # an empty cell early in the train span, outside every held-out history window
+        rows = read_rows(bundle / "fuel_mix.csv")
+        rows[5][2] = ""
+        dataset = tmp_path / "fuel_mix.csv"
+        with open(dataset, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        ckpt = tmp_path / "checkpoint.json"
+        save_checkpoint(ckpt, *build_models(8, TrainConfig(architecture="linear_baseline")))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text("an earlier run\n")
+        inputs = (["--checkpoint", ckpt] if command == "predict"
+                  else ["--labels", bundle / "labels.csv", "--epochs", 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # a warning would escape `main` as an exception
+            assert run(command, "--dataset", dataset, "--out", out, *inputs) == 1
+        assert capsys.readouterr().err == (
+            f"error: {dataset}: no {rows[0][2]} share at hour {rows[5][0]}; "
+            "fill gaps with `gridhealth ingest` first\n")
+        assert snapshot(out) == {"manifest.json": b"an earlier run\n"}
+        assert not list(tmp_path.glob(".out.*"))
+
     def test_non_utf8_dataset_rejected(self, bundle, tmp_path, capsys):
         dataset = tmp_path / "fuel_mix.csv"
         dataset.write_bytes((bundle / "fuel_mix.csv").read_bytes().replace(b"\n", b"\n\xe9", 1))
@@ -569,18 +594,19 @@ class TestCorruptCheckpoint:
         assert not (out / "predicted_signal.csv").exists()
 
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_predict_rejects_non_finite_prediction(self, bundle, payload, tmp_path, capsys):
-        # a gap in a held-out history window makes the forecast NaN
-        rows = read_rows(bundle / "fuel_mix.csv")
-        rows[-40][1] = ""
-        dataset = tmp_path / "fuel_mix.csv"
-        with open(dataset, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
+        # finite converter weights whose products overflow make the predicted costs inf
+        data = json.loads(payload)
+        for name, value in (("w2", 0.0), ("b2", 1.0), ("w3", 1e308)):
+            entry = data["converter_params"][name]
+            raw = np.full(entry["shape"], value).astype("<f8").tobytes()
+            entry["data"] = base64.b64encode(raw).decode("ascii")
         ckpt = tmp_path / "checkpoint.json"
-        ckpt.write_text(payload)
+        ckpt.write_text(json.dumps(data))
         out = tmp_path / "pred"
-        assert run("predict", "--dataset", dataset, "--checkpoint", ckpt, "--out", out) == 1
+        assert run("predict", "--dataset", bundle / "fuel_mix.csv", "--checkpoint", ckpt,
+                   "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: predicted health costs at hour") and "not finite" in err
         assert not (out / "predicted_signal.csv").exists()

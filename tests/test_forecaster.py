@@ -304,13 +304,16 @@ class TestSplitWindows:
 
 
 class TestSweep:
-    def test_single_beta_matches_standalone(self, synth_bundle):
+    @pytest.mark.parametrize("architecture", [ATTENTION, LINEAR_BASELINE])
+    def test_single_beta_matches_standalone(self, synth_bundle, architecture):
+        # the worker gets the architecture through `cfg` alone
         series, labels = synth_bundle
         data = TrainingData.from_series(series, labels)
         cfg = TrainConfig(beta=0.5, window=24, epochs=1, step_size=0.004,
-                          batch_size=128, seed=2)
+                          batch_size=128, seed=2, architecture=architecture)
         points = beta_sweep(data, [0.5], cfg)
         model, conv = build_models(data.mixes.shape[1], cfg)
+        assert model.architecture == architecture
         train(model, conv, data, cfg)
         ev = evaluate(model, conv, data, cfg)
         assert points[0].fuel_nmae == pytest.approx(ev.fuel_nmae, rel=1e-12)
@@ -579,6 +582,14 @@ def _nan_value(p):
     _set_data(entry, values.tobytes())
 
 
+def _converter_of_other_fuels(p):
+    # a converter for 5 fuels, consistent in itself, beside a model for 4
+    p["converter"]["n_fuels"] = 5
+    entry = p["converter_params"]["w1"]
+    entry["shape"][0] = 5
+    _set_data(entry, bytes(5 * entry["shape"][1] * 8))
+
+
 def _version_1(p):
     # the v1 layout: nested lists of floats under the v1 tag
     p["format"] = "gridhealth-checkpoint-v1"
@@ -613,6 +624,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("corrupt, key", [
         (_bad_base64, "out_w"), (_short_bytes, "out_w"), (_transposed_shape, "out_w"),
         (_wrong_dtype, "out_w"), (_nan_value, "out_w"), (_version_1, "format"),
+        (_converter_of_other_fuels, "n_fuels"),
     ])
     def test_rejects_corrupt_tensor(self, tmp_path, corrupt, key):
         path = tmp_path / "ckpt.json"
