@@ -67,7 +67,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """A node in the computation graph: values, optional grad, provenance."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_owned")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -75,7 +75,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = ()
         self._backward = None
-        self._grad_owned = False
 
     @property
     def shape(self):
@@ -100,16 +99,9 @@ class Tensor:
         return out
 
     def _accumulate(self, g: np.ndarray):
-        # First contribution is stored borrowed (no copy); a second one
-        # allocates a fresh sum so an aliased buffer is never mutated.
-        if self.grad is None:
-            self.grad = g
-            self._grad_owned = False
-        elif self._grad_owned:
-            self.grad += g
-        else:
-            self.grad = self.grad + g
-            self._grad_owned = True
+        # the first contribution is stored borrowed (no copy); each later one
+        # makes a fresh sum, so an aliased buffer is never mutated
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self):
         """Backpropagate from this scalar; accumulates into `.grad` fields.
@@ -151,7 +143,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-        self._grad_owned = False
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -42,7 +42,7 @@ except ImportError:     # not on Windows: the manifest then records no peak RSS
     resource = None
 
 from . import __version__
-from .errors import DatasetGap, DegenerateDistribution, GridHealthError
+from .errors import DatasetGap, DegenerateDistribution, GridHealthError, ShapeMismatch
 from .forecaster import (
     ATTENTION,
     LINEAR_BASELINE,
@@ -124,9 +124,7 @@ class CommandContext:
         self.outputs: list[str] = []
         self.started = time.monotonic()
 
-    def register_input(self, path: str | Path | None):
-        if path is None:
-            return
+    def register_input(self, path: str | Path):
         path = Path(path)
         self.inputs[str(path)] = _sha256(path)
 
@@ -221,9 +219,10 @@ def _load_training_data(args, ctx) -> TrainingData:
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(beta=args.beta, window=args.window, epochs=args.epochs,
-                       step_size=args.lr, batch_size=args.batch, seed=args.seed,
-                       architecture=args.arch)
+    # sweep has no --beta: beta_sweep sets the beta of each of its runs
+    return TrainConfig(beta=getattr(args, "beta", TrainConfig.beta), window=args.window,
+                       epochs=args.epochs, step_size=args.lr, batch_size=args.batch,
+                       seed=args.seed, architecture=args.arch)
 
 
 def cmd_train(args, ctx: CommandContext) -> None:
@@ -258,6 +257,9 @@ def cmd_predict(args, ctx: CommandContext) -> None:
     ctx.register_input(args.checkpoint)
     series = _load_canonical_mix(args.dataset)
     model, converter = load_checkpoint(args.checkpoint)
+    if len(series.fuel_names) != model.n_fuels:
+        raise ShapeMismatch(f"{args.dataset} has {len(series.fuel_names)} fuel columns; the "
+                            f"checkpoint {args.checkpoint} forecasts {model.n_fuels}")
     ctx.config["window"] = model.window
     # Evaluation protocol: non-overlapping windows tiling the held-out span.
     _, pred_impacts, rows = forecast_heldout(model, converter, series.shares,
@@ -367,13 +369,13 @@ def _add_train_flags(p: argparse.ArgumentParser):
     p.add_argument("--dataset", required=True, help="canonical fuel-mix CSV")
     p.add_argument("--labels", required=True, help="health-signal labels CSV")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--window", type=int, choices=(24, 72), default=24)
-    p.add_argument("--epochs", type=_COUNT, default=100)
-    p.add_argument("--lr", type=_STEP_SIZE, default=0.004)
-    p.add_argument("--batch", type=_POSITIVE, default=128)
-    p.add_argument("--seed", type=_COUNT, default=0)
-    p.add_argument("--arch", choices=(ATTENTION, LINEAR_BASELINE), default=ATTENTION)
+    p.add_argument("--window", type=int, choices=(24, 72), default=TrainConfig.window)
+    p.add_argument("--epochs", type=_COUNT, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=_STEP_SIZE, default=TrainConfig.step_size)
+    p.add_argument("--batch", type=_POSITIVE, default=TrainConfig.batch_size)
+    p.add_argument("--seed", type=_COUNT, default=TrainConfig.seed)
+    p.add_argument("--arch", choices=(ATTENTION, LINEAR_BASELINE),
+                   default=TrainConfig.architecture)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,6 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train forecaster + converter at one beta")
     _add_train_flags(p)
+    p.add_argument("--beta", type=float, default=TrainConfig.beta)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sweep", help="trade-off curve across betas")
@@ -428,6 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in sub.choices.values():
         p.add_argument("--config", default=None, help="JSON file of flag defaults")
+        p.allow_abbrev = False      # else sweep would read `--beta 0.9` as `--betas 0.9`
     return parser
 
 
@@ -436,7 +440,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
 
     A value must pass argparse's type and choices checks of its flag.
     """
-    probe = argparse.ArgumentParser(add_help=False)
+    probe = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     probe.add_argument("--config", default=None)
     known, _ = probe.parse_known_args(argv)
     if not known.config:

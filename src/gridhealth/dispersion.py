@@ -141,26 +141,20 @@ def plume_gain(params: PlumeParams, downwind_x: float, crosswind_y: float) -> fl
 
 def build_plume_matrix(
     params: PlumeParams,
-    receptor_count: int,
-    pollutant_count: int,
+    pollutant_names: tuple[str, ...],
     receptor_ids: tuple[str, ...] | None = None,
-    pollutant_names: tuple[str, ...] | None = None,
 ) -> SourceReceptorMatrix:
     """Synthesize a source-receptor matrix from the plume kernel.
 
-    The kernel ignores pollutant identity, so all K rows are identical.
+    One column per receptor offset, named `R0`, `R1`, ... unless
+    `receptor_ids` names them, and one row per pollutant. The kernel ignores
+    pollutant identity, so all K rows are identical.
     """
     params.validate()
-    if len(params.receptor_offsets) != receptor_count:
-        raise InvalidParams(
-            f"need {receptor_count} receptor offsets, have {len(params.receptor_offsets)}"
-        )
     row = np.array([plume_gain(params, x, y) for x, y in params.receptor_offsets])
-    gains = np.tile(row, (pollutant_count, 1))
+    gains = np.tile(row, (len(pollutant_names), 1))
     if receptor_ids is None:
-        receptor_ids = tuple(f"R{i}" for i in range(receptor_count))
-    if pollutant_names is None:
-        pollutant_names = tuple(f"P{k}" for k in range(pollutant_count))
+        receptor_ids = tuple(f"R{i}" for i in range(len(row)))
     return SourceReceptorMatrix(gains, receptor_ids, pollutant_names)
 
 

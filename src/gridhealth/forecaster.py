@@ -480,28 +480,28 @@ class TrainingData:
 class WindowSplit:
     train: list[int] = field(default_factory=list)
     val: list[int] = field(default_factory=list)
-    test: list[int] = field(default_factory=list)
 
 
 def split_windows(n_hours: int, cfg: TrainConfig) -> WindowSplit:
-    """Carve train/val/test window start indices, time ordered.
+    """Carve train/val window start indices, time ordered.
 
     Train/val windows (history plus target, 2T hours) live entirely inside
     the leading (1 - test_fraction) span; validation is the final
-    val_fraction of those windows. Test targets tile the held-out span with
-    stride T, with history allowed to reach back across the boundary.
+    val_fraction of those windows.
     """
     t = cfg.window
     n_test_hours = int(n_hours * cfg.test_fraction)
     boundary = n_hours - n_test_hours
     starts = list(range(0, boundary - 2 * t + 1))
     n_val = int(len(starts) * cfg.val_fraction)
-    return WindowSplit(train=starts[: len(starts) - n_val], val=starts[len(starts) - n_val:],
-                       test=_heldout_starts(n_hours, t, cfg.test_fraction))
+    return WindowSplit(train=starts[: len(starts) - n_val], val=starts[len(starts) - n_val:])
 
 
 def _heldout_starts(n_hours: int, window: int, test_fraction: float) -> list[int]:
-    """Start indices of the windows whose targets tile the held-out span."""
+    """Start indices of the windows whose targets tile the held-out span.
+
+    A history may reach back across the boundary.
+    """
     boundary = n_hours - int(n_hours * test_fraction)
     return [q - window for q in range(boundary, n_hours - window + 1, window) if q >= window]
 
@@ -556,6 +556,9 @@ def _micro_batches(windows: int, window: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
+# a diverging run overflows; the finite checks on its losses report it, with no
+# numpy warning before the named error
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(model: ForecastModel, converter: HealthConverterNet, data: TrainingData,
           cfg: TrainConfig) -> tuple[ForecastModel, HealthConverterNet, list[dict]]:
     """SGD training of the forecaster and converter, end to end.
@@ -604,8 +607,7 @@ def train(model: ForecastModel, converter: HealthConverterNet, data: TrainingDat
                 rows = idx[a:b]
                 loss = _batch_loss(model, converter, train_hist[rows], train_target[rows],
                                    train_impact[rows], cfg.beta, training=True, rng=tape)
-                if b - a < len(idx):
-                    loss = loss * ((b - a) / len(idx))
+                loss = loss * ((b - a) / len(idx))
                 part = float(loss.data)
                 if not math.isfinite(part):
                     raise DivergedLoss(f"non-finite loss at epoch {epoch}")
@@ -640,6 +642,8 @@ class Evaluation:
         return 0.5 * (self.internal_nmae + self.external_nmae)
 
 
+# as for train: the callers' finite checks report an overflowing forecast
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def forecast_heldout(model: ForecastModel, converter: HealthConverterNet, mixes: np.ndarray,
                      test_fraction: float):
     """Forecasts over the held-out span, non-overlapping windows of `model.window`.
@@ -705,20 +709,22 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _sweep_worker(parent: int, set_blas_threads, data: TrainingData, cfg: TrainConfig,
-                  sender) -> None:
+def _sweep_worker(data: TrainingData, cfg: TrainConfig, sender) -> None:
     """Train `cfg` in a forked worker; send its point, or its error, to `sender`."""
+    import multiprocessing
+
     prctl = getattr(ctypes.CDLL(None), "prctl", None)
     if prctl is not None:
         prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
         pr_set_pdeathsig = 1
         prctl(pr_set_pdeathsig, signal.SIGKILL)
-    if os.getppid() != parent:      # the parent died before prctl took hold
+    if os.getppid() != multiprocessing.parent_process().pid:   # it died before prctl took hold
         os._exit(1)
     # the parent ends its workers itself; Ctrl-C reaches the whole process group
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM, signal.SIGINT})
+    set_blas_threads = _blas_thread_setter()    # cached by the parent before it forked
     if set_blas_threads is not None:
         set_blas_threads(1)
     try:
@@ -770,8 +776,8 @@ def beta_sweep(data: TrainingData, betas: list[float], cfg: TrainConfig) -> list
     runs = [replace(cfg, beta=b) for b in betas]   # a bad beta fails before any training
     import multiprocessing      # here, so that importing the package does not pay for it
 
-    set_blas_threads = _blas_thread_setter()
-    cpus = _usable_cpus() if set_blas_threads else 1
+    # also fills the cache that the forked workers read
+    cpus = _usable_cpus() if _blas_thread_setter() else 1
     context = multiprocessing.get_context("fork")
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, set())
     points, workers = [], []
@@ -784,8 +790,7 @@ def beta_sweep(data: TrainingData, betas: list[float], cfg: TrainConfig) -> list
                 receiver, sender = context.Pipe(duplex=False)
                 receivers.append(receiver)
                 with sender:        # held by its worker alone, so the worker's death reads as EOF
-                    worker = context.Process(target=_sweep_worker, args=(
-                        os.getpid(), set_blas_threads, data, run, sender))
+                    worker = context.Process(target=_sweep_worker, args=(data, run, sender))
                     worker.start()
                 workers.append(worker)
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)

@@ -231,19 +231,17 @@ def read_json_object(path: str | Path) -> dict:
 
 @dataclass
 class FuelMixRecord:
-    """One hour of generation shares with per-entry observation flags."""
+    """One hour of generation shares."""
 
     timestamp: int
     shares: np.ndarray
-    flags: np.ndarray
     fuel_names: tuple[str, ...]
 
     def __post_init__(self):
         self.shares = np.asarray(self.shares, dtype=np.float64)
-        self.flags = np.asarray(self.flags, dtype=np.int8)
         self.fuel_names = tuple(self.fuel_names)
-        if not (self.shares.shape == self.flags.shape == (len(self.fuel_names),)):
-            raise ValueError("shares, flags, and fuel_names disagree on F")
+        if self.shares.shape != (len(self.fuel_names),):
+            raise ValueError("shares and fuel_names disagree on F")
 
 
 @dataclass

@@ -60,8 +60,7 @@ def _plume_matrix(path: Path, pollutant_names: tuple[str, ...]) -> SourceRecepto
         ids = tuple(r["id"] for r in receptors)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParams(f"{path}: malformed plume spec ({exc})") from exc
-    return build_plume_matrix(params, len(ids), len(pollutant_names), receptor_ids=ids,
-                              pollutant_names=pollutant_names)
+    return build_plume_matrix(params, pollutant_names, receptor_ids=ids)
 
 
 def load_config_dir(directory: str | Path, from_plume: bool = False) -> PipelineConfig:
@@ -93,7 +92,7 @@ def _bump(hod: np.ndarray, center: float, width: float) -> np.ndarray:
     return np.exp(-((hod - center) ** 2) / (2.0 * width ** 2))
 
 
-def synthetic_mix_series(hours: int, seed: int, start_hour: int = 0) -> FuelMixSeries:
+def synthetic_mix_series(hours: int, seed: int) -> FuelMixSeries:
     """Diurnal + seasonal synthetic fuel mix on the 8-fuel canon."""
     if hours < 1:
         raise InvalidParams("hours must be positive")
@@ -101,14 +100,14 @@ def synthetic_mix_series(hours: int, seed: int, start_hour: int = 0) -> FuelMixS
     if hours > np.iinfo(np.intp).max // 8:   # past this numpy raises ValueError, not MemoryError
         raise too_long
     try:
-        return _mix_series(hours, seed, start_hour)
+        return _mix_series(hours, seed)
     except MemoryError as exc:
         raise too_long from exc
 
 
-def _mix_series(hours: int, seed: int, start_hour: int) -> FuelMixSeries:
+def _mix_series(hours: int, seed: int) -> FuelMixSeries:
     rng = np.random.default_rng(seed)
-    t = np.arange(start_hour, start_hour + hours)
+    t = np.arange(hours)
     hod = (t % 24).astype(np.float64)
     doy = ((t // 24) % 365).astype(np.float64)
 

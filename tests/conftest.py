@@ -16,8 +16,7 @@ def make_series(shares, fuel_names, flags=None, start=0):
 
 def make_record(shares, fuel_names, timestamp=0):
     shares = np.asarray(shares, dtype=np.float64)
-    return FuelMixRecord(timestamp, shares,
-                         np.full(shares.shape, OBSERVED, dtype=np.int8), tuple(fuel_names))
+    return FuelMixRecord(timestamp, shares, tuple(fuel_names))
 
 
 @pytest.fixture(scope="session")

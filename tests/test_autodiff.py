@@ -123,6 +123,34 @@ def test_shared_subgraph_accumulation():
     assert y.grad == 3.0
 
 
+@pytest.mark.parametrize("passes", [1, 2, 3, 4])
+def test_accumulated_grad_is_left_to_right_sum(passes, monkeypatch):
+    # As train's micro-batches do, `passes` backward passes add into one leaf;
+    # in each, the interior node h feeds three terms, which all receive the
+    # sum node's one upstream array.
+    received = []
+    accumulate = Tensor._accumulate
+
+    def recording(self, g):
+        received.append((g, g.copy()))
+        accumulate(self, g)
+
+    monkeypatch.setattr(Tensor, "_accumulate", recording)
+    rng = np.random.default_rng(passes)
+    a, b, c = (rng.integers(-8, 9, 5).astype(float) for _ in range(3))
+    xs = rng.standard_normal((passes, 5))
+    w = Tensor(rng.standard_normal(5), requires_grad=True)
+    for x in xs:
+        h = w * Tensor(x)
+        ((h * Tensor(a)).sum() + (h * Tensor(b)).sum() + (h * Tensor(c)).sum()).backward()
+    # h's three gradients are small integers, so their sum is exact in any order
+    expected = (a + b + c) * xs[0]
+    for x in xs[1:]:
+        expected = expected + (a + b + c) * x
+    assert np.array_equal(w.grad, expected)
+    assert all(np.array_equal(g, saved) for g, saved in received)
+
+
 def test_same_tensor_both_operands():
     x = Tensor(np.array([3.0]), requires_grad=True)
     (x * x).sum().backward()

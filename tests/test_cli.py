@@ -310,6 +310,7 @@ class TestTrainPredictSweep:
         trained = json.loads((tmp_path / "run" / "manifest.json").read_text())
         swept = json.loads((tmp_path / "sweep" / "manifest.json").read_text())
         assert trained["peak_rss_mb"] > 0 and "worker_peak_rss_mb" not in trained
+        assert trained["config"]["beta"] == 0.5 and "beta" not in swept["config"]
         assert swept["peak_rss_mb"] > 0 and swept["worker_peak_rss_mb"] > 0
         monkeypatch.setattr("gridhealth.cli.resource", None)     # as on Windows
         assert run("train", *flags, "--out", tmp_path / "bare") == 0
@@ -474,7 +475,6 @@ class TestTrainPredictSweep:
         assert ((tmp_path / "p1" / "predicted_signal.csv").read_bytes()
                 == (tmp_path / "p2" / "predicted_signal.csv").read_bytes())
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_training_rejected(self, tmp_path, capsys):
         data = tmp_path / "bundle"
         assert run("synth", "--out", data, "--hours", 200) == 0
@@ -593,8 +593,21 @@ class TestCorruptCheckpoint:
         assert capsys.readouterr().err.startswith(f"error: {ckpt}")
         assert not (out / "predicted_signal.csv").exists()
 
+    def test_predict_rejects_other_fuel_count(self, bundle, tmp_path, capsys):
+        rows = read_rows(bundle / "fuel_mix.csv")
+        dataset = tmp_path / "four_fuels.csv"
+        with open(dataset, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(row[:5] for row in rows)
+        ckpt = tmp_path / "checkpoint.json"
+        save_checkpoint(ckpt, *build_models(8, TrainConfig(architecture="linear_baseline")))
+        out = tmp_path / "pred"
+        out.mkdir()
+        (out / "manifest.json").write_text("an earlier run\n")
+        assert run("predict", "--dataset", dataset, "--checkpoint", ckpt, "--out", out) == 1
+        assert capsys.readouterr().err == (f"error: {dataset} has 4 fuel columns; "
+                                           f"the checkpoint {ckpt} forecasts 8\n")
+        assert snapshot(out) == {"manifest.json": b"an earlier run\n"}
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_predict_rejects_non_finite_prediction(self, bundle, payload, tmp_path, capsys):
         # finite converter weights whose products overflow make the predicted costs inf
         data = json.loads(payload)
@@ -807,6 +820,19 @@ def test_bad_flag_value_rejected(bundle, tmp_path, capsys, command, flag, value)
     with pytest.raises(SystemExit) as info:
         run(*_argv(command, bundle, tmp_path), flag, value)
     assert info.value.code == 2 and f"argument {flag}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_takes_no_beta(bundle, tmp_path, capsys):
+    # beta_sweep sets the beta of every run, so a base beta would be read by nothing
+    with pytest.raises(SystemExit) as info:
+        run(*_argv("sweep", bundle, tmp_path), "--beta", 0.5)
+    assert info.value.code == 2
+    assert "unrecognized arguments: --beta 0.5" in capsys.readouterr().err
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"beta": 0.5}))
+    assert run(*_argv("sweep", bundle, tmp_path), "--config", conf) == 1
+    assert capsys.readouterr().err == "error: unknown config keys: ['beta']\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -91,7 +91,7 @@ class TestPlume:
 
     def test_build_matrix_rows_identical_across_pollutants(self):
         p = _params(receptor_offsets=[(5000.0, 0.0), (20000.0, 1000.0)])
-        m = build_plume_matrix(p, 2, 3)
+        m = build_plume_matrix(p, ("A", "B", "C"))
         assert m.gains.shape == (3, 2)
         np.testing.assert_array_equal(m.gains[0], m.gains[1])
         np.testing.assert_array_equal(m.gains[0], m.gains[2])
@@ -100,7 +100,7 @@ class TestPlume:
                                     dict(receptor_offsets=[(-5.0, 0.0)])])
     def test_invalid_params(self, kw):
         with pytest.raises(InvalidParams):
-            build_plume_matrix(_params(**kw), len(_params(**kw).receptor_offsets), 1)
+            build_plume_matrix(_params(**kw), ("A",))
 
 
 def _pairs_from_matrix(matrix, n, seed=0, scale=5.0):
@@ -126,7 +126,7 @@ class TestFit:
         # noiseless pairs from the plume oracle; K*M <= 64
         params = _params(receptor_offsets=[(8000.0 + 4000.0 * i, 500.0 * i)
                                            for i in range(8)])
-        matrix = build_plume_matrix(params, 8, 2, pollutant_names=POLL)
+        matrix = build_plume_matrix(params, POLL)
         # emissions scaled so targets are O(1) for the fit
         pairs = _pairs_from_matrix(matrix, 24, seed=3, scale=1.0 / matrix.gains.max())
         layer = fit_dispersion_layer(pairs, epochs=2000, step_size=0.1)

@@ -34,6 +34,7 @@ from gridhealth.forecaster import (
     _MICRO_ROWS,
     _MaskTape,
     _dropout_mask,
+    _heldout_starts,
     _micro_batches,
     beta_sweep,
     build_models,
@@ -293,13 +294,12 @@ class TestSplitWindows:
         boundary = 1000 - 200
         assert max(split.train + split.val) + 48 <= boundary
         assert split.val == sorted(split.val)
-        assert all(s + 24 >= boundary for s in split.test)
+        assert all(s + 24 >= boundary for s in _heldout_starts(1000, 24, cfg.test_fraction))
         assert split.val[0] > split.train[-1]
 
     def test_test_windows_tile_with_stride(self):
         cfg = TrainConfig(beta=0.5, window=24, epochs=1, seed=0)
-        split = split_windows(1000, cfg)
-        targets = [s + 24 for s in split.test]
+        targets = [s + 24 for s in _heldout_starts(1000, 24, cfg.test_fraction)]
         assert np.all(np.diff(targets) == 24)
 
 
