@@ -52,6 +52,7 @@ from .forecaster import (
     build_models,
     load_checkpoint,
     forecast_heldout,
+    forked_workers,
     save_checkpoint,
     train,
 )
@@ -123,6 +124,7 @@ class CommandContext:
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
         self.started = time.monotonic()
+        self.forked = forked_workers()
 
     def register_input(self, path: str | Path):
         path = Path(path)
@@ -146,7 +148,7 @@ class CommandContext:
             "outputs": [str(self.out_dir / name) for name in self.outputs],
             "seed": self.config.get("seed"),
             "wall_time_s": round(time.monotonic() - self.started, 3),
-            **_peak_rss(self.command == "sweep"),
+            **_peak_rss(forked_workers() > self.forked),
         }
         (self.staging / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -11,15 +11,19 @@ monetized health impacts predicted from the forecast mix by a 3-layer
 perceptron converter; `beta` near 1 is mix-driven, smaller `beta` is
 health-driven. Training is plain SGD and fully deterministic given a seed.
 
-`beta_sweep` trains each member in its own plain worker process forked
-from the caller, with one BLAS thread and one pipe for its point; the
-workers start in waves that keep every usable CPU busy. The points do not
+`train` shares each batch's micro-batches among helper processes forked
+for the call, one per usable CPU, and adds their gradients in the order
+one process would. `beta_sweep` trains each member in its own plain
+worker process forked from the caller, with one pipe for its point; the
+workers start in waves that keep every usable CPU busy. Every process
+runs one BLAS thread, so neither the trained parameters nor the points
 depend on the number of CPUs or on the host's BLAS thread count.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
 import ctypes
 import functools
 import json
@@ -104,16 +108,17 @@ def _sinusoidal_positions(length: int, dim: int) -> np.ndarray:
 class _MaskTape:
     """The dropout draws of one SGD batch of `windows` windows, served to its micro-batches.
 
-    While the first micro-batch (rows from 0) runs forward, each keep-mask
-    is drawn from `rng` in forward order at the shape a forward over the
-    whole batch draws it: a mask whose leading axis is the micro-batch's
-    windows is drawn for all `windows` (in micro-batch-sized slices, which
-    take the same values from the generator), and one with leading axis 1,
-    the batch-1 decoder query's, is drawn at its own shape and shared. Every
-    micro-batch is then served its rows of each mask. So each window sees
-    the mask values a full-batch forward gives it, and `rng` ends the batch
-    in the same state. A first micro-batch of one window could not tell the
-    two kinds apart, so it must hold two or more unless it is the batch.
+    While the first micro-batch to run forward (any of them) runs, each
+    keep-mask is drawn from `rng` in forward order at the shape a forward
+    over the whole batch draws it: a mask whose leading axis is the
+    micro-batch's windows is drawn for all `windows` (in micro-batch-sized
+    slices, which take the same values from the generator), and one with
+    leading axis 1, the batch-1 decoder query's, is drawn at its own shape
+    and shared. Every micro-batch is then served its rows of each mask. So
+    each window sees the mask values a full-batch forward gives it, and
+    `rng` ends the batch in the same state, whichever micro-batch came
+    first. A first micro-batch of one window could not tell the two kinds
+    apart, so it must hold two or more unless it is the batch.
     """
 
     def __init__(self, rng: np.random.Generator, windows: int):
@@ -127,8 +132,8 @@ class _MaskTape:
 
     def keep(self, shape, p: float) -> np.ndarray:
         """The boolean keep-mask of `shape` for the current micro-batch."""
-        if self.rows.start == 0:
-            m = self.rows.stop
+        if self.served == len(self.keeps):      # the first micro-batch to ask for it
+            m = self.rows.stop - self.rows.start
             keep = np.empty((self.windows, *shape[1:]) if shape[0] == m else shape, dtype=bool)
             for lo in range(0, len(keep), m):
                 np.greater_equal(self.rng.random(keep[lo:lo + m].shape), p,
@@ -544,16 +549,215 @@ def _retain_freed_heap() -> None:
     mallopt(m_trim_threshold, 256 << 20)
 
 
+def _near_equal(n: int, k: int) -> list[tuple[int, int]]:
+    """`k` contiguous (lo, hi) ranges over 0..n-1, sizes within one of each other, larger first."""
+    q, r = divmod(n, k)
+    bounds = [i * q + min(i, r) for i in range(k + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 def _micro_batches(windows: int, window: int) -> list[tuple[int, int]]:
     """Near-equal contiguous (lo, hi) ranges of a batch of `windows` windows, larger first.
 
-    Each range holds at most `_MICRO_ROWS // window` windows, but at least
-    two: `_MaskTape` needs a first micro-batch of two or more windows.
+    Each range holds at most `_MICRO_ROWS // window` windows, or two where
+    that is fewer. So the first range holds two or more unless the batch is
+    one window, as `_MaskTape` needs; a later one may hold one (3 windows
+    at window 500 split 2 + 1).
     """
-    k = -(-windows // max(2, _MICRO_ROWS // window))
-    q, r = divmod(windows, k)
-    bounds = [i * q + min(i, r) for i in range(k + 1)]
-    return list(zip(bounds, bounds[1:]))
+    return _near_equal(windows, -(-windows // max(2, _MICRO_ROWS // window)))
+
+
+def _shares(parts: list[tuple[int, int]], processes: int) -> list[list[tuple[int, int]]]:
+    """The micro-batches `parts` of one batch as contiguous near-equal shares, larger first.
+
+    At most one share per process. Each share's first micro-batch holds two
+    or more windows, as `_MaskTape` needs of the first micro-batch a process
+    runs, so a batch may have fewer shares than `processes`.
+    """
+    for count in range(min(processes, len(parts)), 1, -1):
+        shares = [parts[lo:hi] for lo, hi in _near_equal(len(parts), count)]
+        if all(share[0][1] - share[0][0] >= 2 for share in shares):
+            return shares
+    return [parts]
+
+
+class _TrainRun:
+    """One `train` call as each of its processes holds it.
+
+    The caller and its forked helpers start from the same parameters and the
+    same `rng`, and every process draws the same permutation per epoch and
+    the whole mask tape of every batch it has a share of. So they agree on
+    each batch's windows and dropout masks without sending them; a process
+    with no share of a batch is sent the generator's state instead.
+    """
+
+    def __init__(self, model: ForecastModel, converter: HealthConverterNet, data: TrainingData,
+                 cfg: TrainConfig, split: WindowSplit, processes: int):
+        self.model, self.converter, self.cfg, self.split = model, converter, cfg, split
+        self.processes = processes
+        self.rng = np.random.default_rng(cfg.seed)
+        self.optimizer = SGD({**{f"m.{k}": v for k, v in model.params.items()},
+                              **{f"c.{k}": v for k, v in converter.params.items()}},
+                             lr=cfg.step_size)
+        self.train_arrays = _gather(data, split.train, cfg.window)
+        self.val_arrays = _gather(data, split.val, cfg.window) if split.val else None
+        if processes > 1:
+            params = list(self.optimizer.params.values())
+            bounds = np.cumsum([0] + [p.data.size for p in params])
+            self.spans = list(zip(bounds, bounds[1:]))  # each parameter's place in a flat gradient
+            # the summed gradient of a batch, and each parameter's view of it
+            self.total = np.empty(bounds[-1])
+            self.grads = [self.total[lo:hi].reshape(p.data.shape)
+                          for (lo, hi), p in zip(self.spans, params)]
+            # one micro-batch's flat leaf gradient, then its weighted loss
+            self.row = np.empty(bounds[-1] + 1)
+
+    def shares(self, windows: int) -> list[list[tuple[int, int]]]:
+        return _shares(_micro_batches(windows, self.cfg.window), self.processes)
+
+    def batches(self):
+        """(window indices, mask tape) of each batch of one epoch."""
+        order = self.rng.permutation(len(self.split.train))
+        for lo in range(0, len(order), self.cfg.batch_size):
+            idx = order[lo:lo + self.cfg.batch_size]
+            yield idx, _MaskTape(self.rng, len(idx))
+
+    def micro_loss(self, idx: np.ndarray, a: int, b: int, tape: _MaskTape) -> Tensor:
+        """The loss of the batch's windows idx[a:b], weighted by their share of the batch."""
+        tape.select(a, b)
+        hist, target, impact = (x[idx[a:b]] for x in self.train_arrays)
+        loss = _batch_loss(self.model, self.converter, hist, target, impact, self.cfg.beta,
+                           training=True, rng=tape)
+        return loss * ((b - a) / len(idx))
+
+    def val_parts(self, share: list[tuple[int, int]]) -> list[float]:
+        """The validation loss of each micro-batch of `share`, weighted by its share."""
+        parts = []
+        with autodiff.no_grad():
+            for a, b in share:
+                loss = _batch_loss(self.model, self.converter,
+                                   *(x[a:b] for x in self.val_arrays), self.cfg.beta)
+                parts.append(float(loss.data) * ((b - a) / len(self.split.val)))
+        return parts
+
+    def flatten_grads(self, out: np.ndarray) -> None:
+        for (lo, hi), p in zip(self.spans, self.optimizer.params.values()):
+            out[lo:hi] = p.grad.reshape(-1)
+
+    def step_by_total(self) -> None:
+        """The optimizer step for the summed gradient in `total`."""
+        for grad, p in zip(self.grads, self.optimizer.params.values()):
+            p.grad = grad
+        self.optimizer.step()
+
+    def epoch(self, epoch: int, links: list) -> dict:
+        """One epoch in the caller, with a link to each helper; returns its history row.
+
+        The caller runs the first share of each batch into the leaf
+        gradients, then adds each helper's micro-batch gradients and losses
+        to them in micro-batch order, as one process would, and sends every
+        helper the sum to step by.
+        """
+        losses = []
+        for idx, tape in self.batches():
+            shares = self.shares(len(idx))
+            self.optimizer.zero_grad()
+            value = 0.0
+            for a, b in shares[0]:
+                loss = self.micro_loss(idx, a, b, tape)
+                part = float(loss.data)
+                if not math.isfinite(part):
+                    raise DivergedLoss(f"non-finite loss at epoch {epoch}")
+                loss.backward()
+                value += part
+            if links:
+                self.flatten_grads(self.total)
+                for link, share in zip(links, shares[1:]):
+                    for _ in share:
+                        link.recv_bytes_into(self.row)
+                        if not math.isfinite(self.row[-1]):
+                            raise DivergedLoss(f"non-finite loss at epoch {epoch}")
+                        self.total += self.row[:-1]
+                        value += float(self.row[-1])
+                for rank, link in enumerate(links, 1):
+                    link.send_bytes(self.total)
+                    if rank >= len(shares):     # it drew no masks
+                        link.send(self.rng.bit_generator.state)
+                self.step_by_total()
+            else:
+                self.optimizer.step()
+            losses.append(value)
+        if self.split.val:
+            shares = self.shares(len(self.split.val))
+            val_loss = 0.0
+            for part in self.val_parts(shares[0]):
+                val_loss += part
+            for link in links[:len(shares) - 1]:
+                for part in np.frombuffer(link.recv_bytes()):
+                    val_loss += float(part)
+            if not math.isfinite(val_loss):
+                raise DivergedLoss(f"non-finite validation loss at epoch {epoch}")
+        else:
+            val_loss = float(np.mean(losses))
+        return {"epoch": epoch, "train_loss": float(np.mean(losses)), "val_loss": val_loss}
+
+
+# as for train
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _train_helper(run: _TrainRun, rank: int, link) -> None:
+    """Run share `rank` of every batch and of validation in a forked helper of `train`.
+
+    Sends the flat leaf gradient and weighted loss of each of its
+    micro-batches, stopping at a non-finite loss, then takes the step whose
+    summed gradient the caller sends back.
+    """
+    _worker_started()
+    n, size = len(run.split.train), run.cfg.batch_size
+    most = max(len(share) for windows in {min(size, n), n % size} - {0}
+               for share in run.shares(windows))
+    rows = np.empty((most, run.row.size))
+    for _ in range(run.cfg.epochs):
+        for idx, tape in run.batches():
+            shares = run.shares(len(idx))
+            if rank < len(shares):
+                count = 0
+                for a, b in shares[rank]:
+                    run.optimizer.zero_grad()
+                    loss = run.micro_loss(idx, a, b, tape)
+                    row = rows[count]
+                    row[-1] = float(loss.data)
+                    count += 1
+                    if not math.isfinite(row[-1]):
+                        break
+                    loss.backward()
+                    run.flatten_grads(row[:-1])
+                for row in rows[:count]:    # one at a time: the caller needs one buffer
+                    link.send_bytes(row)
+            link.recv_bytes_into(run.total)
+            if rank >= len(shares):
+                run.rng.bit_generator.state = link.recv()
+            run.step_by_total()
+        if run.split.val:
+            shares = run.shares(len(run.split.val))
+            if rank < len(shares):
+                link.send_bytes(np.array(run.val_parts(shares[rank])))
+
+
+def _train_processes(cfg: TrainConfig, split: WindowSplit) -> int:
+    """The number of processes a `train` call runs in.
+
+    One per usable CPU, but at most one per share of its largest batch
+    (`_shares`); one in a worker this module forked, for zero epochs, or
+    without `fork` or a way to pin the BLAS threads.
+    """
+    if _in_worker or cfg.epochs == 0 or _blas_thread_calls() is None:
+        return 1
+    import multiprocessing      # here, so that importing the package does not pay for it
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    largest = min(cfg.batch_size, len(split.train))
+    return len(_shares(_micro_batches(largest, cfg.window), _usable_cpus()))
 
 
 # a diverging run overflows; the finite checks on its losses report it, with no
@@ -574,6 +778,17 @@ def train(model: ForecastModel, converter: HealthConverterNet, data: TrainingDat
     chunks. Memory is one micro-batch's graph plus the tape's booleans
     (12 KB per window of the batch at window 24 and the default sizes), so
     it barely grows with the batch size.
+
+    The micro-batches of each batch, and of validation, are split into
+    `_shares` over `_train_processes` processes: the caller runs the first
+    share, and helpers forked for the call run the others and send back
+    each micro-batch's gradient and loss. The caller sums them in
+    micro-batch order, as one process does, and every process takes the
+    same step. Every process runs one BLAS thread (the caller's count is
+    restored afterwards), so the result does not depend on the number of
+    CPUs or on the host's BLAS thread setting. A helper that dies raises
+    GridHealthError naming the epoch; on any exception the helpers are
+    killed.
     """
     if len(data) < 2 * cfg.window:
         raise InsufficientData(
@@ -584,50 +799,23 @@ def train(model: ForecastModel, converter: HealthConverterNet, data: TrainingDat
         raise InsufficientData("no complete training window inside the train split")
 
     _retain_freed_heap()
-    rng = np.random.default_rng(cfg.seed)
-    optimizer = SGD({**{f"m.{k}": v for k, v in model.params.items()},
-                     **{f"c.{k}": v for k, v in converter.params.items()}},
-                    lr=cfg.step_size)
-    t = cfg.window
-    train_hist, train_target, train_impact = _gather(data, split.train, t)
-    if split.val:
-        val_hist, val_target, val_impact = _gather(data, split.val, t)
-
-    history: list[dict] = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(split.train))
-        losses = []
-        for lo in range(0, len(order), cfg.batch_size):
-            idx = order[lo:lo + cfg.batch_size]
-            tape = _MaskTape(rng, len(idx))
-            optimizer.zero_grad()
-            value = 0.0
-            for a, b in _micro_batches(len(idx), t):
-                tape.select(a, b)
-                rows = idx[a:b]
-                loss = _batch_loss(model, converter, train_hist[rows], train_target[rows],
-                                   train_impact[rows], cfg.beta, training=True, rng=tape)
-                loss = loss * ((b - a) / len(idx))
-                part = float(loss.data)
-                if not math.isfinite(part):
-                    raise DivergedLoss(f"non-finite loss at epoch {epoch}")
-                loss.backward()
-                value += part
-            optimizer.step()
-            losses.append(value)
-        if split.val:
-            val_loss = 0.0
-            with autodiff.no_grad():
-                for a, b in _micro_batches(len(split.val), t):
-                    part = _batch_loss(model, converter, val_hist[a:b], val_target[a:b],
-                                       val_impact[a:b], cfg.beta)
-                    val_loss += float(part.data) * ((b - a) / len(split.val))
-            if not math.isfinite(val_loss):
-                raise DivergedLoss(f"non-finite validation loss at epoch {epoch}")
-        else:
-            val_loss = float(np.mean(losses))
-        history.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
-                        "val_loss": val_loss})
+    processes = _train_processes(cfg, split)
+    run = _TrainRun(model, converter, data, cfg, split, processes)
+    history, helpers, links = [], [], []
+    with _one_blas_thread():
+        try:
+            links = _fork_workers(helpers, _train_helper,
+                                  [(run, rank) for rank in range(1, processes)], duplex=True)
+            for epoch in range(cfg.epochs):
+                try:
+                    history.append(run.epoch(epoch, links))
+                except (EOFError, ConnectionError):
+                    raise GridHealthError("a train helper process ended abruptly at epoch"
+                                          f" {epoch}") from None
+        finally:
+            for link in links:
+                link.close()
+            _end_workers(helpers)
     return model, converter, history
 
 
@@ -682,13 +870,13 @@ def build_models(n_fuels: int, cfg: TrainConfig) -> tuple[ForecastModel, HealthC
     return model, converter
 
 
-_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                        "openblas_set_num_threads64_", "openblas_set_num_threads")
+_BLAS_THREAD_CALLS = tuple((f"{lib}_get_num_threads{suffix}", f"{lib}_set_num_threads{suffix}")
+                           for lib in ("scipy_openblas", "openblas") for suffix in ("64_", ""))
 
 
 @functools.cache
-def _blas_thread_setter():
-    """The thread-count setter of the OpenBLAS that numpy loaded, or None if none is found."""
+def _blas_thread_calls():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy loaded, or None."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
@@ -696,11 +884,29 @@ def _blas_thread_setter():
         libraries = [ctypes.CDLL(path) for path in paths]
     except OSError:
         return None
-    setter = next((getattr(lib, name) for lib in libraries for name in _BLAS_THREAD_SETTERS
-                   if hasattr(lib, name)), None)
-    if setter is not None:
-        setter.argtypes, setter.restype = (ctypes.c_int,), None
-    return setter
+    calls = next(((getattr(lib, get), getattr(lib, set_)) for lib in libraries
+                  for get, set_ in _BLAS_THREAD_CALLS if hasattr(lib, get) and hasattr(lib, set_)),
+                 None)
+    if calls is not None:
+        calls[0].argtypes, calls[0].restype = (), ctypes.c_int
+        calls[1].argtypes, calls[1].restype = (ctypes.c_int,), None
+    return calls
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with one BLAS thread, then restore the caller's count."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def _usable_cpus() -> int:
@@ -709,24 +915,82 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _sweep_worker(data: TrainingData, cfg: TrainConfig, sender) -> None:
-    """Train `cfg` in a forked worker; send its point, or its error, to `sender`."""
+_in_worker = False      # set in every worker process this module forks
+_forked = 0             # worker processes this process has forked
+
+
+def forked_workers() -> int:
+    """How many worker processes (sweep members, train helpers) this process has forked."""
+    return _forked
+
+
+def _worker_started() -> None:
+    """Start-up of every worker process this module forks.
+
+    The worker dies with its parent (Linux), leaves at once if the parent
+    died before that took hold, ends on SIGTERM, ignores Ctrl-C (which
+    reaches the whole process group; the parent ends its workers itself),
+    runs one BLAS thread and forks no train helpers of its own.
+    """
     import multiprocessing
+    global _in_worker
 
     prctl = getattr(ctypes.CDLL(None), "prctl", None)
     if prctl is not None:
         prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
         pr_set_pdeathsig = 1
         prctl(pr_set_pdeathsig, signal.SIGKILL)
-    if os.getppid() != multiprocessing.parent_process().pid:   # it died before prctl took hold
+    if os.getppid() != multiprocessing.parent_process().pid:
         os._exit(1)
-    # the parent ends its workers itself; Ctrl-C reaches the whole process group
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM, signal.SIGINT})
-    set_blas_threads = _blas_thread_setter()    # cached by the parent before it forked
-    if set_blas_threads is not None:
-        set_blas_threads(1)
+    calls = _blas_thread_calls()    # cached by the parent before it forked
+    if calls is not None:
+        calls[1](1)
+    _in_worker = True
+
+
+def _fork_workers(workers: list, target, arg_tuples: list, duplex: bool) -> list:
+    """Fork a worker running target(*args, end) for each of `arg_tuples`; return the pipe ends.
+
+    Each worker is appended to `workers` and gets one end of its own pipe
+    (`duplex` or one-way, worker to caller); the caller's ends come back in
+    order. The worker's end is closed here, so a worker's death reads as
+    EOF. SIGTERM and SIGINT are held while forking: one handled inside
+    fork's at-fork callbacks would be reported there and lost.
+    """
+    import multiprocessing      # here, so that importing the package does not pay for it
+    global _forked
+
+    context = multiprocessing.get_context("fork")
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM, signal.SIGINT})
+    ends = []
+    try:
+        for args in arg_tuples:
+            mine, theirs = context.Pipe(duplex)
+            ends.append(mine)
+            with theirs:
+                worker = context.Process(target=target, args=(*args, theirs))
+                worker.start()
+            workers.append(worker)
+            _forked += 1
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    return ends
+
+
+def _end_workers(workers: list) -> None:
+    """Kill, reap and close each of `workers`, emptying the list; safe to repeat."""
+    while workers:
+        workers[-1].kill()      # a no-op for a worker already reaped
+        workers[-1].join()
+        workers.pop().close()
+
+
+def _sweep_worker(data: TrainingData, cfg: TrainConfig, sender) -> None:
+    """Train `cfg` in a forked worker; send its point, or its error, to `sender`."""
+    _worker_started()
     try:
         model, converter = build_models(data.mixes.shape[1], cfg)
         model, converter, _ = train(model, converter, data, cfg)
@@ -750,50 +1014,30 @@ def _wave_sizes(runs: int, cpus: int) -> list[int]:
     return [cpus] * (q - 1) + [cpus + r]
 
 
-def _end_workers(workers: list) -> None:
-    """Kill, reap and close each of `workers`, emptying the list; safe to repeat."""
-    while workers:
-        workers[-1].kill()      # a no-op for a worker already reaped
-        workers[-1].join()
-        workers.pop().close()
-
-
 def beta_sweep(data: TrainingData, betas: list[float], cfg: TrainConfig) -> list[TradeoffPoint]:
     """Independent training runs across beta on identical splits and seeds.
 
-    Each sorted run trains in its own forked worker (one BLAS thread) and
-    sends its point or error down its own pipe. Workers start in waves of
-    `_wave_sizes(runs, n)`, n the usable CPUs (1 if numpy's OpenBLAS cannot
-    be pinned); each wave is read in beta order and reaped before the next
-    forks. An error is raised here as it was raised there, and a worker that
-    dies raises GridHealthError naming its beta. SIGTERM and SIGINT are held
-    while forking; on any exception, Ctrl-C included, the workers are killed.
+    Each sorted run trains in its own forked worker (one BLAS thread, no
+    train helpers) and sends its point or error down its own pipe. Workers
+    start in waves of `_wave_sizes(runs, n)`, n the usable CPUs (1 if
+    numpy's OpenBLAS cannot be pinned); each wave is read in beta order and
+    reaped before the next forks. An error is raised here as it was raised
+    there, and a worker that dies raises GridHealthError naming its beta.
+    On any exception, Ctrl-C included, the workers are killed.
     """
     betas = sorted(betas)
     repeated = next((a for a, b in zip(betas, betas[1:]) if a == b), None)
     if repeated is not None:
         raise GridHealthError(f"beta {repeated} is listed more than once")
     runs = [replace(cfg, beta=b) for b in betas]   # a bad beta fails before any training
-    import multiprocessing      # here, so that importing the package does not pay for it
-
     # also fills the cache that the forked workers read
-    cpus = _usable_cpus() if _blas_thread_setter() else 1
-    context = multiprocessing.get_context("fork")
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, set())
+    cpus = _usable_cpus() if _blas_thread_calls() else 1
     points, workers = [], []
     try:
         for size in _wave_sizes(len(runs), cpus):
-            wave, receivers = runs[len(points):len(points) + size], []
-            # a signal handled inside fork's at-fork callbacks would be reported there and lost
-            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM, signal.SIGINT})
-            for run in wave:
-                receiver, sender = context.Pipe(duplex=False)
-                receivers.append(receiver)
-                with sender:        # held by its worker alone, so the worker's death reads as EOF
-                    worker = context.Process(target=_sweep_worker, args=(data, run, sender))
-                    worker.start()
-                workers.append(worker)
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            wave = runs[len(points):len(points) + size]
+            receivers = _fork_workers(workers, _sweep_worker, [(data, run) for run in wave],
+                                      duplex=False)
             for run, receiver in zip(wave, receivers):
                 try:
                     points.append(receiver.recv())
@@ -806,7 +1050,6 @@ def beta_sweep(data: TrainingData, betas: list[float], cfg: TrainConfig) -> list
         return points
     finally:
         _end_workers(workers)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 # -- checkpointing -------------------------------------------------------------

@@ -5,7 +5,8 @@ each SGD batch runs one forward over all its windows, drawing its dropout
 masks straight from the generator, and one backward; validation is one
 forward over every validation window. The equivalence tests in
 test_forecaster.py run it beside `train`, which must give `==` parameters
-where a batch fits one micro-batch and agree to rounding elsewhere.
+where a batch fits one micro-batch and agree to rounding elsewhere. Like
+`train`, it runs with one BLAS thread.
 """
 
 from __future__ import annotations
@@ -17,11 +18,16 @@ import numpy as np
 from gridhealth import autodiff
 from gridhealth.autodiff import SGD
 from gridhealth.errors import DivergedLoss
-from gridhealth.forecaster import _batch_loss, _gather, split_windows
+from gridhealth.forecaster import _batch_loss, _gather, _one_blas_thread, split_windows
 
 
 def train_full_batch(model, converter, data, cfg):
     """`train` with one forward and one backward per batch; returns what `train` returns."""
+    with _one_blas_thread():
+        return _train_full_batch(model, converter, data, cfg)
+
+
+def _train_full_batch(model, converter, data, cfg):
     split = split_windows(len(data), cfg)
     rng = np.random.default_rng(cfg.seed)
     optimizer = SGD({**{f"m.{k}": v for k, v in model.params.items()},

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gridhealth import forecaster
 from gridhealth.cli import main
 from gridhealth.errors import DivergedLoss
 from gridhealth.forecaster import TrainConfig, build_models, load_checkpoint, save_checkpoint
@@ -305,6 +306,7 @@ class TestTrainPredictSweep:
     def test_manifest_records_peak_rss(self, bundle, tmp_path, monkeypatch):
         flags = ["--dataset", bundle / "fuel_mix.csv", "--labels", bundle / "labels.csv",
                  "--epochs", 1, "--arch", "linear_baseline"]
+        monkeypatch.setattr(forecaster, "_usable_cpus", lambda: 1)
         assert run("train", *flags, "--out", tmp_path / "run") == 0
         assert run("sweep", *flags, "--out", tmp_path / "sweep", "--betas", "0.5,0.9") == 0
         trained = json.loads((tmp_path / "run" / "manifest.json").read_text())
@@ -312,6 +314,12 @@ class TestTrainPredictSweep:
         assert trained["peak_rss_mb"] > 0 and "worker_peak_rss_mb" not in trained
         assert trained["config"]["beta"] == 0.5 and "beta" not in swept["config"]
         assert swept["peak_rss_mb"] > 0 and swept["worker_peak_rss_mb"] > 0
+        if forecaster._blas_thread_calls() is not None:
+            # with two CPUs, train forks a helper for the other half of each batch
+            monkeypatch.setattr(forecaster, "_usable_cpus", lambda: 2)
+            assert run("train", *flags, "--out", tmp_path / "helped") == 0
+            helped = json.loads((tmp_path / "helped" / "manifest.json").read_text())
+            assert helped["peak_rss_mb"] > 0 and helped["worker_peak_rss_mb"] > 0
         monkeypatch.setattr("gridhealth.cli.resource", None)     # as on Windows
         assert run("train", *flags, "--out", tmp_path / "bare") == 0
         bare = json.loads((tmp_path / "bare" / "manifest.json").read_text())
@@ -413,6 +421,69 @@ class TestTrainPredictSweep:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["stalled_sweep.py", "started"]
+
+    @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM])
+    def test_interrupted_train_ends_its_helpers(self, bundle, tmp_path, sig):
+        if forecaster._blas_thread_calls() is None:
+            pytest.skip("train forks no helpers without a way to pin the BLAS threads")
+        # a real process, so that the signal arrives while the caller trains or waits
+        script = tmp_path / "helped_train.py"
+        script.write_text(
+            "import os, sys\n"
+            "from pathlib import Path\n"
+            "from gridhealth import cli, forecaster\n"
+            "helper = forecaster._train_helper\n"
+            "def noted(*args):\n"
+            "    Path(sys.argv[1], str(os.getpid())).touch()\n"
+            "    helper(*args)\n"
+            "forecaster._train_helper = noted\n"
+            "forecaster._usable_cpus = lambda: 2\n"
+            "sys.exit(cli.main(sys.argv[2:]))\n")
+        started = tmp_path / "started"
+        started.mkdir()
+        src = str(Path(main.__code__.co_filename).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.Popen(
+            [sys.executable, script, started, "train", "--dataset", bundle / "fuel_mix.csv",
+             "--labels", bundle / "labels.csv", "--out", tmp_path / "run", "--epochs", "1000"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env, text=True)
+        try:
+            deadline = time.monotonic() + 30
+            while not any(started.iterdir()) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            helpers = [int(p.name) for p in started.iterdir()]
+            assert helpers
+            time.sleep(0.3)     # into the training loop
+            proc.send_signal(sig)
+            _, err = proc.communicate(timeout=20)
+        finally:
+            proc.kill()
+            proc.wait()
+        if sig == signal.SIGINT:
+            assert (proc.returncode, err) == (128 + signal.SIGINT, "error: interrupted\n")
+        else:
+            assert (proc.returncode, err) == (-signal.SIGTERM, "")
+        for pid in helpers:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["helped_train.py", "started"]
+
+    def test_checkpoint_does_not_depend_on_blas_threads(self, tmp_path):
+        if forecaster._blas_thread_calls() is None:
+            pytest.skip("no way to pin the BLAS threads")
+        assert run("synth", "--out", tmp_path / "b", "--hours", 2160, "--seed", 0) == 0
+        src = str(Path(main.__code__.co_filename).parents[1])
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            subprocess.run(
+                [sys.executable, "-m", "gridhealth.cli", "train", "--dataset",
+                 tmp_path / "b" / "fuel_mix.csv", "--labels", tmp_path / "b" / "labels.csv",
+                 "--out", tmp_path / threads, "--epochs", "1"], env=env, check=True,
+                stdout=subprocess.DEVNULL)
+        for name in ("checkpoint.json", "loss_history.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_predict_recomputation_matches_sweep(self, bundle, tmp_path):
         beta, seed, epochs = 0.5, 4, 1

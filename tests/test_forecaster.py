@@ -47,6 +47,7 @@ from gridhealth.forecaster import (
     split_windows,
     train,
 )
+from gridhealth.synth import oracle_labels, synthetic_mix_series
 
 rng = np.random.default_rng(7)
 
@@ -318,6 +319,10 @@ class TestSweep:
         ev = evaluate(model, conv, data, cfg)
         assert points[0].fuel_nmae == pytest.approx(ev.fuel_nmae, rel=1e-12)
         assert points[0].health_nmae == pytest.approx(ev.health_nmae, rel=1e-12)
+        if forecaster._blas_thread_calls() is not None:
+            # both trained with one BLAS thread, here in one or more processes
+            assert points[0].fuel_nmae == ev.fuel_nmae
+            assert points[0].health_nmae == ev.health_nmae
 
     def test_points_in_beta_order(self, synth_bundle):
         series, labels = synth_bundle
@@ -473,7 +478,7 @@ class TestMicroBatches:
                                                                rel=1e-12)
 
     @pytest.mark.parametrize("parts", [[(0, 3), (3, 5), (5, 7)], [(0, 2), (2, 4), (4, 6), (6, 7)],
-                                       [(0, 7)]])
+                                       [(0, 7)], [(3, 5), (5, 7), (0, 3)]])
     def test_tape_serves_rows_of_full_batch_draws(self, monkeypatch, parts):
         model = ForecastModel(ATTENTION, n_fuels=4, window=6, embed_dim=8, heads=2,
                               decoder_layers=2, ff_dim=8, dropout=0.3, seed=2)
@@ -509,6 +514,8 @@ class TestMicroBatches:
         model, conv = build_models(data.mixes.shape[1], cfg)
         before = {k: v.data.copy() for k, v in {**model.params, **conv.params}.items()}
         calls = {"loss": 0, "backward": 0}
+        # the counters live in this process: keep every micro-batch in it
+        monkeypatch.setattr(forecaster, "_usable_cpus", lambda: 1)
         real_loss, real_backward = forecaster._batch_loss, Tensor.backward
 
         def second_diverges(*args, **kwargs):
@@ -542,6 +549,138 @@ class TestMicroBatches:
                 tracemalloc.stop()
         # 477 training windows: one batch of 477 against four of at most 128
         assert peaks[1024] <= 1.25 * peaks[128], peaks
+
+
+def _head(data, hours):
+    return TrainingData(data.mixes[:hours], data.impacts[:hours], data.timestamps[:hours])
+
+
+# hours of the 2160 h series, TrainConfig settings, and the helpers forked at 2, 3 and 5 CPUs
+PARALLEL_CASES = {
+    # 1513 training windows: eleven batches of 128 (4 micro-batches), a tail of 105, and
+    # validation (168 windows) split the same way
+    "window-24": (2160, dict(window=24, epochs=2, seed=3), {2: 1, 3: 2, 5: 3}),
+    # one batch of 128 windows in 13 micro-batches: 7 + 6 on two processes
+    "window-72": (271, dict(window=72, epochs=2, seed=1, test_fraction=0.0, val_fraction=0.0),
+                  {2: 1, 3: 2, 5: 4}),
+    "linear-baseline": (720, dict(window=24, epochs=2, seed=3, architecture=LINEAR_BASELINE),
+                        {2: 1, 3: 2, 5: 3}),
+    # batches of 7 windows (2+2 | 2+1, a 1-window micro-batch in the helper) and of 3
+    # (2+1, which the caller runs alone while the helper waits for the step)
+    "window-500": (1009, dict(window=500, epochs=1, batch_size=7, seed=2, test_fraction=0.0,
+                              val_fraction=0.0), {2: 1, 3: 1, 5: 1}),
+}
+
+
+class TestDataParallelTrain:
+    @pytest.fixture(scope="class")
+    def long_data(self, default_config):
+        series = synthetic_mix_series(2160, seed=0)
+        return TrainingData.from_series(series, oracle_labels(series, default_config))
+
+    @pytest.mark.parametrize("windows, window, processes, want", [
+        (128, 24, 2, [2, 2]), (128, 24, 3, [2, 1, 1]), (128, 24, 9, [1] * 4),
+        (128, 72, 2, [7, 6]), (7, 500, 3, [2, 2]), (3, 500, 2, [2]), (1, 24, 4, [1]),
+    ])
+    def test_shares(self, windows, window, processes, want):
+        parts = _micro_batches(windows, window)
+        shares = forecaster._shares(parts, processes)
+        assert [len(share) for share in shares] == want
+        assert [part for share in shares for part in share] == parts
+        # every process's first micro-batch holds two windows or more
+        assert all(share[0][1] - share[0][0] >= 2 for share in shares) or windows == 1
+
+    @pytest.mark.parametrize("case", list(PARALLEL_CASES))
+    def test_process_count_does_not_change_result(self, long_data, monkeypatch, case):
+        hours, fields, helpers = PARALLEL_CASES[case]
+        data, cfg = _head(long_data, hours), TrainConfig(**fields)
+        runs = {}
+        for cpus in (1, 2, 3, 5):
+            monkeypatch.setattr(forecaster, "_usable_cpus", lambda: cpus)
+            forked = forecaster.forked_workers()
+            model, conv = build_models(data.mixes.shape[1], cfg)
+            _, _, history = train(model, conv, data, cfg)
+            params = {**{f"m.{k}": v.data for k, v in model.params.items()},
+                      **{f"c.{k}": v.data for k, v in conv.params.items()}}
+            runs[cpus] = params, history, forecaster.forked_workers() - forked
+        params, history, forked = runs[1]
+        assert forked == 0
+        for cpus in (2, 3, 5):
+            assert runs[cpus][1] == history
+            for name in params:
+                np.testing.assert_array_equal(runs[cpus][0][name], params[name], err_msg=name)
+            if forecaster._blas_thread_calls() is not None:
+                assert runs[cpus][2] == helpers[cpus]
+        assert multiprocessing.active_children() == []
+
+    def _two_process_run(self, long_data, monkeypatch, epochs):
+        """Data and config of one 128-window batch per epoch, 2 micro-batches per process."""
+        if forecaster._blas_thread_calls() is None:
+            pytest.skip("train forks no helpers without a way to pin the BLAS threads")
+        monkeypatch.setattr(forecaster, "_usable_cpus", lambda: 2)
+        return _head(long_data, 175), TrainConfig(window=24, epochs=epochs, seed=0,
+                                                  test_fraction=0.0, val_fraction=0.0)
+
+    def test_dead_helper_named_by_epoch(self, long_data, monkeypatch):
+        data, cfg = self._two_process_run(long_data, monkeypatch, epochs=3)
+        caller, calls = os.getpid(), []
+        real_loss = forecaster._batch_loss
+
+        def loss_or_die(*args, **kwargs):
+            if os.getpid() != caller:
+                calls.append(1)
+                if len(calls) == 3:     # the helper's first micro-batch of epoch 1
+                    os._exit(3)
+            return real_loss(*args, **kwargs)
+
+        monkeypatch.setattr(forecaster, "_batch_loss", loss_or_die)
+        model, conv = build_models(data.mixes.shape[1], cfg)
+        with pytest.raises(GridHealthError,
+                           match=r"^a train helper process ended abruptly at epoch 1$"):
+            train(model, conv, data, cfg)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("where", ["helper", "caller"])
+    def test_divergence_stops_before_step(self, long_data, monkeypatch, where):
+        data, cfg = self._two_process_run(long_data, monkeypatch, epochs=1)
+        caller = os.getpid()
+        real_loss = forecaster._batch_loss
+
+        def one_side_diverges(*args, **kwargs):
+            loss = real_loss(*args, **kwargs)
+            return loss * np.nan if (os.getpid() == caller) == (where == "caller") else loss
+
+        monkeypatch.setattr(forecaster, "_batch_loss", one_side_diverges)
+        model, conv = build_models(data.mixes.shape[1], cfg)
+        before = {k: v.data.copy() for k, v in {**model.params, **conv.params}.items()}
+        with pytest.raises(DivergedLoss, match=r"^non-finite loss at epoch 0$"):
+            train(model, conv, data, cfg)
+        for k, v in {**model.params, **conv.params}.items():
+            np.testing.assert_array_equal(v.data, before[k], err_msg=k)
+        assert multiprocessing.active_children() == []
+
+    def test_sweep_workers_fork_no_train_helpers(self, long_data, monkeypatch, tmp_path):
+        if forecaster._blas_thread_calls() is None:
+            pytest.skip("train forks no helpers without a way to pin the BLAS threads")
+        monkeypatch.setattr(forecaster, "_usable_cpus", lambda: 2)
+        data, cfg = _head(long_data, 720), TrainConfig(window=24, epochs=1, seed=2)
+        real_fork = forecaster._fork_workers
+
+        def noting_fork(workers, target, arg_tuples, duplex):
+            for _ in arg_tuples:
+                (tmp_path / f"{target.__name__}-{os.getpid()}-{len(os.listdir(tmp_path))}").touch()
+            return real_fork(workers, target, arg_tuples, duplex)
+
+        monkeypatch.setattr(forecaster, "_fork_workers", noting_fork)
+        beta_sweep(data, [0.5, 0.9], cfg)
+        caller = str(os.getpid())
+        assert sorted(p.name.split("-")[:2] for p in tmp_path.iterdir()) == [
+            ["_sweep_worker", caller]] * 2
+        # the same run outside a sweep forks its helper
+        model, conv = build_models(data.mixes.shape[1], cfg)
+        train(model, conv, data, cfg)
+        assert ["_train_helper", caller] in [p.name.split("-")[:2] for p in tmp_path.iterdir()]
+        assert multiprocessing.active_children() == []
 
 
 def _small_networks():
