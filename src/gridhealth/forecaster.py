@@ -109,20 +109,23 @@ class _MaskTape:
     """The dropout draws of one SGD batch of `windows` windows, served to its micro-batches.
 
     While the first micro-batch to run forward (any of them) runs, each
-    keep-mask is drawn from `rng` in forward order at the shape a forward
-    over the whole batch draws it: a mask whose leading axis is the
-    micro-batch's windows is drawn for all `windows` (in micro-batch-sized
-    slices, which take the same values from the generator), and one with
-    leading axis 1, the batch-1 decoder query's, is drawn at its own shape
-    and shared. Every micro-batch is then served its rows of each mask. So
+    keep-mask is drawn from `rng` in forward order as a forward over the
+    whole batch draws it, but only for rows lo..hi-1, the share of the batch
+    this process runs. A mask whose leading axis is the micro-batch's
+    windows takes those rows' values (in micro-batch-sized slices, which
+    take the same values from the generator), and the generator is advanced
+    past the draws of the rows before and after them; one with leading axis
+    1, the batch-1 decoder query's, is drawn at its own shape and shared.
+    Every micro-batch of the share is then served its rows of each mask. So
     each window sees the mask values a full-batch forward gives it, and
-    `rng` ends the batch in the same state, whichever micro-batch came
-    first. A first micro-batch of one window could not tell the two kinds
-    apart, so it must hold two or more unless it is the batch.
+    `rng` (a PCG64 generator, one 64-bit draw per double) ends the batch in
+    the same state, whichever micro-batch came first. A first micro-batch
+    of one window could not tell the two kinds apart, so it must hold two
+    or more unless it is the batch.
     """
 
-    def __init__(self, rng: np.random.Generator, windows: int):
-        self.rng, self.windows = rng, windows
+    def __init__(self, rng: np.random.Generator, windows: int, lo: int, hi: int):
+        self.rng, self.windows, self.lo, self.hi = rng, windows, lo, hi
         self.keeps: list[np.ndarray] = []
         self.rows, self.served = slice(0, windows), 0
 
@@ -130,18 +133,38 @@ class _MaskTape:
         """Serve rows lo..hi-1 of the batch to the next forward."""
         self.rows, self.served = slice(lo, hi), 0
 
+    def _skip(self, draws: int) -> None:
+        """Advance `rng` past `draws` doubles, keeping its buffered 32-bit draw.
+
+        `advance` clears that buffer, which a later bounded integer draw
+        (the next epoch's permutation) would otherwise have used.
+        """
+        if draws:
+            bits = self.rng.bit_generator
+            kept = bits.state
+            bits.advance(draws)
+            state = bits.state
+            state["has_uint32"], state["uinteger"] = kept["has_uint32"], kept["uinteger"]
+            bits.state = state
+
     def keep(self, shape, p: float) -> np.ndarray:
         """The boolean keep-mask of `shape` for the current micro-batch."""
         if self.served == len(self.keeps):      # the first micro-batch to ask for it
             m = self.rows.stop - self.rows.start
-            keep = np.empty((self.windows, *shape[1:]) if shape[0] == m else shape, dtype=bool)
-            for lo in range(0, len(keep), m):
-                np.greater_equal(self.rng.random(keep[lo:lo + m].shape), p,
-                                 out=keep[lo:lo + m])
+            if shape[0] == m:
+                per = math.prod(shape[1:])
+                self._skip(self.lo * per)
+                keep = np.empty((self.hi - self.lo, *shape[1:]), dtype=bool)
+                for lo in range(0, len(keep), m):
+                    np.greater_equal(self.rng.random(keep[lo:lo + m].shape), p,
+                                     out=keep[lo:lo + m])
+                self._skip((self.windows - self.hi) * per)
+            else:
+                keep = self.rng.random(shape) >= p
             self.keeps.append(keep)
         keep = self.keeps[self.served]
         self.served += 1
-        return keep if len(keep) == 1 else keep[self.rows]
+        return keep if len(keep) == 1 else keep[self.rows.start - self.lo:self.rows.stop - self.lo]
 
 
 def _dropout_mask(shape, p: float, training: bool,
@@ -586,9 +609,10 @@ class _TrainRun:
 
     The caller and its forked helpers start from the same parameters and the
     same `rng`, and every process draws the same permutation per epoch and
-    the whole mask tape of every batch it has a share of. So they agree on
-    each batch's windows and dropout masks without sending them; a process
-    with no share of a batch is sent the generator's state instead.
+    its own share's rows of the mask tape of every batch it has a share of,
+    advancing the generator past the other rows. So they agree on each
+    batch's windows and dropout masks without sending them; a process with
+    no share of a batch is sent the generator's state instead.
     """
 
     def __init__(self, model: ForecastModel, converter: HealthConverterNet, data: TrainingData,
@@ -615,12 +639,20 @@ class _TrainRun:
     def shares(self, windows: int) -> list[list[tuple[int, int]]]:
         return _shares(_micro_batches(windows, self.cfg.window), self.processes)
 
-    def batches(self):
-        """(window indices, mask tape) of each batch of one epoch."""
+    def batches(self, rank: int):
+        """(window indices, shares, mask tape) of each batch of one epoch in process `rank`.
+
+        The tape covers share `rank` of the batch; it is None when the batch
+        has no such share.
+        """
         order = self.rng.permutation(len(self.split.train))
         for lo in range(0, len(order), self.cfg.batch_size):
             idx = order[lo:lo + self.cfg.batch_size]
-            yield idx, _MaskTape(self.rng, len(idx))
+            shares = self.shares(len(idx))
+            tape = None
+            if rank < len(shares):
+                tape = _MaskTape(self.rng, len(idx), shares[rank][0][0], shares[rank][-1][1])
+            yield idx, shares, tape
 
     def micro_loss(self, idx: np.ndarray, a: int, b: int, tape: _MaskTape) -> Tensor:
         """The loss of the batch's windows idx[a:b], weighted by their share of the batch."""
@@ -659,8 +691,7 @@ class _TrainRun:
         helper the sum to step by.
         """
         losses = []
-        for idx, tape in self.batches():
-            shares = self.shares(len(idx))
+        for idx, shares, tape in self.batches(0):
             self.optimizer.zero_grad()
             value = 0.0
             for a, b in shares[0]:
@@ -717,8 +748,7 @@ def _train_helper(run: _TrainRun, rank: int, link) -> None:
                for share in run.shares(windows))
     rows = np.empty((most, run.row.size))
     for _ in range(run.cfg.epochs):
-        for idx, tape in run.batches():
-            shares = run.shares(len(idx))
+        for idx, shares, tape in run.batches(rank):
             if rank < len(shares):
                 count = 0
                 for a, b in shares[rank]:
@@ -776,8 +806,8 @@ def train(model: ForecastModel, converter: HealthConverterNet, data: TrainingDat
     batch's before its one optimizer step; a `_MaskTape` gives every window
     the dropout masks a full-batch step would. Validation runs in the same
     chunks. Memory is one micro-batch's graph plus the tape's booleans
-    (12 KB per window of the batch at window 24 and the default sizes), so
-    it barely grows with the batch size.
+    (12 KB per window of the process's share of the batch at window 24 and
+    the default sizes), so it barely grows with the batch size.
 
     The micro-batches of each batch, and of validation, are split into
     `_shares` over `_train_processes` processes: the caller runs the first

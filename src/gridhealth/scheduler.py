@@ -17,7 +17,11 @@ the engine and `baseline_schedule` pick the same run. The per-session
 functions (`optimal_schedule`, `baseline_schedule`, `schedule_for`,
 `brute_force_schedule`) are the oracle the engine is tested against: each
 session's cost is the `math.fsum` of the same energy x price products
-`Schedule.cost` adds, so it is equal with `==`.
+`Schedule.cost` adds, so it is equal with `==`. The engine gets that value
+from `health._row_fsums` without a Python float per product: a long-double
+row sum, certified to round to the exact sum, where long double is x87
+80-bit (x86-64 Linux) or IEEE binary128 (64-bit ARM Linux), and `math.fsum`
+for the rows that fail the check and on every other platform.
 
 Costs are in dollars: h carries $/kWh per slot and energies are kWh.
 """
@@ -37,7 +41,7 @@ from .errors import (
     SignalCoverageGap,
     WindowTooLarge,
 )
-from .health import HealthSeries
+from .health import HealthSeries, _row_fsums
 from .ingest import as_float, as_int, as_str, read_table, write_table
 
 BRUTE_FORCE_MAX_WINDOW = 20
@@ -341,6 +345,10 @@ def _session_costs(sessions: SessionTable, signals: HealthSeries, strategies) ->
     columns start..start+n-1 of its block (sorted for `optimal`), the last
     carrying the remainder, and its cost is the `math.fsum` of the products
     `Schedule.cost` adds, so it equals `schedule_for(...).total_cost`.
+    One `_row_fsums` call sums a chunk's products for every strategy: a
+    certified long-double sum per row where long double is x87 80-bit or
+    IEEE binary128, and `math.fsum` for the rows that fail its check and on
+    other platforms.
     `continuous` compares runs on row-wise prefix sums of the block, which add
     in the order `baseline_schedule`'s 1-d prefix sums do, so it picks the same
     start.
@@ -373,6 +381,7 @@ def _session_costs(sessions: SessionTable, signals: HealthSeries, strategies) ->
             idx = group[at:at + step]
             block = prices[lo[idx, None] + col]
             n, c, r = slots[idx, None], rate[idx, None], remainder[idx, None]
+            products = np.empty((len(strategies), len(idx), w))
             for k, strategy in enumerate(strategies):
                 h, start = block, np.zeros_like(n)
                 if strategy == STRATEGY_OPTIMAL:
@@ -390,7 +399,8 @@ def _session_costs(sessions: SessionTable, signals: HealthSeries, strategies) ->
                     start = np.argmin(run, axis=1)[:, None]
                 last = start + n - 1
                 energy = np.where(col == last, r, np.where((col >= start) & (col < last), c, 0.0))
-                costs[k, idx] = [math.fsum(row) for row in (energy * h).tolist()]
+                np.multiply(energy, h, out=products[k])
+            costs[:, idx] = _row_fsums(products.reshape(-1, w)).reshape(len(strategies), -1)
     return costs
 
 

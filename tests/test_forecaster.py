@@ -477,8 +477,10 @@ class TestMicroBatches:
         assert micro_history[0]["train_loss"] == pytest.approx(full_history[0]["train_loss"],
                                                                rel=1e-12)
 
+    # the first four run the whole batch, the rest one process's share of it
     @pytest.mark.parametrize("parts", [[(0, 3), (3, 5), (5, 7)], [(0, 2), (2, 4), (4, 6), (6, 7)],
-                                       [(0, 7)], [(3, 5), (5, 7), (0, 3)]])
+                                       [(0, 7)], [(3, 5), (5, 7), (0, 3)],
+                                       [(0, 3)], [(5, 7), (3, 5)], [(2, 4), (4, 5)]])
     def test_tape_serves_rows_of_full_batch_draws(self, monkeypatch, parts):
         model = ForecastModel(ATTENTION, n_fuels=4, window=6, embed_dim=8, heads=2,
                               decoder_layers=2, ff_dim=8, dropout=0.3, seed=2)
@@ -490,11 +492,14 @@ class TestMicroBatches:
             return drawn[-1]
 
         monkeypatch.setattr(forecaster, "_dropout_mask", recording)
-        oracle_rng = np.random.default_rng(11)
+        oracle_rng, tape_rng = np.random.default_rng(11), np.random.default_rng(11)
+        for rng in (oracle_rng, tape_rng):
+            rng.permutation(5)      # leaves a buffered 32-bit draw, as each epoch's does
+        assert oracle_rng.bit_generator.state["has_uint32"] == 1
         full = model.forward_tensor(x, True, oracle_rng).data
         oracle, drawn[:] = list(drawn), []
-        tape_rng = np.random.default_rng(11)
-        tape = _MaskTape(tape_rng, 7)
+        share = min(lo for lo, _ in parts), max(hi for _, hi in parts)
+        tape = _MaskTape(tape_rng, 7, *share)
         for lo, hi in parts:
             tape.select(lo, hi)
             pred = model.forward_tensor(Tensor(x.data[lo:hi]), True, tape).data
@@ -505,7 +510,11 @@ class TestMicroBatches:
             drawn[:] = []
         # the batch-1 decoder query's self-attention and residual masks, shared by all
         assert sum(len(mask) == 1 for mask in oracle) == 2
+        # only the share's rows are drawn, and the generator, its buffered 32-bit draw
+        # included, ends where a full-batch forward leaves it
+        assert all(len(keep) in (1, share[1] - share[0]) for keep in tape.keeps)
         assert tape_rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert tape_rng.permutation(50).tolist() == oracle_rng.permutation(50).tolist()
 
     def test_micro_batch_divergence_stops_before_backward_and_step(self, synth_bundle,
                                                                    monkeypatch):

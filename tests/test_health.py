@@ -2,12 +2,14 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridhealth import health
 from gridhealth.dispersion import SourceReceptorMatrix, apply_source_receptor
 from gridhealth.emissions import EmissionFactorTable, emissions_from_mix
 from gridhealth.errors import (
@@ -25,6 +27,7 @@ from gridhealth.health import (
     HealthValuation,
     PipelineConfig,
     ReceptorProfile,
+    _row_fsums,
     delta_health,
     impact_per_mwh,
     impacts,
@@ -300,6 +303,140 @@ class TestImpacts:
     def test_negative_emissions_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             impacts(np.array([[-0.5, 1.5]]), ("COL", "WND"), one_hop_config())
+
+
+DBL_MAX = sys.float_info.max
+
+
+def fsum_rows(block):
+    return np.array([math.fsum(row) for row in block.tolist()], dtype=np.float64)
+
+
+def bits(values):
+    """The float64 bit patterns, so that 0.0 and -0.0 differ."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def row_blocks():
+    """(name, block) cases on which `_row_fsums` must equal math.fsum bit for bit."""
+    rng = np.random.default_rng(5)
+    # two terms with exponents one apart: the exact sum needs 54 bits, a tie when in [1, 2)
+    a = 1.0 + rng.integers(0, 2**52, size=200) * 2.0**-52
+    b = 0.5 + (2 * rng.integers(0, 2**51, size=200) + 1) * 2.0**-53
+    sign = rng.choice([-1.0, 1.0], size=200)
+    yield "two-term ties", np.column_stack([sign * a, sign * b])
+    # a tie plus a term below long double's precision: rounding the long-double sum
+    # to float64 rounds a tie, while the exact sum lies just off it
+    even = 1.0 + 2 * rng.integers(0, 2**51, size=200) * 2.0**-52
+    tiny = rng.choice([-1.0, 1.0], size=200) * 2.0**-120
+    yield "off-tie", np.column_stack([even, np.full(200, 2.0**-53), tiny])
+    # energy x price products of 72-slot windows, some slots unselected
+    products = rng.uniform(0.0, 11.0, (300, 72)) * rng.uniform(0.0, 0.6, (300, 72))
+    products[rng.random((300, 72)) < 0.3] = 0.0
+    yield "72 terms", products
+    yield "72 terms, both signs", products * rng.choice([-1.0, 1.0], size=(300, 72))
+    # large terms that cancel exactly, leaving the small ones: the long-double sum
+    # is off by far more than a float64 ulp of the result
+    big = rng.uniform(1.0, 2.0, 100) * 2.0 ** rng.integers(40, 90, 100)
+    small = rng.uniform(1.0, 2.0, (100, 2)) * rng.choice([-1.0, 1.0], size=(100, 2))
+    yield "cancellation", np.column_stack([big, small[:, 0], -big, small[:, 1]])
+    # subnormals alone and next to the smallest normals
+    subnormal = rng.integers(-1000, 1001, (100, 9)) * 5e-324
+    yield "subnormals", subnormal
+    yield "subnormals and normals", np.column_stack([subnormal, rng.choice(
+        [-1.0, 1.0], size=(100, 3)) * 2.2250738585072014e-308])
+    # near DBL_MAX: sums at DBL_MAX, and large terms that cancel
+    yield "near DBL_MAX", np.vstack([
+        [DBL_MAX / 2, DBL_MAX / 2, 0.0, 0.0],
+        [DBL_MAX, -DBL_MAX, DBL_MAX, -1.0],
+        [-DBL_MAX, 2.0**969, 2.0**969, 0.0],
+        rng.uniform(-1.0, 1.0, (50, 4)) * (DBL_MAX / 8)])
+    # all-zero rows, signed zeros, zero products of -0.0 prices, exact cancellation
+    energy = np.array([[0.0, 0.0, 3.6], [0.0, 0.0, 0.0], [7.2, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    prices = np.array([[-0.25, -0.5, -0.0], [-0.0, -0.0, -0.0], [-0.0, 0.0, -0.0],
+                       [-0.1, 0.2, 0.0]])
+    yield "zeros", np.vstack([energy * prices, [[0.0, -0.0, -0.0], [-0.0, -0.0, -0.0],
+                                                [1.5, -1.5, -0.0], [-1.5, 1.5, 0.0]]])
+    # one large term among many tiny ones, each under half an ulp of it
+    large = np.full((72, 72), 1.1e-16) * rng.choice([-1.0, 1.0], size=(72, 72))
+    large[np.arange(72), np.arange(72)] = 1.0
+    yield "one large among tiny", large
+
+
+class TestRowFsums:
+    """`_row_fsums` against math.fsum, compared bit for bit."""
+
+    @pytest.mark.parametrize("name, block", list(row_blocks()))
+    def test_matches_fsum(self, name, block):
+        want = fsum_rows(block)
+        got = _row_fsums(block)
+        assert got.shape == (len(block),) and got.dtype == np.float64
+        assert bits(got) == bits(want), name
+
+    def test_cases_can_fail(self):
+        blocks = dict(row_blocks())
+        # float64 sums miss on these, so a helper that fell back to them would fail
+        for name in ("off-tie", "72 terms", "72 terms, both signs", "cancellation",
+                     "one large among tiny"):
+            assert (blocks[name].sum(axis=1) != fsum_rows(blocks[name])).any(), name
+        # long double alone rounds the off-tie rows twice and misses too
+        off = blocks["off-tie"]
+        assert (off.sum(axis=1, dtype=np.longdouble).astype(np.float64)
+                != fsum_rows(off)).any()
+        assert {math.copysign(1.0, x) for x in fsum_rows(blocks["zeros"]).tolist()} == {1.0}
+        assert (fsum_rows(blocks["near DBL_MAX"]) == DBL_MAX).any()
+
+    def test_empty_blocks(self):
+        assert bits(_row_fsums(np.zeros((3, 0)))) == bits([0.0] * 3)
+        assert _row_fsums(np.zeros((0, 4))).shape == (0,)
+
+    @pytest.mark.parametrize("row", [[DBL_MAX, DBL_MAX], [DBL_MAX, 2.0**970],
+                                     [DBL_MAX, *[2.0**969] * 2, *[-2.0**969] * 3, -2.0**968]])
+    def test_overflow_is_fsums(self, row):
+        # the last row's exact sum rounds to DBL_MAX, but fsum overflows on the way
+        with pytest.raises(OverflowError):
+            math.fsum(row)
+        with pytest.raises(OverflowError):
+            _row_fsums(np.array([row, [1.0, 2.0] + [0.0] * (len(row) - 2)]))
+
+    @given(st.integers(1, 6).flatmap(lambda cols: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=cols, max_size=cols),
+        min_size=1, max_size=6)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fsum_on_any_finite_rows(self, rows):
+        block = np.array(rows, dtype=np.float64)
+        try:
+            want = fsum_rows(block)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _row_fsums(block)
+        else:
+            assert bits(_row_fsums(block)) == bits(want)
+
+    def fsum_calls(self, monkeypatch, blocks):
+        """Rows `_row_fsums` passes to math.fsum over `blocks`, checking each result."""
+        calls = []
+        real = math.fsum
+        wants = [fsum_rows(block) for block in blocks]
+        monkeypatch.setattr(math, "fsum", lambda row: calls.append(1) or real(row))
+        for block, want in zip(blocks, wants):
+            assert bits(_row_fsums(block)) == bits(want)
+        monkeypatch.setattr(math, "fsum", real)
+        return len(calls)
+
+    def test_fast_path_takes_most_rows(self, monkeypatch):
+        if not health._LONG_SUMS:
+            pytest.skip("long double is neither x87 80-bit nor IEEE binary128 here")
+        blocks = dict(row_blocks())
+        assert self.fsum_calls(monkeypatch, [blocks["72 terms"]]) < 300 // 2
+        assert self.fsum_calls(monkeypatch, [blocks["subnormals"]]) == 0
+        # fsum decides the sign of a zero sum
+        assert self.fsum_calls(monkeypatch, [blocks["zeros"]]) == len(blocks["zeros"])
+
+    def test_every_row_through_fsum_without_long_double(self, monkeypatch):
+        monkeypatch.setattr(health, "_LONG_SUMS", False)
+        blocks = [block for _, block in row_blocks()]
+        assert self.fsum_calls(monkeypatch, blocks) == sum(map(len, blocks))
 
 
 class TestConfigValidation:

@@ -371,7 +371,9 @@ class TestFleetEngine:
             for s, cost in zip(sessions, costs):
                 h = prices[s.arrival - t0:s.departure - t0 + 1]
                 scalar = schedule_for(s, h, strategy).total_cost
+                # results.csv writes repr, so the sign of a zero cost counts too
                 assert cost == scalar, (strategy, s)
+                assert math.copysign(1.0, cost) == math.copysign(1.0, scalar), (strategy, s)
                 total += scalar
             assert totals[strategy] == total
 
@@ -390,7 +392,9 @@ class TestFleetEngine:
             costs = engine_costs(sessions, signals, strategy)
             for s, cost in zip(sessions, costs):
                 h = prices[s.arrival - t0:s.departure - t0 + 1]
-                assert cost == schedule_for(s, h, strategy).total_cost, (strategy, s)
+                scalar = schedule_for(s, h, strategy).total_cost
+                assert cost == scalar, (strategy, s)
+                assert math.copysign(1.0, cost) == math.copysign(1.0, scalar), (strategy, s)
 
     def test_chunk_split_matches_scalar_oracle(self):
         # 300 windows of 40 h fill more than one price block, and one window
