@@ -13,7 +13,8 @@ health-driven. Training is plain SGD and fully deterministic given a seed.
 
 `train` shares each batch's micro-batches among helper processes forked
 for the call, one per usable CPU, and adds their gradients in the order
-one process would. `beta_sweep` trains each member in its own plain
+one process would; each window's dropout masks depend on the batch alone,
+not on how it is split. `beta_sweep` trains each member in its own plain
 worker process forked from the caller, with one pipe for its point; the
 workers start in waves that keep every usable CPU busy. Every process
 runs one BLAS thread, so neither the trained parameters nor the points
@@ -105,79 +106,67 @@ def _sinusoidal_positions(length: int, dim: int) -> np.ndarray:
     return enc
 
 
-class _MaskTape:
-    """The dropout draws of one SGD batch of `windows` windows, served to its micro-batches.
+def _skip(rng: np.random.Generator, draws: int) -> None:
+    """Advance `rng` past `draws` doubles, keeping its buffered 32-bit draw.
 
-    While the first micro-batch to run forward (any of them) runs, each
-    keep-mask is drawn from `rng` in forward order as a forward over the
-    whole batch draws it, but only for rows lo..hi-1, the share of the batch
-    this process runs. A mask whose leading axis is the micro-batch's
-    windows takes those rows' values (in micro-batch-sized slices, which
-    take the same values from the generator), and the generator is advanced
-    past the draws of the rows before and after them; one with leading axis
-    1, the batch-1 decoder query's, is drawn at its own shape and shared.
-    Every micro-batch of the share is then served its rows of each mask. So
-    each window sees the mask values a full-batch forward gives it, and
-    `rng` (a PCG64 generator, one 64-bit draw per double) ends the batch in
-    the same state, whichever micro-batch came first. A first micro-batch
-    of one window could not tell the two kinds apart, so it must hold two
-    or more unless it is the batch.
+    `advance` clears that buffer, which a later bounded integer draw (the
+    next epoch's permutation) would otherwise have used.
+    """
+    if draws:
+        bits = rng.bit_generator
+        kept = bits.state
+        bits.advance(draws)
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = kept["has_uint32"], kept["uinteger"]
+        bits.state = state
+
+
+class _MaskRows:
+    """The dropout keep-masks of windows a..b-1 of a batch of `windows` windows.
+
+    A forward over the whole batch draws each mask from the batch's start
+    `state` in forward order, one double per element of a PCG64 stream: a
+    per-window mask of s elements per window takes windows·s draws, the
+    rows of window i from draw offset + i·s on, and a mask the batch shares
+    (`shared`: leading axis 1) takes s. Each mask of this micro-batch is
+    drawn with `gen` from `state` advanced to where its rows begin, so every
+    window sees the values a full-batch forward gives it, however the batch
+    is split. `per_window` and `shared` count the draws of one forward.
     """
 
-    def __init__(self, rng: np.random.Generator, windows: int, lo: int, hi: int):
-        self.rng, self.windows, self.lo, self.hi = rng, windows, lo, hi
-        self.keeps: list[np.ndarray] = []
-        self.rows, self.served = slice(0, windows), 0
+    def __init__(self, gen: np.random.Generator, state: dict, windows: int, a: int):
+        self.gen, self.state, self.windows, self.a = gen, state, windows, a
+        self.per_window = self.shared = 0
 
-    def select(self, lo: int, hi: int) -> None:
-        """Serve rows lo..hi-1 of the batch to the next forward."""
-        self.rows, self.served = slice(lo, hi), 0
-
-    def _skip(self, draws: int) -> None:
-        """Advance `rng` past `draws` doubles, keeping its buffered 32-bit draw.
-
-        `advance` clears that buffer, which a later bounded integer draw
-        (the next epoch's permutation) would otherwise have used.
-        """
-        if draws:
-            bits = self.rng.bit_generator
-            kept = bits.state
-            bits.advance(draws)
-            state = bits.state
-            state["has_uint32"], state["uinteger"] = kept["has_uint32"], kept["uinteger"]
-            bits.state = state
-
-    def keep(self, shape, p: float) -> np.ndarray:
-        """The boolean keep-mask of `shape` for the current micro-batch."""
-        if self.served == len(self.keeps):      # the first micro-batch to ask for it
-            m = self.rows.stop - self.rows.start
-            if shape[0] == m:
-                per = math.prod(shape[1:])
-                self._skip(self.lo * per)
-                keep = np.empty((self.hi - self.lo, *shape[1:]), dtype=bool)
-                for lo in range(0, len(keep), m):
-                    np.greater_equal(self.rng.random(keep[lo:lo + m].shape), p,
-                                     out=keep[lo:lo + m])
-                self._skip((self.windows - self.hi) * per)
-            else:
-                keep = self.rng.random(shape) >= p
-            self.keeps.append(keep)
-        keep = self.keeps[self.served]
-        self.served += 1
-        return keep if len(keep) == 1 else keep[self.rows.start - self.lo:self.rows.stop - self.lo]
+    def keep(self, shape, p: float, shared: bool) -> np.ndarray:
+        size = math.prod(shape[1:])
+        offset = self.windows * self.per_window + self.shared
+        if shared:
+            self.shared += size
+        else:
+            offset += self.a * size
+            self.per_window += size
+        self.gen.bit_generator.state = self.state
+        self.gen.bit_generator.advance(offset)
+        return self.gen.random(shape) >= p
 
 
-def _dropout_mask(shape, p: float, training: bool,
-                  rng: np.random.Generator | _MaskTape | None) -> np.ndarray | None:
-    """Inverted-dropout mask of `shape`, or None when dropout is off."""
+def _dropout_mask(shape, p: float, training: bool, rng: np.random.Generator | _MaskRows | None,
+                  shared: bool = False) -> np.ndarray | None:
+    """Inverted-dropout mask of `shape`, or None when dropout is off.
+
+    `shared` marks a mask of leading axis 1 that every window of the batch
+    uses; a plain generator draws it like any other.
+    """
     if not training or p <= 0.0 or rng is None:
         return None
-    keep = rng.keep(shape, p) if isinstance(rng, _MaskTape) else rng.random(shape) >= p
+    keep = rng.keep(shape, p, shared) if isinstance(rng, _MaskRows) else rng.random(shape) >= p
     return keep * (1 / (1 - p))
 
 
-def _dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None) -> Tensor:
-    mask = _dropout_mask(x.shape, p, training, rng)
+def _dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | _MaskRows | None,
+             shared: bool = False) -> Tensor:
+    mask = _dropout_mask(x.shape, p, training, rng, shared)
     return x if mask is None else x * Tensor(mask)
 
 
@@ -213,6 +202,9 @@ class ForecastModel:
         _check_sizes(1, n_fuels=n_fuels, window=window, embed_dim=embed_dim, heads=heads,
                      ff_dim=ff_dim)
         _check_sizes(0, encoder_layers=encoder_layers, decoder_layers=decoder_layers)
+        if architecture == ATTENTION:
+            # without a decoder block the forecast would ignore the history
+            _check_sizes(1, decoder_layers=decoder_layers)
         if not 0.0 <= dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {dropout!r}")
         if embed_dim % heads != 0:
@@ -294,7 +286,7 @@ class ForecastModel:
 
     # -- forward -------------------------------------------------------------
 
-    def _mha(self, prefix, stage, q_in, k_in, v_in, training, rng):
+    def _mha(self, prefix, stage, q_in, k_in, v_in, training, rng, shared=False):
         p = self.params
         d, h = self.embed_dim, self.heads
         dk = d // h
@@ -310,15 +302,15 @@ class ForecastModel:
         k = heads_of(k_in, "k")
         v = heads_of(v_in, "v")
         weights_shape = np.broadcast_shapes(q.shape[:-2], k.shape[:-2]) + (q.shape[-2], k.shape[-2])
-        mask = _dropout_mask(weights_shape, self.dropout, training, rng)
+        mask = _dropout_mask(weights_shape, self.dropout, training, rng, shared)
         ctx = q.attention(k, v, 1.0 / math.sqrt(dk), mask)
         b, _, t, _ = ctx.shape
         ctx = ctx.transpose(0, 2, 1, 3).reshape(b, t, d)
         return ctx.linear(p[f"{prefix}_{stage}_wo"], p[f"{prefix}_{stage}_bo"])
 
-    def _sublayer(self, prefix, stage, x, out, training, rng):
+    def _sublayer(self, prefix, stage, x, out, training, rng, shared=False):
         p = self.params
-        mixed = x + _dropout(out, self.dropout, training, rng)
+        mixed = x + _dropout(out, self.dropout, training, rng, shared)
         return mixed.layer_norm_affine(p[f"{prefix}_{stage}_ln_g"], p[f"{prefix}_{stage}_ln_b"])
 
     def _ff(self, prefix, x, training, rng):
@@ -356,11 +348,14 @@ class ForecastModel:
             h = self._ff(pre, h, training, rng)
         memory = h
 
+        # until the first cross stage, the decoder runs on the batch-independent
+        # query alone, so its masks are shared by the whole batch
         q = p["dec_query"].reshape(1, self.window, self.embed_dim)
         for i in range(self.decoder_layers):
-            pre = f"dec{i}"
-            q = self._sublayer(pre, "self", q, self._mha(pre, "self", q, q, q, training, rng),
-                               training, rng)
+            pre, shared = f"dec{i}", i == 0
+            q = self._sublayer(pre, "self", q,
+                               self._mha(pre, "self", q, q, q, training, rng, shared),
+                               training, rng, shared)
             q = self._sublayer(pre, "cross", q,
                                self._mha(pre, "cross", q, memory, memory, training, rng),
                                training, rng)
@@ -582,37 +577,29 @@ def _near_equal(n: int, k: int) -> list[tuple[int, int]]:
 def _micro_batches(windows: int, window: int) -> list[tuple[int, int]]:
     """Near-equal contiguous (lo, hi) ranges of a batch of `windows` windows, larger first.
 
-    Each range holds at most `_MICRO_ROWS // window` windows, or two where
-    that is fewer. So the first range holds two or more unless the batch is
-    one window, as `_MaskTape` needs; a later one may hold one (3 windows
-    at window 500 split 2 + 1).
+    Each range holds at most `_MICRO_ROWS // window` windows, or one where
+    that is fewer.
     """
-    return _near_equal(windows, -(-windows // max(2, _MICRO_ROWS // window)))
+    return _near_equal(windows, -(-windows // max(1, _MICRO_ROWS // window)))
 
 
 def _shares(parts: list[tuple[int, int]], processes: int) -> list[list[tuple[int, int]]]:
     """The micro-batches `parts` of one batch as contiguous near-equal shares, larger first.
 
-    At most one share per process. Each share's first micro-batch holds two
-    or more windows, as `_MaskTape` needs of the first micro-batch a process
-    runs, so a batch may have fewer shares than `processes`.
+    One share per process, or per micro-batch where there are fewer.
     """
-    for count in range(min(processes, len(parts)), 1, -1):
-        shares = [parts[lo:hi] for lo, hi in _near_equal(len(parts), count)]
-        if all(share[0][1] - share[0][0] >= 2 for share in shares):
-            return shares
-    return [parts]
+    return [parts[lo:hi] for lo, hi in _near_equal(len(parts), min(processes, len(parts)))]
 
 
 class _TrainRun:
     """One `train` call as each of its processes holds it.
 
     The caller and its forked helpers start from the same parameters and the
-    same `rng`, and every process draws the same permutation per epoch and
-    its own share's rows of the mask tape of every batch it has a share of,
-    advancing the generator past the other rows. So they agree on each
-    batch's windows and dropout masks without sending them; a process with
-    no share of a batch is sent the generator's state instead.
+    same `rng`, and every process draws the same permutation per epoch. Each
+    draws its own share's rows of a batch's dropout masks from the batch's
+    start state (`_MaskRows`), then advances `rng` past the whole batch's
+    draws, as many as its first forward counted. So they agree on each
+    batch's windows and masks without sending anything but float64 rows.
     """
 
     def __init__(self, model: ForecastModel, converter: HealthConverterNet, data: TrainingData,
@@ -620,6 +607,8 @@ class _TrainRun:
         self.model, self.converter, self.cfg, self.split = model, converter, cfg, split
         self.processes = processes
         self.rng = np.random.default_rng(cfg.seed)
+        self.masks = np.random.default_rng(0)   # its state is set before each draw
+        self.draws = (0, 0)     # a forward's mask draws per window and shared
         self.optimizer = SGD({**{f"m.{k}": v for k, v in model.params.items()},
                               **{f"c.{k}": v for k, v in converter.params.items()}},
                              lr=cfg.step_size)
@@ -639,27 +628,27 @@ class _TrainRun:
     def shares(self, windows: int) -> list[list[tuple[int, int]]]:
         return _shares(_micro_batches(windows, self.cfg.window), self.processes)
 
-    def batches(self, rank: int):
-        """(window indices, shares, mask tape) of each batch of one epoch in process `rank`.
+    def batches(self):
+        """(window indices, shares, generator state at its start) of each batch of one epoch.
 
-        The tape covers share `rank` of the batch; it is None when the batch
-        has no such share.
+        When the next batch is asked for, or the loop ends, `rng` is advanced
+        past the batch's mask draws. Every process has a share of an epoch's
+        first batch, the largest, so its first forward has counted them.
         """
         order = self.rng.permutation(len(self.split.train))
         for lo in range(0, len(order), self.cfg.batch_size):
             idx = order[lo:lo + self.cfg.batch_size]
-            shares = self.shares(len(idx))
-            tape = None
-            if rank < len(shares):
-                tape = _MaskTape(self.rng, len(idx), shares[rank][0][0], shares[rank][-1][1])
-            yield idx, shares, tape
+            yield idx, self.shares(len(idx)), self.rng.bit_generator.state
+            per_window, shared = self.draws
+            _skip(self.rng, len(idx) * per_window + shared)
 
-    def micro_loss(self, idx: np.ndarray, a: int, b: int, tape: _MaskTape) -> Tensor:
+    def micro_loss(self, idx: np.ndarray, a: int, b: int, state: dict) -> Tensor:
         """The loss of the batch's windows idx[a:b], weighted by their share of the batch."""
-        tape.select(a, b)
+        rows = _MaskRows(self.masks, state, len(idx), a)
         hist, target, impact = (x[idx[a:b]] for x in self.train_arrays)
         loss = _batch_loss(self.model, self.converter, hist, target, impact, self.cfg.beta,
-                           training=True, rng=tape)
+                           training=True, rng=rows)
+        self.draws = rows.per_window, rows.shared
         return loss * ((b - a) / len(idx))
 
     def val_parts(self, share: list[tuple[int, int]]) -> list[float]:
@@ -691,11 +680,11 @@ class _TrainRun:
         helper the sum to step by.
         """
         losses = []
-        for idx, shares, tape in self.batches(0):
+        for idx, shares, state in self.batches():
             self.optimizer.zero_grad()
             value = 0.0
             for a, b in shares[0]:
-                loss = self.micro_loss(idx, a, b, tape)
+                loss = self.micro_loss(idx, a, b, state)
                 part = float(loss.data)
                 if not math.isfinite(part):
                     raise DivergedLoss(f"non-finite loss at epoch {epoch}")
@@ -710,10 +699,8 @@ class _TrainRun:
                             raise DivergedLoss(f"non-finite loss at epoch {epoch}")
                         self.total += self.row[:-1]
                         value += float(self.row[-1])
-                for rank, link in enumerate(links, 1):
+                for link in links:
                     link.send_bytes(self.total)
-                    if rank >= len(shares):     # it drew no masks
-                        link.send(self.rng.bit_generator.state)
                 self.step_by_total()
             else:
                 self.optimizer.step()
@@ -748,12 +735,12 @@ def _train_helper(run: _TrainRun, rank: int, link) -> None:
                for share in run.shares(windows))
     rows = np.empty((most, run.row.size))
     for _ in range(run.cfg.epochs):
-        for idx, shares, tape in run.batches(rank):
+        for idx, shares, state in run.batches():
             if rank < len(shares):
                 count = 0
                 for a, b in shares[rank]:
                     run.optimizer.zero_grad()
-                    loss = run.micro_loss(idx, a, b, tape)
+                    loss = run.micro_loss(idx, a, b, state)
                     row = rows[count]
                     row[-1] = float(loss.data)
                     count += 1
@@ -764,8 +751,6 @@ def _train_helper(run: _TrainRun, rank: int, link) -> None:
                 for row in rows[:count]:    # one at a time: the caller needs one buffer
                     link.send_bytes(row)
             link.recv_bytes_into(run.total)
-            if rank >= len(shares):
-                run.rng.bit_generator.state = link.recv()
             run.step_by_total()
         if run.split.val:
             shares = run.shares(len(run.split.val))
@@ -776,8 +761,8 @@ def _train_helper(run: _TrainRun, rank: int, link) -> None:
 def _train_processes(cfg: TrainConfig, split: WindowSplit) -> int:
     """The number of processes a `train` call runs in.
 
-    One per usable CPU, but at most one per share of its largest batch
-    (`_shares`); one in a worker this module forked, for zero epochs, or
+    One per usable CPU, but at most one per micro-batch of its largest
+    batch; one in a worker this module forked, for zero epochs, or
     without `fork` or a way to pin the BLAS threads.
     """
     if _in_worker or cfg.epochs == 0 or _blas_thread_calls() is None:
@@ -787,7 +772,7 @@ def _train_processes(cfg: TrainConfig, split: WindowSplit) -> int:
     if "fork" not in multiprocessing.get_all_start_methods():
         return 1
     largest = min(cfg.batch_size, len(split.train))
-    return len(_shares(_micro_batches(largest, cfg.window), _usable_cpus()))
+    return min(_usable_cpus(), len(_micro_batches(largest, cfg.window)))
 
 
 # a diverging run overflows; the finite checks on its losses report it, with no
@@ -803,11 +788,10 @@ def train(model: ForecastModel, converter: HealthConverterNet, data: TrainingDat
 
     Each batch runs forward and backward in `_micro_batches`, each loss
     weighted by its share of the batch, so the leaf gradients sum to the
-    batch's before its one optimizer step; a `_MaskTape` gives every window
+    batch's before its one optimizer step; `_MaskRows` gives every window
     the dropout masks a full-batch step would. Validation runs in the same
-    chunks. Memory is one micro-batch's graph plus the tape's booleans
-    (12 KB per window of the process's share of the batch at window 24 and
-    the default sizes), so it barely grows with the batch size.
+    chunks. Memory is one micro-batch's graph, so it barely grows with the
+    batch size.
 
     The micro-batches of each batch, and of validation, are split into
     `_shares` over `_train_processes` processes: the caller runs the first

@@ -639,7 +639,8 @@ class TestCorruptCheckpoint:
         assert err.startswith("error:") and str(ckpt) in err and repr(key) in err
         assert not (out / "predicted_signal.csv").exists()
 
-    @pytest.mark.parametrize("key, value", [("heads", 0), ("embed_dim", 0), ("heads", -4)])
+    @pytest.mark.parametrize("key, value", [("heads", 0), ("embed_dim", 0), ("heads", -4),
+                                            ("decoder_layers", 0)])
     def test_predict_rejects_bad_network(self, bundle, tmp_path, capsys, key, value):
         train_out = tmp_path / "train"
         assert run("train", "--dataset", bundle / "fuel_mix.csv",

@@ -32,10 +32,11 @@ from gridhealth.forecaster import (
     TrainConfig,
     TrainingData,
     _MICRO_ROWS,
-    _MaskTape,
+    _MaskRows,
     _dropout_mask,
     _heldout_starts,
     _micro_batches,
+    _skip,
     beta_sweep,
     build_models,
     composite_loss,
@@ -152,6 +153,13 @@ class TestForward:
         head = forward(model, h, horizon=2)
         assert head.shape == (2, 3)
         np.testing.assert_array_equal(head, forward(model, h)[:2])
+
+    def test_attention_needs_a_decoder_block(self):
+        # with none, the forecast would be the same for every history
+        with pytest.raises(ValueError, match=r"^decoder_layers must be at least 1, got 0$"):
+            ForecastModel(ATTENTION, n_fuels=4, window=6, embed_dim=8, heads=2, decoder_layers=0)
+        ForecastModel(ATTENTION, n_fuels=4, window=6, embed_dim=8, heads=2, encoder_layers=0)
+        ForecastModel(LINEAR_BASELINE, n_fuels=4, window=6, decoder_layers=0)
 
     def test_eval_forward_deterministic(self):
         model = ForecastModel(ATTENTION, n_fuels=4, window=6, embed_dim=16, heads=2,
@@ -431,6 +439,7 @@ def _trained_both_ways(data, cfg):
 class TestMicroBatches:
     @pytest.mark.parametrize("windows, window", [
         (1, 24), (105, 24), (128, 24), (1, 72), (105, 72), (128, 72), (1513, 24), (3, 500),
+        (3, 1000),
     ])
     def test_split_rule(self, windows, window):
         parts = _micro_batches(windows, window)
@@ -439,12 +448,9 @@ class TestMicroBatches:
         assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
         assert sum(sizes) == windows and max(sizes) - min(sizes) <= 1
         assert sizes == sorted(sizes, reverse=True)
-        if windows > 1:
-            assert sizes[0] >= 2        # the tape tells per-window masks from shared ones
-        if 2 * window <= _MICRO_ROWS:
-            assert max(sizes) * window <= _MICRO_ROWS
-            assert len(parts) == -(-windows // (_MICRO_ROWS // window))
-        assert (len(parts) == 1) == (windows * window <= _MICRO_ROWS or windows <= 2)
+        most = max(1, _MICRO_ROWS // window)     # one from a window of over _MICRO_ROWS / 2
+        assert max(sizes) <= most and len(parts) == -(-windows // most)
+        assert (len(parts) == 1) == (windows * window <= _MICRO_ROWS or windows == 1)
 
     def test_split_at_default_windows(self):
         assert [hi - lo for lo, hi in _micro_batches(128, 24)] == [32] * 4
@@ -477,44 +483,48 @@ class TestMicroBatches:
         assert micro_history[0]["train_loss"] == pytest.approx(full_history[0]["train_loss"],
                                                                rel=1e-12)
 
-    # the first four run the whole batch, the rest one process's share of it
-    @pytest.mark.parametrize("parts", [[(0, 3), (3, 5), (5, 7)], [(0, 2), (2, 4), (4, 6), (6, 7)],
-                                       [(0, 7)], [(3, 5), (5, 7), (0, 3)],
-                                       [(0, 3)], [(5, 7), (3, 5)], [(2, 4), (4, 5)]])
-    def test_tape_serves_rows_of_full_batch_draws(self, monkeypatch, parts):
+    # the first four and the last (B = 1) run the whole batch, the fourth out of order;
+    # the rest run parts of it, two starting on a one-window micro-batch
+    @pytest.mark.parametrize("windows, parts", [
+        (7, [(0, 3), (3, 5), (5, 7)]), (7, [(0, 2), (2, 4), (4, 6), (6, 7)]), (7, [(0, 7)]),
+        (7, [(3, 5), (5, 7), (0, 3)]), (7, [(0, 3)]), (7, [(5, 7), (3, 5)]), (7, [(2, 4), (4, 5)]),
+        (7, [(0, 1), (1, 2), (6, 7)]), (7, [(4, 5), (5, 7)]), (1, [(0, 1)]),
+    ], ids=[f"parts{i}" for i in range(10)])
+    def test_mask_rows_are_rows_of_full_batch_draws(self, monkeypatch, windows, parts):
         model = ForecastModel(ATTENTION, n_fuels=4, window=6, embed_dim=8, heads=2,
                               decoder_layers=2, ff_dim=8, dropout=0.3, seed=2)
-        x = Tensor(simplex((7, 6, 4)))
+        x = Tensor(simplex((windows, 6, 4)))
         drawn = []
 
-        def recording(shape, p, training, rng):
-            drawn.append(_dropout_mask(shape, p, training, rng))
+        def recording(shape, p, training, rng, shared=False):
+            drawn.append(_dropout_mask(shape, p, training, rng, shared))
             return drawn[-1]
 
         monkeypatch.setattr(forecaster, "_dropout_mask", recording)
-        oracle_rng, tape_rng = np.random.default_rng(11), np.random.default_rng(11)
-        for rng in (oracle_rng, tape_rng):
+        oracle_rng, batch_rng = np.random.default_rng(11), np.random.default_rng(11)
+        for rng in (oracle_rng, batch_rng):
             rng.permutation(5)      # leaves a buffered 32-bit draw, as each epoch's does
         assert oracle_rng.bit_generator.state["has_uint32"] == 1
         full = model.forward_tensor(x, True, oracle_rng).data
         oracle, drawn[:] = list(drawn), []
-        share = min(lo for lo, _ in parts), max(hi for _, hi in parts)
-        tape = _MaskTape(tape_rng, 7, *share)
-        for lo, hi in parts:
-            tape.select(lo, hi)
-            pred = model.forward_tensor(Tensor(x.data[lo:hi]), True, tape).data
-            np.testing.assert_allclose(pred, full[lo:hi], rtol=1e-13, atol=0)
+        start, masks = batch_rng.bit_generator.state, np.random.default_rng(0)
+        for a, b in parts:
+            rows = _MaskRows(masks, start, windows, a)
+            pred = model.forward_tensor(Tensor(x.data[a:b]), True, rows).data
+            np.testing.assert_allclose(pred, full[a:b], rtol=1e-13, atol=0)
             assert len(drawn) == len(oracle)
             for got, want in zip(drawn, oracle):
-                np.testing.assert_array_equal(got, want if len(want) == 1 else want[lo:hi])
+                np.testing.assert_array_equal(got, want if len(want) == 1 else want[a:b])
             drawn[:] = []
-        # the batch-1 decoder query's self-attention and residual masks, shared by all
-        assert sum(len(mask) == 1 for mask in oracle) == 2
-        # only the share's rows are drawn, and the generator, its buffered 32-bit draw
-        # included, ends where a full-batch forward leaves it
-        assert all(len(keep) in (1, share[1] - share[0]) for keep in tape.keeps)
-        assert tape_rng.bit_generator.state == oracle_rng.bit_generator.state
-        assert tape_rng.permutation(50).tolist() == oracle_rng.permutation(50).tolist()
+        if windows > 1:
+            # the batch-1 decoder query's self-attention and residual masks, shared by all
+            assert sum(len(mask) == 1 for mask in oracle) == 2
+        # the batch's generator is not drawn from; skipped past the counted draws, its
+        # buffered 32-bit draw included, it ends where a full-batch forward leaves it
+        assert batch_rng.bit_generator.state == start
+        _skip(batch_rng, windows * rows.per_window + rows.shared)
+        assert batch_rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert batch_rng.permutation(50).tolist() == oracle_rng.permutation(50).tolist()
 
     def test_micro_batch_divergence_stops_before_backward_and_step(self, synth_bundle,
                                                                    monkeypatch):
@@ -574,10 +584,10 @@ PARALLEL_CASES = {
                   {2: 1, 3: 2, 5: 4}),
     "linear-baseline": (720, dict(window=24, epochs=2, seed=3, architecture=LINEAR_BASELINE),
                         {2: 1, 3: 2, 5: 3}),
-    # batches of 7 windows (2+2 | 2+1, a 1-window micro-batch in the helper) and of 3
-    # (2+1, which the caller runs alone while the helper waits for the step)
+    # one-window micro-batches: batches of 7 (4+3, 3+2+2, 2+2+1+1+1) and of 3 (2+1,
+    # 1+1+1, and at 5 CPUs two helpers with no share wait for the step)
     "window-500": (1009, dict(window=500, epochs=1, batch_size=7, seed=2, test_fraction=0.0,
-                              val_fraction=0.0), {2: 1, 3: 1, 5: 1}),
+                              val_fraction=0.0), {2: 1, 3: 2, 5: 4}),
 }
 
 
@@ -589,15 +599,13 @@ class TestDataParallelTrain:
 
     @pytest.mark.parametrize("windows, window, processes, want", [
         (128, 24, 2, [2, 2]), (128, 24, 3, [2, 1, 1]), (128, 24, 9, [1] * 4),
-        (128, 72, 2, [7, 6]), (7, 500, 3, [2, 2]), (3, 500, 2, [2]), (1, 24, 4, [1]),
+        (128, 72, 2, [7, 6]), (7, 500, 3, [3, 2, 2]), (3, 500, 2, [2, 1]), (1, 24, 4, [1]),
     ])
     def test_shares(self, windows, window, processes, want):
         parts = _micro_batches(windows, window)
         shares = forecaster._shares(parts, processes)
         assert [len(share) for share in shares] == want
         assert [part for share in shares for part in share] == parts
-        # every process's first micro-batch holds two windows or more
-        assert all(share[0][1] - share[0][0] >= 2 for share in shares) or windows == 1
 
     @pytest.mark.parametrize("case", list(PARALLEL_CASES))
     def test_process_count_does_not_change_result(self, long_data, monkeypatch, case):
