@@ -52,7 +52,6 @@ from .forecaster import (
     build_models,
     load_checkpoint,
     forecast_heldout,
-    forked_workers,
     save_checkpoint,
     train,
 )
@@ -88,6 +87,7 @@ from .synth import (
     synthetic_mix_series,
 )
 from .dispersion import SR_MATRIX_COLUMNS
+from .workers import forked_count
 
 
 def _sha256(path: Path) -> str:
@@ -124,7 +124,7 @@ class CommandContext:
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
         self.started = time.monotonic()
-        self.forked = forked_workers()
+        self.forked = forked_count()
 
     def register_input(self, path: str | Path):
         path = Path(path)
@@ -148,7 +148,7 @@ class CommandContext:
             "outputs": [str(self.out_dir / name) for name in self.outputs],
             "seed": self.config.get("seed"),
             "wall_time_s": round(time.monotonic() - self.started, 3),
-            **_peak_rss(forked_workers() > self.forked),
+            **_peak_rss(forked_count() > self.forked),
         }
         (self.staging / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -12,32 +12,24 @@ perceptron converter; `beta` near 1 is mix-driven, smaller `beta` is
 health-driven. Training is plain SGD and fully deterministic given a seed.
 
 `train` shares each batch's micro-batches among helper processes forked
-for the call, one per usable CPU, and adds their gradients in the order
-one process would; each window's dropout masks depend on the batch alone,
-not on how it is split. `beta_sweep` trains each member in its own plain
-worker process forked from the caller, with one pipe for its point; the
-workers start in waves that keep every usable CPU busy. Every process
-runs one BLAS thread, so neither the trained parameters nor the points
-depend on the number of CPUs or on the host's BLAS thread count.
+for the call and adds their gradients in the order one process would;
+each window's dropout masks depend on the batch alone, not on how it is
+split. `beta_sweep` trains each member in a worker process of its own.
+`workers` starts, links and ends both kinds of process.
 """
 
 from __future__ import annotations
 
 import base64
-import contextlib
-import ctypes
-import functools
+import itertools
 import json
 import math
-import os
-import platform
-import signal
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import autodiff
+from . import autodiff, workers
 from .autodiff import SGD, Tensor
 from .errors import (
     BetaOutOfRange,
@@ -548,25 +540,6 @@ def _batch_loss(model, converter, hist, target, impact, beta,
     return composite_loss(pred, Tensor(target), pred_impact, Tensor(impact), beta)
 
 
-@functools.cache
-def _retain_freed_heap() -> None:
-    """Keep freed training buffers in the heap instead of returning them.
-
-    Every batch frees and re-allocates the same few hundred activation
-    buffers. By default glibc serves the large ones with fresh mmaps and
-    trims the heap top, so each batch pages them in again. Raising the
-    mmap and trim thresholds (32 MiB, 256 MiB) lets the next batch reuse
-    the freed memory. Process-wide; on any other libc it does nothing.
-    """
-    if platform.libc_ver()[0] != "glibc":
-        return
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    m_trim_threshold, m_mmap_threshold = -1, -3
-    mallopt(m_mmap_threshold, 32 << 20)
-    mallopt(m_trim_threshold, 256 << 20)
-
-
 def _near_equal(n: int, k: int) -> list[tuple[int, int]]:
     """`k` contiguous (lo, hi) ranges over 0..n-1, sizes within one of each other, larger first."""
     q, r = divmod(n, k)
@@ -614,16 +587,15 @@ class _TrainRun:
                              lr=cfg.step_size)
         self.train_arrays = _gather(data, split.train, cfg.window)
         self.val_arrays = _gather(data, split.val, cfg.window) if split.val else None
-        if processes > 1:
-            params = list(self.optimizer.params.values())
-            bounds = np.cumsum([0] + [p.data.size for p in params])
-            self.spans = list(zip(bounds, bounds[1:]))  # each parameter's place in a flat gradient
-            # the summed gradient of a batch, and each parameter's view of it
-            self.total = np.empty(bounds[-1])
-            self.grads = [self.total[lo:hi].reshape(p.data.shape)
-                          for (lo, hi), p in zip(self.spans, params)]
-            # one micro-batch's flat leaf gradient, then its weighted loss
-            self.row = np.empty(bounds[-1] + 1)
+        params = list(self.optimizer.params.values())
+        bounds = np.cumsum([0] + [p.data.size for p in params])
+        self.spans = list(zip(bounds, bounds[1:]))  # each parameter's place in a flat gradient
+        # the summed gradient of a batch, and each parameter's view of it
+        self.total = np.empty(bounds[-1])
+        self.grads = [self.total[lo:hi].reshape(p.data.shape)
+                      for (lo, hi), p in zip(self.spans, params)]
+        # one micro-batch's flat leaf gradient, then its weighted loss
+        self.row = np.empty(bounds[-1] + 1)
 
     def shares(self, windows: int) -> list[list[tuple[int, int]]]:
         return _shares(_micro_batches(windows, self.cfg.window), self.processes)
@@ -661,9 +633,30 @@ class _TrainRun:
                 parts.append(float(loss.data) * ((b - a) / len(self.split.val)))
         return parts
 
-    def flatten_grads(self, out: np.ndarray) -> None:
-        for (lo, hi), p in zip(self.spans, self.optimizer.params.values()):
-            out[lo:hi] = p.grad.reshape(-1)
+    def share_rows(self, idx: np.ndarray, share: list[tuple[int, int]], state: dict, rows):
+        """Run the micro-batches `share` of the batch `idx`, yielding one of `rows` for each.
+
+        A row holds the micro-batch's flat leaf gradient, then its weighted
+        loss. A non-finite loss ends the share: its row is yielded before
+        any backward, with no gradient.
+        """
+        for (a, b), row in zip(share, rows):
+            self.optimizer.zero_grad()
+            loss = self.micro_loss(idx, a, b, state)
+            row[-1] = float(loss.data)
+            if not math.isfinite(row[-1]):
+                yield row
+                return
+            loss.backward()
+            for (lo, hi), p in zip(self.spans, self.optimizer.params.values()):
+                row[lo:hi] = p.grad.reshape(-1)
+            yield row
+
+    def received(self, link, count: int):
+        """Each of the next `count` rows a helper sends down `link`, read into `row`."""
+        for _ in range(count):
+            link.recv_bytes_into(self.row)
+            yield self.row
 
     def step_by_total(self) -> None:
         """The optimizer step for the summed gradient in `total`."""
@@ -674,36 +667,25 @@ class _TrainRun:
     def epoch(self, epoch: int, links: list) -> dict:
         """One epoch in the caller, with a link to each helper; returns its history row.
 
-        The caller runs the first share of each batch into the leaf
-        gradients, then adds each helper's micro-batch gradients and losses
-        to them in micro-batch order, as one process would, and sends every
-        helper the sum to step by.
+        The caller folds the rows of its own share, then each helper's, into
+        `total` in micro-batch order. A parameter gets one gradient per
+        backward, so that adds what leaf accumulation in one process adds.
         """
         losses = []
         for idx, shares, state in self.batches():
-            self.optimizer.zero_grad()
+            rows = itertools.chain(
+                self.share_rows(idx, shares[0], state, itertools.repeat(self.row)),
+                *(self.received(link, len(share)) for link, share in zip(links, shares[1:])))
             value = 0.0
-            for a, b in shares[0]:
-                loss = self.micro_loss(idx, a, b, state)
-                part = float(loss.data)
-                if not math.isfinite(part):
+            self.total.fill(-0.0)       # -0.0 + x is x, for x = -0.0 too
+            for row in rows:
+                if not math.isfinite(row[-1]):
                     raise DivergedLoss(f"non-finite loss at epoch {epoch}")
-                loss.backward()
-                value += part
-            if links:
-                self.flatten_grads(self.total)
-                for link, share in zip(links, shares[1:]):
-                    for _ in share:
-                        link.recv_bytes_into(self.row)
-                        if not math.isfinite(self.row[-1]):
-                            raise DivergedLoss(f"non-finite loss at epoch {epoch}")
-                        self.total += self.row[:-1]
-                        value += float(self.row[-1])
-                for link in links:
-                    link.send_bytes(self.total)
-                self.step_by_total()
-            else:
-                self.optimizer.step()
+                self.total += row[:-1]
+                value += float(row[-1])
+            for link in links:
+                link.send_bytes(self.total)
+            self.step_by_total()
             losses.append(value)
         if self.split.val:
             shares = self.shares(len(self.split.val))
@@ -725,30 +707,15 @@ class _TrainRun:
 def _train_helper(run: _TrainRun, rank: int, link) -> None:
     """Run share `rank` of every batch and of validation in a forked helper of `train`.
 
-    Sends the flat leaf gradient and weighted loss of each of its
-    micro-batches, stopping at a non-finite loss, then takes the step whose
-    summed gradient the caller sends back.
+    Runs its share of a batch into rows of its own, then sends them, so
+    that it works while the caller runs the first share; takes the step
+    whose summed gradient the caller sends back.
     """
-    _worker_started()
-    n, size = len(run.split.train), run.cfg.batch_size
-    most = max(len(share) for windows in {min(size, n), n % size} - {0}
-               for share in run.shares(windows))
-    rows = np.empty((most, run.row.size))
     for _ in range(run.cfg.epochs):
         for idx, shares, state in run.batches():
             if rank < len(shares):
-                count = 0
-                for a, b in shares[rank]:
-                    run.optimizer.zero_grad()
-                    loss = run.micro_loss(idx, a, b, state)
-                    row = rows[count]
-                    row[-1] = float(loss.data)
-                    count += 1
-                    if not math.isfinite(row[-1]):
-                        break
-                    loss.backward()
-                    run.flatten_grads(row[:-1])
-                for row in rows[:count]:    # one at a time: the caller needs one buffer
+                rows = np.empty((len(shares[rank]), run.row.size))
+                for row in list(run.share_rows(idx, shares[rank], state, rows)):
                     link.send_bytes(row)
             link.recv_bytes_into(run.total)
             run.step_by_total()
@@ -756,23 +723,6 @@ def _train_helper(run: _TrainRun, rank: int, link) -> None:
             shares = run.shares(len(run.split.val))
             if rank < len(shares):
                 link.send_bytes(np.array(run.val_parts(shares[rank])))
-
-
-def _train_processes(cfg: TrainConfig, split: WindowSplit) -> int:
-    """The number of processes a `train` call runs in.
-
-    One per usable CPU, but at most one per micro-batch of its largest
-    batch; one in a worker this module forked, for zero epochs, or
-    without `fork` or a way to pin the BLAS threads.
-    """
-    if _in_worker or cfg.epochs == 0 or _blas_thread_calls() is None:
-        return 1
-    import multiprocessing      # here, so that importing the package does not pay for it
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    largest = min(cfg.batch_size, len(split.train))
-    return min(_usable_cpus(), len(_micro_batches(largest, cfg.window)))
 
 
 # a diverging run overflows; the finite checks on its losses report it, with no
@@ -787,22 +737,19 @@ def train(model: ForecastModel, converter: HealthConverterNet, data: TrainingDat
     history of mean train loss and validation loss.
 
     Each batch runs forward and backward in `_micro_batches`, each loss
-    weighted by its share of the batch, so the leaf gradients sum to the
-    batch's before its one optimizer step; `_MaskRows` gives every window
-    the dropout masks a full-batch step would. Validation runs in the same
-    chunks. Memory is one micro-batch's graph, so it barely grows with the
-    batch size.
+    weighted by its share of the batch, and their gradients are summed for
+    its one optimizer step; `_MaskRows` gives every window the dropout
+    masks a full-batch step would. Validation runs in the same chunks.
+    Memory is one micro-batch's graph, so it barely grows with the batch.
 
     The micro-batches of each batch, and of validation, are split into
-    `_shares` over `_train_processes` processes: the caller runs the first
-    share, and helpers forked for the call run the others and send back
-    each micro-batch's gradient and loss. The caller sums them in
-    micro-batch order, as one process does, and every process takes the
-    same step. Every process runs one BLAS thread (the caller's count is
-    restored afterwards), so the result does not depend on the number of
-    CPUs or on the host's BLAS thread setting. A helper that dies raises
-    GridHealthError naming the epoch; on any exception the helpers are
-    killed.
+    `_shares` over `workers.capacity()` processes, at most one per
+    micro-batch of the largest batch: the caller runs the first share and
+    helpers forked for the call the others. The caller sums the gradients
+    in micro-batch order and every process runs one BLAS thread, so the
+    result does not depend on the number of CPUs. A helper that dies
+    raises GridHealthError naming the epoch; on any exception the helpers
+    are killed.
     """
     if len(data) < 2 * cfg.window:
         raise InsufficientData(
@@ -812,24 +759,19 @@ def train(model: ForecastModel, converter: HealthConverterNet, data: TrainingDat
     if not split.train:
         raise InsufficientData("no complete training window inside the train split")
 
-    _retain_freed_heap()
-    processes = _train_processes(cfg, split)
+    workers.retain_freed_heap()
+    largest = _micro_batches(min(cfg.batch_size, len(split.train)), cfg.window)
+    processes = min(workers.capacity(), len(largest)) if cfg.epochs else 1
     run = _TrainRun(model, converter, data, cfg, split, processes)
-    history, helpers, links = [], [], []
-    with _one_blas_thread():
-        try:
-            links = _fork_workers(helpers, _train_helper,
-                                  [(run, rank) for rank in range(1, processes)], duplex=True)
-            for epoch in range(cfg.epochs):
-                try:
-                    history.append(run.epoch(epoch, links))
-                except (EOFError, ConnectionError):
-                    raise GridHealthError("a train helper process ended abruptly at epoch"
-                                          f" {epoch}") from None
-        finally:
-            for link in links:
-                link.close()
-            _end_workers(helpers)
+    history = []
+    with workers.one_blas_thread(), workers.forked(
+            _train_helper, [(run, rank) for rank in range(1, processes)]) as links:
+        for epoch in range(cfg.epochs):
+            try:
+                history.append(run.epoch(epoch, links))
+            except (EOFError, ConnectionError):
+                raise GridHealthError("a train helper process ended abruptly at epoch"
+                                      f" {epoch}") from None
     return model, converter, history
 
 
@@ -884,134 +826,15 @@ def build_models(n_fuels: int, cfg: TrainConfig) -> tuple[ForecastModel, HealthC
     return model, converter
 
 
-_BLAS_THREAD_CALLS = tuple((f"{lib}_get_num_threads{suffix}", f"{lib}_set_num_threads{suffix}")
-                           for lib in ("scipy_openblas", "openblas") for suffix in ("64_", ""))
-
-
-@functools.cache
-def _blas_thread_calls():
-    """The (get, set) thread-count functions of the OpenBLAS that numpy loaded, or None."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
-                            if "openblas" in line})
-        libraries = [ctypes.CDLL(path) for path in paths]
-    except OSError:
-        return None
-    calls = next(((getattr(lib, get), getattr(lib, set_)) for lib in libraries
-                  for get, set_ in _BLAS_THREAD_CALLS if hasattr(lib, get) and hasattr(lib, set_)),
-                 None)
-    if calls is not None:
-        calls[0].argtypes, calls[0].restype = (), ctypes.c_int
-        calls[1].argtypes, calls[1].restype = (ctypes.c_int,), None
-    return calls
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with one BLAS thread, then restore the caller's count."""
-    calls = _blas_thread_calls()
-    if calls is None:
-        yield
-        return
-    get, set_ = calls
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-_in_worker = False      # set in every worker process this module forks
-_forked = 0             # worker processes this process has forked
-
-
-def forked_workers() -> int:
-    """How many worker processes (sweep members, train helpers) this process has forked."""
-    return _forked
-
-
-def _worker_started() -> None:
-    """Start-up of every worker process this module forks.
-
-    The worker dies with its parent (Linux), leaves at once if the parent
-    died before that took hold, ends on SIGTERM, ignores Ctrl-C (which
-    reaches the whole process group; the parent ends its workers itself),
-    runs one BLAS thread and forks no train helpers of its own.
-    """
-    import multiprocessing
-    global _in_worker
-
-    prctl = getattr(ctypes.CDLL(None), "prctl", None)
-    if prctl is not None:
-        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
-        pr_set_pdeathsig = 1
-        prctl(pr_set_pdeathsig, signal.SIGKILL)
-    if os.getppid() != multiprocessing.parent_process().pid:
-        os._exit(1)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM, signal.SIGINT})
-    calls = _blas_thread_calls()    # cached by the parent before it forked
-    if calls is not None:
-        calls[1](1)
-    _in_worker = True
-
-
-def _fork_workers(workers: list, target, arg_tuples: list, duplex: bool) -> list:
-    """Fork a worker running target(*args, end) for each of `arg_tuples`; return the pipe ends.
-
-    Each worker is appended to `workers` and gets one end of its own pipe
-    (`duplex` or one-way, worker to caller); the caller's ends come back in
-    order. The worker's end is closed here, so a worker's death reads as
-    EOF. SIGTERM and SIGINT are held while forking: one handled inside
-    fork's at-fork callbacks would be reported there and lost.
-    """
-    import multiprocessing      # here, so that importing the package does not pay for it
-    global _forked
-
-    context = multiprocessing.get_context("fork")
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM, signal.SIGINT})
-    ends = []
-    try:
-        for args in arg_tuples:
-            mine, theirs = context.Pipe(duplex)
-            ends.append(mine)
-            with theirs:
-                worker = context.Process(target=target, args=(*args, theirs))
-                worker.start()
-            workers.append(worker)
-            _forked += 1
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    return ends
-
-
-def _end_workers(workers: list) -> None:
-    """Kill, reap and close each of `workers`, emptying the list; safe to repeat."""
-    while workers:
-        workers[-1].kill()      # a no-op for a worker already reaped
-        workers[-1].join()
-        workers.pop().close()
-
-
-def _sweep_worker(data: TrainingData, cfg: TrainConfig, sender) -> None:
-    """Train `cfg` in a forked worker; send its point, or its error, to `sender`."""
-    _worker_started()
+def _sweep_worker(data: TrainingData, cfg: TrainConfig, link) -> None:
+    """Train `cfg` in a forked worker; send its point, or its error, down `link`."""
     try:
         model, converter = build_models(data.mixes.shape[1], cfg)
         model, converter, _ = train(model, converter, data, cfg)
         ev = evaluate(model, converter, data, cfg)
-        sender.send(TradeoffPoint(cfg.beta, ev.fuel_nmae, ev.health_nmae))
+        link.send(TradeoffPoint(cfg.beta, ev.fuel_nmae, ev.health_nmae))
     except Exception as exc:
-        sender.send(exc)
+        link.send(exc)
 
 
 def _wave_sizes(runs: int, cpus: int) -> list[int]:
@@ -1031,39 +854,31 @@ def _wave_sizes(runs: int, cpus: int) -> list[int]:
 def beta_sweep(data: TrainingData, betas: list[float], cfg: TrainConfig) -> list[TradeoffPoint]:
     """Independent training runs across beta on identical splits and seeds.
 
-    Each sorted run trains in its own forked worker (one BLAS thread, no
-    train helpers) and sends its point or error down its own pipe. Workers
-    start in waves of `_wave_sizes(runs, n)`, n the usable CPUs (1 if
-    numpy's OpenBLAS cannot be pinned); each wave is read in beta order and
-    reaped before the next forks. An error is raised here as it was raised
-    there, and a worker that dies raises GridHealthError naming its beta.
-    On any exception, Ctrl-C included, the workers are killed.
+    Each sorted run trains in its own forked worker (no train helpers)
+    and sends its point or error down its link. Workers start in waves of
+    `_wave_sizes(runs, workers.capacity())`; each wave is read in beta
+    order and ended before the next forks. An error is raised here as it
+    was raised there, and a worker that dies raises GridHealthError naming
+    its beta.
     """
     betas = sorted(betas)
     repeated = next((a for a, b in zip(betas, betas[1:]) if a == b), None)
     if repeated is not None:
         raise GridHealthError(f"beta {repeated} is listed more than once")
     runs = [replace(cfg, beta=b) for b in betas]   # a bad beta fails before any training
-    # also fills the cache that the forked workers read
-    cpus = _usable_cpus() if _blas_thread_calls() else 1
-    points, workers = [], []
-    try:
-        for size in _wave_sizes(len(runs), cpus):
-            wave = runs[len(points):len(points) + size]
-            receivers = _fork_workers(workers, _sweep_worker, [(data, run) for run in wave],
-                                      duplex=False)
-            for run, receiver in zip(wave, receivers):
+    points = []
+    for size in _wave_sizes(len(runs), workers.capacity()):
+        wave = runs[len(points):len(points) + size]
+        with workers.forked(_sweep_worker, [(data, run) for run in wave]) as links:
+            for run, link in zip(wave, links):
                 try:
-                    points.append(receiver.recv())
+                    points.append(link.recv())
                 except EOFError:
                     raise GridHealthError("a sweep worker process ended abruptly"
                                           f" while training beta={run.beta}") from None
                 if isinstance(points[-1], BaseException):
                     raise points[-1]
-            _end_workers(workers)
-        return points
-    finally:
-        _end_workers(workers)
+    return points
 
 
 # -- checkpointing -------------------------------------------------------------

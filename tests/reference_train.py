@@ -18,12 +18,13 @@ import numpy as np
 from gridhealth import autodiff
 from gridhealth.autodiff import SGD
 from gridhealth.errors import DivergedLoss
-from gridhealth.forecaster import _batch_loss, _gather, _one_blas_thread, split_windows
+from gridhealth.forecaster import _batch_loss, _gather, split_windows
+from gridhealth.workers import one_blas_thread
 
 
 def train_full_batch(model, converter, data, cfg):
     """`train` with one forward and one backward per batch; returns what `train` returns."""
-    with _one_blas_thread():
+    with one_blas_thread():
         return _train_full_batch(model, converter, data, cfg)
 
 

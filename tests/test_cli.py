@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridhealth import forecaster
+from gridhealth import forecaster, workers
 from gridhealth.cli import main
 from gridhealth.errors import DivergedLoss
 from gridhealth.forecaster import TrainConfig, build_models, load_checkpoint, save_checkpoint
@@ -306,7 +306,7 @@ class TestTrainPredictSweep:
     def test_manifest_records_peak_rss(self, bundle, tmp_path, monkeypatch):
         flags = ["--dataset", bundle / "fuel_mix.csv", "--labels", bundle / "labels.csv",
                  "--epochs", 1, "--arch", "linear_baseline"]
-        monkeypatch.setattr(forecaster, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
         assert run("train", *flags, "--out", tmp_path / "run") == 0
         assert run("sweep", *flags, "--out", tmp_path / "sweep", "--betas", "0.5,0.9") == 0
         trained = json.loads((tmp_path / "run" / "manifest.json").read_text())
@@ -314,9 +314,9 @@ class TestTrainPredictSweep:
         assert trained["peak_rss_mb"] > 0 and "worker_peak_rss_mb" not in trained
         assert trained["config"]["beta"] == 0.5 and "beta" not in swept["config"]
         assert swept["peak_rss_mb"] > 0 and swept["worker_peak_rss_mb"] > 0
-        if forecaster._blas_thread_calls() is not None:
+        if workers.blas_thread_calls() is not None:
             # with two CPUs, train forks a helper for the other half of each batch
-            monkeypatch.setattr(forecaster, "_usable_cpus", lambda: 2)
+            monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
             assert run("train", *flags, "--out", tmp_path / "helped") == 0
             helped = json.loads((tmp_path / "helped" / "manifest.json").read_text())
             assert helped["peak_rss_mb"] > 0 and helped["worker_peak_rss_mb"] > 0
@@ -324,6 +324,30 @@ class TestTrainPredictSweep:
         assert run("train", *flags, "--out", tmp_path / "bare") == 0
         bare = json.loads((tmp_path / "bare" / "manifest.json").read_text())
         assert "peak_rss_mb" not in bare and "worker_peak_rss_mb" not in bare
+
+    def test_without_fork_train_runs_in_one_process_and_sweep_fails(self, bundle, tmp_path,
+                                                                    capsys, monkeypatch):
+        flags = ["--dataset", bundle / "fuel_mix.csv", "--labels", bundle / "labels.csv",
+                 "--epochs", 1]
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        assert run("train", *flags, "--out", tmp_path / "forked") == 0
+
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        # as on Windows
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        forked = workers.forked_count()
+        assert run("train", *flags, "--out", tmp_path / "alone") == 0
+        assert ((tmp_path / "alone" / "checkpoint.json").read_bytes()
+                == (tmp_path / "forked" / "checkpoint.json").read_bytes())
+        capsys.readouterr()
+        assert run("sweep", *flags, "--out", tmp_path / "sweep", "--betas", "0.5,0.9") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'fork'" in err and err.count("\n") == 1
+        assert workers.forked_count() == forked
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["alone", "forked"]
 
     def test_sweep_member_error_reported(self, bundle, tmp_path, capsys, monkeypatch):
         def diverge(model, converter, data, cfg):
@@ -424,20 +448,20 @@ class TestTrainPredictSweep:
 
     @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM])
     def test_interrupted_train_ends_its_helpers(self, bundle, tmp_path, sig):
-        if forecaster._blas_thread_calls() is None:
+        if workers.blas_thread_calls() is None:
             pytest.skip("train forks no helpers without a way to pin the BLAS threads")
         # a real process, so that the signal arrives while the caller trains or waits
         script = tmp_path / "helped_train.py"
         script.write_text(
             "import os, sys\n"
             "from pathlib import Path\n"
-            "from gridhealth import cli, forecaster\n"
+            "from gridhealth import cli, forecaster, workers\n"
             "helper = forecaster._train_helper\n"
             "def noted(*args):\n"
             "    Path(sys.argv[1], str(os.getpid())).touch()\n"
             "    helper(*args)\n"
             "forecaster._train_helper = noted\n"
-            "forecaster._usable_cpus = lambda: 2\n"
+            "workers.usable_cpus = lambda: 2\n"
             "sys.exit(cli.main(sys.argv[2:]))\n")
         started = tmp_path / "started"
         started.mkdir()
@@ -470,7 +494,7 @@ class TestTrainPredictSweep:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["helped_train.py", "started"]
 
     def test_checkpoint_does_not_depend_on_blas_threads(self, tmp_path):
-        if forecaster._blas_thread_calls() is None:
+        if workers.blas_thread_calls() is None:
             pytest.skip("no way to pin the BLAS threads")
         assert run("synth", "--out", tmp_path / "b", "--hours", 2160, "--seed", 0) == 0
         src = str(Path(main.__code__.co_filename).parents[1])

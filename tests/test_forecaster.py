@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_train import train_full_batch
 
-from gridhealth import forecaster
+from gridhealth import forecaster, workers
 from gridhealth.autodiff import Tensor, grad_check
 from gridhealth.errors import (
     BetaOutOfRange,
@@ -327,7 +327,7 @@ class TestSweep:
         ev = evaluate(model, conv, data, cfg)
         assert points[0].fuel_nmae == pytest.approx(ev.fuel_nmae, rel=1e-12)
         assert points[0].health_nmae == pytest.approx(ev.health_nmae, rel=1e-12)
-        if forecaster._blas_thread_calls() is not None:
+        if workers.blas_thread_calls() is not None:
             # both trained with one BLAS thread, here in one or more processes
             assert points[0].fuel_nmae == ev.fuel_nmae
             assert points[0].health_nmae == ev.health_nmae
@@ -367,7 +367,7 @@ class TestSweep:
         monkeypatch.setattr(forecaster, "train", train_noting_pid)
         points = {}
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(forecaster, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
             points[cpus] = beta_sweep(data, [0.998, 0.5, 0.9], cfg)
             trained = sorted(p.name.split("-") for p in tmp_path.iterdir())
             for p in tmp_path.iterdir():
@@ -416,7 +416,7 @@ class TestSweep:
             return real_train(model, converter, data, cfg)
 
         monkeypatch.setattr(forecaster, "train", train_or_die)
-        monkeypatch.setattr(forecaster, "_usable_cpus", lambda: 1)     # waves of one
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)     # waves of one
         with pytest.raises(GridHealthError,
                            match=r"^a sweep worker process ended abruptly while training "
                                  r"beta=0\.998$"):
@@ -534,7 +534,7 @@ class TestMicroBatches:
         before = {k: v.data.copy() for k, v in {**model.params, **conv.params}.items()}
         calls = {"loss": 0, "backward": 0}
         # the counters live in this process: keep every micro-batch in it
-        monkeypatch.setattr(forecaster, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
         real_loss, real_backward = forecaster._batch_loss, Tensor.backward
 
         def second_diverges(*args, **kwargs):
@@ -613,28 +613,28 @@ class TestDataParallelTrain:
         data, cfg = _head(long_data, hours), TrainConfig(**fields)
         runs = {}
         for cpus in (1, 2, 3, 5):
-            monkeypatch.setattr(forecaster, "_usable_cpus", lambda: cpus)
-            forked = forecaster.forked_workers()
+            monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+            forked = workers.forked_count()
             model, conv = build_models(data.mixes.shape[1], cfg)
             _, _, history = train(model, conv, data, cfg)
             params = {**{f"m.{k}": v.data for k, v in model.params.items()},
                       **{f"c.{k}": v.data for k, v in conv.params.items()}}
-            runs[cpus] = params, history, forecaster.forked_workers() - forked
+            runs[cpus] = params, history, workers.forked_count() - forked
         params, history, forked = runs[1]
         assert forked == 0
         for cpus in (2, 3, 5):
             assert runs[cpus][1] == history
             for name in params:
                 np.testing.assert_array_equal(runs[cpus][0][name], params[name], err_msg=name)
-            if forecaster._blas_thread_calls() is not None:
+            if workers.blas_thread_calls() is not None:
                 assert runs[cpus][2] == helpers[cpus]
         assert multiprocessing.active_children() == []
 
     def _two_process_run(self, long_data, monkeypatch, epochs):
         """Data and config of one 128-window batch per epoch, 2 micro-batches per process."""
-        if forecaster._blas_thread_calls() is None:
+        if workers.blas_thread_calls() is None:
             pytest.skip("train forks no helpers without a way to pin the BLAS threads")
-        monkeypatch.setattr(forecaster, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         return _head(long_data, 175), TrainConfig(window=24, epochs=epochs, seed=0,
                                                   test_fraction=0.0, val_fraction=0.0)
 
@@ -677,18 +677,18 @@ class TestDataParallelTrain:
         assert multiprocessing.active_children() == []
 
     def test_sweep_workers_fork_no_train_helpers(self, long_data, monkeypatch, tmp_path):
-        if forecaster._blas_thread_calls() is None:
+        if workers.blas_thread_calls() is None:
             pytest.skip("train forks no helpers without a way to pin the BLAS threads")
-        monkeypatch.setattr(forecaster, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         data, cfg = _head(long_data, 720), TrainConfig(window=24, epochs=1, seed=2)
-        real_fork = forecaster._fork_workers
+        real_fork = workers.forked
 
-        def noting_fork(workers, target, arg_tuples, duplex):
+        def noting_fork(target, arg_tuples):
             for _ in arg_tuples:
                 (tmp_path / f"{target.__name__}-{os.getpid()}-{len(os.listdir(tmp_path))}").touch()
-            return real_fork(workers, target, arg_tuples, duplex)
+            return real_fork(target, arg_tuples)
 
-        monkeypatch.setattr(forecaster, "_fork_workers", noting_fork)
+        monkeypatch.setattr(workers, "forked", noting_fork)
         beta_sweep(data, [0.5, 0.9], cfg)
         caller = str(os.getpid())
         assert sorted(p.name.split("-")[:2] for p in tmp_path.iterdir()) == [
