@@ -7,21 +7,27 @@ weights it by that partial energy. With the remainder on the last-selected
 (most expensive) slot, picking the n cheapest slots is globally optimal,
 which `brute_force_schedule` verifies by enumeration.
 
-Fleet evaluation is array-form and makes one pass over the fleet:
-`evaluate_fleet` takes sessions in chunks of one window length, gathers each
-chunk's (sessions, window) price block once and costs every strategy on it.
+Fleet evaluation is array-form and makes two passes over the sessions that
+charge; a zero-demand session costs +0.0 without either. The plan pass takes
+sessions in chunks of one window length and gathers each chunk's (sessions,
+window) price block once. On it, `first_hours`, `latest_hours` and
+`continuous` each record the first slot of their run, and `optimal` is
+costed on the block sorted row-wise. The cost pass takes sessions in chunks
+of one slot count n and sums each run's n charged products.
 `continuous` compares the contiguous runs of n slots on prefix sums of the
 prices, rate x (P[s+n-1] - P[s]) + remainder x h[s+n-1] with
 P = [0, *cumsum(h)]; a row-wise cumsum adds in the order of the 1-d one, so
 the engine and `baseline_schedule` pick the same run. The per-session
 functions (`optimal_schedule`, `baseline_schedule`, `schedule_for`,
 `brute_force_schedule`) are the oracle the engine is tested against: each
-session's cost is the `math.fsum` of the same energy x price products
-`Schedule.cost` adds, so it is equal with `==`. The engine gets that value
-from `health._row_fsums` without a Python float per product: a long-double
-row sum, certified to round to the exact sum, where long double is x87
-80-bit (x86-64 Linux) or IEEE binary128 (64-bit ARM Linux), and `math.fsum`
-for the rows that fail the check and on every other platform.
+session's cost is the `math.fsum` of the energy x price products
+`Schedule.cost` adds, so it is equal with `==`; the products of unselected
+slots are zeros, which fsum skips, so the engine sums only the charged ones.
+The engine gets that value from `health._row_fsums` without a Python float
+per product: a long-double row sum, certified to round to the exact sum,
+where long double is x87 80-bit (x86-64 Linux) or IEEE binary128 (64-bit ARM
+Linux), and `math.fsum` for the rows that fail the check and on every other
+platform.
 
 Costs are in dollars: h carries $/kWh per slot and energies are kWh.
 """
@@ -38,6 +44,7 @@ import numpy as np
 from .errors import (
     DegenerateDistribution,
     InfeasibleSession,
+    NonFiniteValue,
     SignalCoverageGap,
     WindowTooLarge,
 )
@@ -307,13 +314,23 @@ def schedule_for(session: ChargingSession, h, strategy: str) -> StrategyResult:
 
 
 def signal_to_slot_prices(signals: HealthSeries) -> tuple[np.ndarray, int]:
-    """Dense $/kWh per slot (internal + external) and the first timestamp."""
+    """Dense $/kWh per slot (internal + external) and the first timestamp.
+
+    An hour whose two costs overflow when added raises `NonFiniteValue`:
+    each is finite, but an infinite price makes NaN of the zero energy x
+    price products of every slot a schedule leaves out.
+    """
     if not len(signals):
         raise SignalCoverageGap("empty health signal series")
     first, last = int(signals.timestamps[0]), int(signals.timestamps[-1])
     if last - first != len(signals) - 1:   # stamps strictly increase, so this is a gap
         raise SignalCoverageGap("health signal series has gaps")
-    prices = (signals.costs[:, 0] + signals.costs[:, 1]) * USD_PER_MWH_TO_PER_KWH
+    with np.errstate(over="ignore"):
+        prices = (signals.costs[:, 0] + signals.costs[:, 1]) * USD_PER_MWH_TO_PER_KWH
+    if not np.isfinite(prices).all():
+        i = int(np.argmin(np.isfinite(prices)))
+        raise NonFiniteValue(f"health costs at hour {signals.timestamps[i]} overflow when "
+                             f"added: {signals.costs[i].tolist()}")
     return prices, first
 
 
@@ -339,19 +356,29 @@ def _session_costs(sessions: SessionTable, signals: HealthSeries, strategies) ->
     """Each strategy's cost per session, a (strategies, sessions) matrix.
 
     Raises `SignalCoverageGap` naming the first session outside the signal.
-    Sessions are taken in chunks of one window length and at most
-    `_BLOCK_ELEMENTS` prices; each chunk's (sessions, window) price block is
-    gathered once and costed for every strategy. A row's chosen slots are
-    columns start..start+n-1 of its block (sorted for `optimal`), the last
-    carrying the remainder, and its cost is the `math.fsum` of the products
-    `Schedule.cost` adds, so it equals `schedule_for(...).total_cost`.
-    One `_row_fsums` call sums a chunk's products for every strategy: a
-    certified long-double sum per row where long double is x87 80-bit or
-    IEEE binary128, and `math.fsum` for the rows that fail its check and on
-    other platforms.
-    `continuous` compares runs on row-wise prefix sums of the block, which add
-    in the order `baseline_schedule`'s 1-d prefix sums do, so it picks the same
-    start.
+    A session's cost is the `math.fsum` of the energy x price products
+    `Schedule.cost` adds, so it equals `schedule_for(...).total_cost`. The
+    products of uncharged slots are zeros, which fsum skips, so only the n
+    charged slots are summed, and a zero-demand session keeps +0.0, fsum's
+    zero sum, without a sum. The sessions that charge are taken in two passes:
+
+    - Plan, in chunks of one window length and at most `_BLOCK_ELEMENTS`
+      prices; each chunk's (sessions, window) price block is gathered once.
+      `first_hours`, `latest_hours` and `continuous` each record the price
+      index of their run's first slot, int32. `continuous` compares runs on
+      row-wise prefix sums of the block, which add in the order
+      `baseline_schedule`'s 1-d prefix sums do, so it picks the same start.
+      `optimal` is costed here, on the block sorted row-wise and cut to the
+      chunk's largest n: np.sort's default kind gives the stable sort's
+      values but may swap -0.0 and +0.0, and the sign of a zero product
+      never changes an fsum.
+    - Cost, in chunks of one slot count n and at most `_BLOCK_ELEMENTS`
+      prices: each run's n charged prices are gathered and weighted by the
+      rate, the last one by the remainder.
+
+    One `_row_fsums` call sums each chunk's rows: a certified long-double sum
+    per row where long double is x87 80-bit or IEEE binary128, and
+    `math.fsum` for the rows that fail its check and on other platforms.
     """
     prices, t0 = signal_to_slot_prices(signals)
     lo = sessions.arrival - t0
@@ -369,39 +396,60 @@ def _session_costs(sessions: SessionTable, signals: HealthSeries, strategies) ->
     rate = sessions.rate_kw
     slots, remainder = _slot_plan(sessions.demand_kwh, rate)
     slots = slots.astype(np.int32)
+    charged = np.flatnonzero(slots > 0)
     costs = np.zeros((len(strategies), len(sessions)))
-    order = np.argsort(width, kind="stable").astype(np.int32)
-    for group in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):
-        if not len(group):
-            continue
-        w = int(width[group[0]])
+    cheapest = [k for k, s in enumerate(strategies) if s == STRATEGY_OPTIMAL]
+    runs = [k for k, s in enumerate(strategies) if s != STRATEGY_OPTIMAL]
+    searched = [j for j, k in enumerate(runs) if strategies[k] == STRATEGY_CONTINUOUS]
+    starts = np.tile(lo, (len(runs), 1))    # price index of each run's first slot
+    for j, k in enumerate(runs):
+        if strategies[k] == STRATEGY_LATEST:
+            starts[j] += width - slots
+    for w, idx in _chunks(charged, width, slots) if cheapest or searched else ():
         col = np.arange(w)
-        step = max(1, _BLOCK_ELEMENTS // w)
-        for at in range(0, len(group), step):
-            idx = group[at:at + step]
-            block = prices[lo[idx, None] + col]
-            n, c, r = slots[idx, None], rate[idx, None], remainder[idx, None]
-            products = np.empty((len(strategies), len(idx), w))
-            for k, strategy in enumerate(strategies):
-                h, start = block, np.zeros_like(n)
-                if strategy == STRATEGY_OPTIMAL:
-                    h = np.sort(block, axis=1, kind="stable")
-                elif strategy == STRATEGY_LATEST:
-                    start = w - n
-                elif strategy == STRATEGY_CONTINUOUS:
-                    # run from column s: rate x (P[s+n-1] - P[s]) + remainder x h[s+n-1]
-                    lead = np.zeros((len(idx), w + 1))
-                    np.cumsum(block, axis=1, out=lead[:, 1:])
-                    end = np.clip(col + n - 1, 0, w - 1)
-                    run = (c * (np.take_along_axis(lead, end, axis=1) - lead[:, :w])
-                           + r * np.take_along_axis(block, end, axis=1))
-                    run[col > w - n] = np.inf   # a zero-demand row charges nothing at any start
-                    start = np.argmin(run, axis=1)[:, None]
-                last = start + n - 1
-                energy = np.where(col == last, r, np.where((col >= start) & (col < last), c, 0.0))
-                np.multiply(energy, h, out=products[k])
-            costs[:, idx] = _row_fsums(products.reshape(-1, w)).reshape(len(strategies), -1)
+        block = prices[lo[idx, None] + col]
+        n, c, r = slots[idx, None], rate[idx, None], remainder[idx, None]
+        if cheapest:
+            # a chunk's rows are sorted by slot count, so few columns pad them
+            m = int(n.max())
+            energy = np.where(col[:m] == n - 1, r, np.where(col[:m] < n - 1, c, 0.0))
+            cost = _row_fsums(energy * np.sort(block, axis=1)[:, :m])
+            for k in cheapest:
+                costs[k, idx] = cost
+        if searched:
+            # run from column s: rate x (P[s+n-1] - P[s]) + remainder x h[s+n-1]
+            lead = np.zeros((len(idx), w + 1))
+            np.cumsum(block, axis=1, out=lead[:, 1:])
+            end = np.minimum(col + n - 1, w - 1)
+            run = (c * (lead.ravel()[end + (w + 1) * np.arange(len(idx))[:, None]] - lead[:, :w])
+                   + r * prices[lo[idx, None] + end])
+            run[col > w - n] = np.inf
+            start = lo[idx] + np.argmin(run, axis=1)
+            for j in searched:
+                starts[j, idx] = start
+    for n, idx in _chunks(charged, slots) if runs else ():
+        h = prices[starts[:, idx, None] + np.arange(n)]
+        products = h * rate[idx, None]
+        products[:, :, -1] = h[:, :, -1] * remainder[idx]
+        cost = _row_fsums(products.reshape(-1, n)).reshape(len(runs), -1)
+        for j, k in enumerate(runs):
+            costs[k, idx] = cost[j]
     return costs
+
+
+def _chunks(rows, size, tie=None):
+    """(size, chunk) pairs that cover `rows` in order of `size` (then `tie`).
+
+    A chunk's rows share one `size` value and number at most
+    `_BLOCK_ELEMENTS // size`, one at least.
+    """
+    order = rows[np.lexsort((size[rows],) if tie is None else (tie[rows], size[rows]))]
+    for group in np.split(order, np.flatnonzero(np.diff(size[order])) + 1):
+        if len(group):
+            value = int(size[group[0]])
+            step = max(1, _BLOCK_ELEMENTS // value)
+            for at in range(0, len(group), step):
+                yield value, group[at:at + step]
 
 
 def sample_sessions(count: int, arrival_dist, departure_dist, demand_dist,

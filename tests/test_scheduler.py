@@ -12,6 +12,7 @@ from gridhealth.errors import (
     DegenerateDistribution,
     InfeasibleSession,
     MalformedRow,
+    NonFiniteValue,
     SignalCoverageGap,
     WindowTooLarge,
 )
@@ -325,15 +326,35 @@ def engine_costs(sessions, signals, strategy):
     return _session_costs(table(sessions), signals, [strategy])[0]
 
 
+def oracle_costs(sessions, signals):
+    """{strategy: [schedule_for(...).total_cost per session]}."""
+    prices, t0 = signal_to_slot_prices(signals)
+    return {strategy: [schedule_for(s, prices[s.arrival - t0:s.departure - t0 + 1],
+                                    strategy).total_cost for s in sessions]
+            for strategy in ALL_STRATEGIES}
+
+
+def assert_matches_oracle(costs, want, sessions):
+    """Engine costs equal the oracle's with ==, and so does the sign of a zero."""
+    for strategy, row in zip(ALL_STRATEGIES, costs.tolist()):
+        for s, cost, scalar in zip(sessions, row, want[strategy]):
+            assert cost == scalar, (strategy, s)
+            assert math.copysign(1.0, cost) == math.copysign(1.0, scalar), (strategy, s)
+
+
 @st.composite
 def fleets(draw):
     """A signal starting at some t0 and sessions inside it, with edge cases common."""
     hours = draw(st.integers(1, 40))
     t0 = draw(st.integers(0, 30))
-    kind = draw(st.sampled_from(["ties", "constant", "zeros", "uniform"]))
+    kind = draw(st.sampled_from(["ties", "constant", "zeros", "signed zeros", "uniform"]))
     if kind == "ties":
         costs = [0.37 * k for k in draw(st.lists(st.integers(0, 3), min_size=hours,
                                                   max_size=hours))]
+    elif kind == "signed zeros":
+        # -0.0 and +0.0 prices, which the engine's unstable sort may swap
+        costs = draw(st.lists(st.sampled_from([-0.0, 0.0, 0.37, 0.74, 1.11]), min_size=hours,
+                              max_size=hours))
     elif kind == "constant":
         costs = [draw(st.floats(0.0, 50.0))] * hours
     elif kind == "zeros":
@@ -417,6 +438,68 @@ class TestFleetEngine:
             for s, cost in zip(sessions, costs):
                 h = prices[s.arrival - t0:s.departure - t0 + 1]
                 assert cost == schedule_for(s, h, strategy).total_cost, (strategy, s)
+
+    def test_cost_chunks_match_scalar_oracle(self):
+        # the cost pass chunks by slot count: 300 sessions of 40 slots fill
+        # more than one block, and 8,300 slots are more than a block holds
+        rng = np.random.default_rng(12)
+        hours = 9000
+        costs = 0.37 * rng.integers(0, 4, size=hours)
+        signals = HealthSeries(np.arange(hours), np.column_stack([costs * 600.0, costs * 400.0]))
+        sessions = []
+        for i in range(300):
+            width = int(rng.integers(40, 73))
+            arrival = int(rng.integers(0, hours - width))
+            rate = [3.6, 7.2, 11.0][i % 3]
+            demand = 40 * rate if i % 2 else (39 + float(rng.uniform(0.01, 1.0))) * rate
+            sessions.append(ChargingSession(arrival, arrival + width - 1, demand, rate, f"E{i}"))
+        sessions.append(ChargingSession(100, 8599, 8300 * 3.6, 3.6, "long-exact"))
+        sessions.append(ChargingSession(200, 8699, 8299.5 * 7.2, 7.2, "long-partial"))
+        assert 300 * 40 > _BLOCK_ELEMENTS and _BLOCK_ELEMENTS < 8300
+        assert {s.slots_needed for s in sessions} == {40, 8300}
+        costs = _session_costs(table(sessions), signals, ALL_STRATEGIES)
+        assert_matches_oracle(costs, oracle_costs(sessions, signals), sessions)
+
+    def test_zero_demand_skips_fsum(self, monkeypatch):
+        # zero-demand sessions cost +0.0 without a sum, on -0.0 prices too, and
+        # take no math.fsum call: the charged sessions take as many on their own
+        hours = 48
+        costs = np.where(np.arange(hours) % 3 == 0, -0.0, 0.37 * (np.arange(hours) % 5))
+        signals = HealthSeries(np.arange(hours), np.column_stack([costs * 600.0, costs * 400.0]))
+        rng = np.random.default_rng(5)
+        zero, charged = [], []
+        for i in range(60):
+            width = int(rng.integers(1, 25))
+            arrival = int(rng.integers(0, hours - width + 1))
+            rate = [3.6, 7.2, 11.0][i % 3]
+            demand = float(rng.uniform(0.0, rate * width))
+            zero.append(ChargingSession(arrival, arrival + width - 1, 0.0, rate, f"Z{i}"))
+            charged.append(ChargingSession(arrival, arrival + width - 1, demand, rate, f"C{i}"))
+        fleet = [s for pair in zip(zero, charged) for s in pair]
+        want = oracle_costs(fleet, signals)
+        real = math.fsum
+        calls = []
+        monkeypatch.setattr(math, "fsum", lambda row: calls.append(1) or real(row))
+
+        def fsum_calls(sessions):
+            calls.clear()
+            costs = _session_costs(table(sessions), signals, ALL_STRATEGIES)
+            return costs, len(calls)
+
+        costs, count = fsum_calls(zero)
+        assert count == 0
+        assert np.all(costs == 0.0) and not np.signbit(costs).any()
+        costs, count = fsum_calls(fleet)
+        assert count == fsum_calls(charged)[1]
+        monkeypatch.undo()
+        assert_matches_oracle(costs, want, fleet)
+
+    def test_overflowing_signal_rejected(self):
+        costs = np.full((24, 2), 1.0)
+        costs[7] = [1e308, 1e308]   # each finite, their sum is not
+        signals = HealthSeries(np.arange(24), costs)
+        with pytest.raises(NonFiniteValue, match=r"health costs at hour 7 overflow"):
+            evaluate_fleet(table([ChargingSession(0, 3, 1.0, 1.0)]), signals)
 
     def test_coverage_gap_names_first_offender(self):
         signals = diurnal_signal(24, t0=5)
