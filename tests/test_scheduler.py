@@ -408,14 +408,8 @@ class TestFleetEngine:
             ChargingSession(30, 46, 5 * 11.0, 11.0, "exact-multiple"),
             ChargingSession(19, 40, 20.5, 3.6, "partial"),
         ]
-        prices, t0 = signal_to_slot_prices(signals)
-        for strategy in ALL_STRATEGIES:
-            costs = engine_costs(sessions, signals, strategy)
-            for s, cost in zip(sessions, costs):
-                h = prices[s.arrival - t0:s.departure - t0 + 1]
-                scalar = schedule_for(s, h, strategy).total_cost
-                assert cost == scalar, (strategy, s)
-                assert math.copysign(1.0, cost) == math.copysign(1.0, scalar), (strategy, s)
+        costs = _session_costs(table(sessions), signals, ALL_STRATEGIES)
+        assert_matches_oracle(costs, oracle_costs(sessions, signals), sessions)
 
     def test_chunk_split_matches_scalar_oracle(self):
         # 300 windows of 40 h fill more than one price block, and one window
@@ -432,12 +426,8 @@ class TestFleetEngine:
             sessions.append(ChargingSession(arrival, arrival + width - 1, demand, rate, f"E{i}"))
         sessions.append(ChargingSession(100, 8599, 1234.5, 3.6, "long"))
         assert 300 * width > _BLOCK_ELEMENTS and _BLOCK_ELEMENTS < 8500 < hours
-        prices, t0 = signal_to_slot_prices(signals)
-        for strategy in ALL_STRATEGIES:
-            costs = engine_costs(sessions, signals, strategy)
-            for s, cost in zip(sessions, costs):
-                h = prices[s.arrival - t0:s.departure - t0 + 1]
-                assert cost == schedule_for(s, h, strategy).total_cost, (strategy, s)
+        costs = _session_costs(table(sessions), signals, ALL_STRATEGIES)
+        assert_matches_oracle(costs, oracle_costs(sessions, signals), sessions)
 
     def test_cost_chunks_match_scalar_oracle(self):
         # the cost pass chunks by slot count: 300 sessions of 40 slots fill
