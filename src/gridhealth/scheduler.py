@@ -52,7 +52,7 @@ from .health import HealthSeries, _row_fsums
 from .ingest import as_float, as_int, as_str, read_table, write_table
 
 BRUTE_FORCE_MAX_WINDOW = 20
-_SLOT_TOLERANCE = 1e-9     # demand / rate this far above a whole slot count rounds down to it
+_SLOT_TOLERANCE = 1e-9     # demand / rate this far above a whole slot count n >= 1 rounds down to n
 
 STRATEGY_OPTIMAL = "optimal"
 STRATEGY_FIRST = "first_hours"
@@ -66,11 +66,14 @@ USD_PER_MWH_TO_PER_KWH = 1e-3
 def _slot_plan(demand, rate):
     """(slots, remainder) for kWh `demand` at kW `rate`, scalars or arrays, without warnings.
 
-    slots = ceil(demand / rate - _SLOT_TOLERANCE), a float (0 for zero demand);
-    remainder is the energy of the slot selected last, 0 when there is none.
+    slots = ceil(demand / rate - _SLOT_TOLERANCE), a float, and at least 1 for
+    a positive demand: a demand below rate x _SLOT_TOLERANCE still charges one
+    slot, so no energy is dropped; 0 for zero demand. remainder is the energy
+    of the slot selected last, 0 when there is none.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        slots = np.ceil(np.divide(demand, rate) - _SLOT_TOLERANCE)
+        slots = np.maximum(np.ceil(np.divide(demand, rate) - _SLOT_TOLERANCE),
+                           np.greater(demand, 0))
         return slots, np.where(slots > 0, demand - (slots - 1) * rate, 0.0)
 
 

@@ -163,6 +163,16 @@ class TestInvariants:
             sched = schedule_for(s, h, strategy).schedule
             assert sched.total_energy() == pytest.approx(demand, abs=1e-9)
 
+    def test_demand_below_slot_tolerance_still_charges(self):
+        # demand / rate = 6.9e-10 is under the slot tolerance but above zero
+        s = ChargingSession(0, 0, 2.0718235707769012e-09, 3.0)
+        assert s.slots_needed == 1 and s.remainder_kwh == s.demand_kwh
+        for strategy in ALL_STRATEGIES:
+            assert schedule_for(s, np.array([1.5]), strategy).schedule.total_energy() == s.demand_kwh
+        signals = HealthSeries(np.arange(1), np.array([[1000.0, 500.0]]))
+        costs = _session_costs(table([s]), signals, ALL_STRATEGIES)
+        assert costs.tolist() == [[s.demand_kwh * 1.5]] * len(ALL_STRATEGIES)
+
     def test_demand_met_bit_exactly_when_divisible(self):
         s = ChargingSession(0, 5, 4.0, 2.0)
         h = np.array([3.0, 1.0, 2.0, 5.0, 0.5, 0.7])
