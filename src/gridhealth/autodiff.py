@@ -5,11 +5,12 @@ A `Tensor` wraps an ndarray and remembers how it was produced; calling
 topological order and accumulates gradients into every tensor created
 with `requires_grad=True`. The walk frees the graph as it goes, so each
 graph supports one `backward()`. The operations are those the forecaster,
-health converter, and dispersion layer use, plus `sqrt`, `log`, `**`, `/`,
-`layer_norm` and `@`, which no model calls: the tests check them and build
-the unfused composites from them. The forecaster's hot composites
-(`linear`, `gelu`, `layer_norm_affine`, `attention`) are single nodes with
-hand-written backward passes.
+health converter, dispersion layer and training loss run, plus `@` and
+`layer_norm`, which no model calls: the tests build the unfused composites
+of `linear` and `layer_norm_affine` from them. An operation nothing runs
+is not kept; a model that needs one adds it with its gradient check. The
+forecaster's hot composites (`linear`, `gelu`, `layer_norm_affine`,
+`attention`) are single nodes with hand-written backward passes.
 
 All data is float64. Gradients of broadcast operands are summed back to
 the operand's shape, so biases and per-feature scales behave like their
@@ -163,14 +164,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        a = self
-
-        def back(g):
-            a._accumulate(-g)
-
-        return Tensor._make(-a.data, (a,), back)
-
     def __sub__(self, other):
         other = self._coerce(other)
         a, b = self, other
@@ -182,9 +175,6 @@ class Tensor:
                 b._accumulate(_unbroadcast(-g, b.data.shape))
 
         return Tensor._make(a.data - b.data, (a, b), back)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -200,36 +190,6 @@ class Tensor:
         return Tensor._make(ad * bd, (a, b), back)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        a, b = self, other
-        ad, bd = a.data, b.data
-
-        def back(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g / bd, ad.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * ad / (bd * bd), bd.shape))
-
-        return Tensor._make(ad / bd, (a, b), back)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, p: float):
-        a = self
-        ad = a.data
-        # integer exponents take numpy's fast repeated-squaring path
-        pi = int(p) if float(p).is_integer() else None
-
-        def back(g):
-            if pi is not None:
-                a._accumulate(g * p * ad ** (pi - 1))
-            else:
-                a._accumulate(g * p * ad ** (p - 1))
-
-        return Tensor._make(ad ** pi if pi is not None else ad ** p, (a,), back)
 
     def __matmul__(self, other):
         other = self._coerce(other)
@@ -285,58 +245,28 @@ class Tensor:
 
     # -- reductions ----------------------------------------------------------
 
-    def sum(self, axis=None, keepdims=False):
+    def sum(self, axis=None):
         a = self
         shape = a.data.shape
 
         def back(g):
-            if axis is not None and not keepdims:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             a._accumulate(np.broadcast_to(g, shape).copy())
 
-        return Tensor._make(a.data.sum(axis=axis, keepdims=keepdims), (a,), back)
+        return Tensor._make(a.data.sum(axis=axis), (a,), back)
 
-    def mean(self, axis=None, keepdims=False):
+    def mean(self):
+        """Mean over the whole array."""
         a = self
         shape = a.data.shape
-        count = a.data.size if axis is None else (
-            np.prod([shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]))
 
         def back(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g, shape) / count)
+            a._accumulate(np.broadcast_to(g, shape) / a.data.size)
 
-        return Tensor._make(a.data.mean(axis=axis, keepdims=keepdims), (a,), back)
+        return Tensor._make(a.data.mean(), (a,), back)
 
     # -- elementwise nonlinearities -------------------------------------------
-
-    def exp(self):
-        a = self
-        out_data = np.exp(a.data)
-
-        def back(g):
-            a._accumulate(g * out_data)
-
-        return Tensor._make(out_data, (a,), back)
-
-    def log(self):
-        a = self
-        ad = a.data
-
-        def back(g):
-            a._accumulate(g / ad)
-
-        return Tensor._make(np.log(ad), (a,), back)
-
-    def sqrt(self):
-        a = self
-        out_data = np.sqrt(a.data)
-
-        def back(g):
-            a._accumulate(g * 0.5 / out_data)
-
-        return Tensor._make(out_data, (a,), back)
 
     def tanh(self):
         a = self
@@ -497,21 +427,16 @@ class Tensor:
         return Tensor._make(out, (q, k, v), back)
 
 
-def parameter(data, rng: np.random.Generator | None = None, scale: float | None = None) -> Tensor:
-    """Create a trainable tensor; with `rng`, `data` is a shape to initialize.
+def parameter(shape, rng: np.random.Generator, scale: float | None = None) -> Tensor:
+    """A trainable tensor of `shape`, drawn uniform in [-scale, scale].
 
-    Initialization is Glorot-uniform over the last two axes when `scale`
-    is not given.
+    Without `scale`, the draw is Glorot-uniform over the last two axes.
     """
-    if rng is not None:
-        shape = tuple(data)
-        if scale is None:
-            fan_in = shape[-2] if len(shape) >= 2 else shape[-1]
-            fan_out = shape[-1]
-            scale = np.sqrt(6.0 / (fan_in + fan_out))
-        arr = rng.uniform(-scale, scale, size=shape)
-        return Tensor(arr, requires_grad=True)
-    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+    shape = tuple(shape)
+    if scale is None:
+        fan_in = shape[-2] if len(shape) >= 2 else shape[-1]
+        scale = np.sqrt(6.0 / (fan_in + shape[-1]))
+    return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
 
 
 def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:

@@ -187,7 +187,6 @@ class DispersionLayer:
             raise InvalidParams("init_gain must be positive")
         raw = np.full((pollutant_count, receptor_count), _inverse_softplus(np.float64(init_gain)))
         self.theta = Tensor(raw, requires_grad=True)
-        self.trained = False
 
     @property
     def weights(self) -> np.ndarray:
@@ -261,5 +260,4 @@ def fit_dispersion_layer(
             best_loss = current
             best_theta = layer.theta.data.copy()
     layer.theta.data = best_theta
-    layer.trained = epochs > 0
     return layer

@@ -7,13 +7,14 @@ weights it by that partial energy. With the remainder on the last-selected
 (most expensive) slot, picking the n cheapest slots is globally optimal,
 which `brute_force_schedule` verifies by enumeration.
 
-Fleet evaluation is array-form and makes two passes over the sessions that
-charge; a zero-demand session costs +0.0 without either. The plan pass takes
-sessions in chunks of one window length and gathers each chunk's (sessions,
-window) price block once. On it, `first_hours`, `latest_hours` and
-`continuous` each record the first slot of their run, and `optimal` is
-costed on the block sorted row-wise. The cost pass takes sessions in chunks
-of one slot count n and sums each run's n charged products.
+Fleet evaluation is array-form, always costs all four strategies, and makes
+two passes over the sessions that charge; a zero-demand session costs +0.0
+without either. `first_hours` and `latest_hours` start their runs at the
+window's ends. The plan pass takes sessions in chunks of one window length
+and gathers each chunk's (sessions, window) price block once. On it,
+`continuous` records the first slot of its run, and `optimal` is costed on
+the block sorted row-wise. The cost pass takes sessions in chunks of one
+slot count n and sums each run's n charged products.
 `continuous` compares the contiguous runs of n slots on prefix sums of the
 prices, rate x (P[s+n-1] - P[s]) + remainder x h[s+n-1] with
 P = [0, *cumsum(h)]; a row-wise cumsum adds in the order of the 1-d one, so
@@ -342,35 +343,39 @@ def evaluate_fleet(sessions: SessionTable, signals: HealthSeries,
     """Total fleet cost per strategy against one health-signal series.
 
     Each total adds the per-session costs left to right in session order.
+    All four strategies are costed; `strategies` selects the totals returned.
     """
     for strategy in strategies:
         if strategy not in ALL_STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
     # accumulate is sequential, like +=; sum() and np.sum round differently
-    running = np.add.accumulate(_session_costs(sessions, signals, strategies), axis=1)
-    return {s: float(row[-1]) if len(row) else 0.0 for s, row in zip(strategies, running)}
+    running = np.add.accumulate(_session_costs(sessions, signals), axis=1)
+    totals = dict(zip(ALL_STRATEGIES, running[:, -1].tolist() if len(sessions)
+                  else [0.0] * len(ALL_STRATEGIES)))
+    return {s: totals[s] for s in strategies}
 
 
 # Elements in one temporary block of the fleet engine; bounds its memory.
 _BLOCK_ELEMENTS = 1 << 13
 
 
-def _session_costs(sessions: SessionTable, signals: HealthSeries, strategies) -> np.ndarray:
-    """Each strategy's cost per session, a (strategies, sessions) matrix.
+def _session_costs(sessions: SessionTable, signals: HealthSeries) -> np.ndarray:
+    """Each strategy's cost per session, a (4, sessions) matrix in `ALL_STRATEGIES` order.
 
     Raises `SignalCoverageGap` naming the first session outside the signal.
     A session's cost is the `math.fsum` of the energy x price products
     `Schedule.cost` adds, so it equals `schedule_for(...).total_cost`. The
     products of uncharged slots are zeros, which fsum skips, so only the n
     charged slots are summed, and a zero-demand session keeps +0.0, fsum's
-    zero sum, without a sum. The sessions that charge are taken in two passes:
+    zero sum, without a sum. The four strategies are always costed together;
+    the sessions that charge are taken in two passes:
 
     - Plan, in chunks of one window length and at most `_BLOCK_ELEMENTS`
       prices; each chunk's (sessions, window) price block is gathered once.
-      `first_hours`, `latest_hours` and `continuous` each record the price
-      index of their run's first slot, int32. `continuous` compares runs on
-      row-wise prefix sums of the block, which add in the order
-      `baseline_schedule`'s 1-d prefix sums do, so it picks the same start.
+      `continuous` records the price index of its run's first slot, int32,
+      comparing runs on row-wise prefix sums of the block, which add in the
+      order `baseline_schedule`'s 1-d prefix sums do, so it picks the same
+      start; `first_hours` and `latest_hours` start at the window's ends.
       `optimal` is costed here, on the block sorted row-wise and cut to the
       chunk's largest n: np.sort's default kind gives the stable sort's
       values but may swap -0.0 and +0.0, and the sign of a zero product
@@ -400,43 +405,30 @@ def _session_costs(sessions: SessionTable, signals: HealthSeries, strategies) ->
     slots, remainder = _slot_plan(sessions.demand_kwh, rate)
     slots = slots.astype(np.int32)
     charged = np.flatnonzero(slots > 0)
-    costs = np.zeros((len(strategies), len(sessions)))
-    cheapest = [k for k, s in enumerate(strategies) if s == STRATEGY_OPTIMAL]
-    runs = [k for k, s in enumerate(strategies) if s != STRATEGY_OPTIMAL]
-    searched = [j for j, k in enumerate(runs) if strategies[k] == STRATEGY_CONTINUOUS]
-    starts = np.tile(lo, (len(runs), 1))    # price index of each run's first slot
-    for j, k in enumerate(runs):
-        if strategies[k] == STRATEGY_LATEST:
-            starts[j] += width - slots
-    for w, idx in _chunks(charged, width, slots) if cheapest or searched else ():
+    costs = np.zeros((len(ALL_STRATEGIES), len(sessions)))
+    # price index of the first slot of each run: first_hours, latest_hours, continuous
+    starts = np.stack([lo, lo + width - slots, lo])
+    for w, idx in _chunks(charged, width, slots):
         col = np.arange(w)
         block = prices[lo[idx, None] + col]
         n, c, r = slots[idx, None], rate[idx, None], remainder[idx, None]
-        if cheapest:
-            # a chunk's rows are sorted by slot count, so few columns pad them
-            m = int(n.max())
-            energy = np.where(col[:m] == n - 1, r, np.where(col[:m] < n - 1, c, 0.0))
-            cost = _row_fsums(energy * np.sort(block, axis=1)[:, :m])
-            for k in cheapest:
-                costs[k, idx] = cost
-        if searched:
-            # run from column s: rate x (P[s+n-1] - P[s]) + remainder x h[s+n-1]
-            lead = np.zeros((len(idx), w + 1))
-            np.cumsum(block, axis=1, out=lead[:, 1:])
-            end = np.minimum(col + n - 1, w - 1)
-            run = (c * (lead.ravel()[end + (w + 1) * np.arange(len(idx))[:, None]] - lead[:, :w])
-                   + r * prices[lo[idx, None] + end])
-            run[col > w - n] = np.inf
-            start = lo[idx] + np.argmin(run, axis=1)
-            for j in searched:
-                starts[j, idx] = start
-    for n, idx in _chunks(charged, slots) if runs else ():
+        # a chunk's rows are sorted by slot count, so few columns pad them
+        m = int(n.max())
+        energy = np.where(col[:m] == n - 1, r, np.where(col[:m] < n - 1, c, 0.0))
+        costs[0, idx] = _row_fsums(energy * np.sort(block, axis=1)[:, :m])
+        # run from column s: rate x (P[s+n-1] - P[s]) + remainder x h[s+n-1]
+        lead = np.zeros((len(idx), w + 1))
+        np.cumsum(block, axis=1, out=lead[:, 1:])
+        end = np.minimum(col + n - 1, w - 1)
+        run = (c * (lead.ravel()[end + (w + 1) * np.arange(len(idx))[:, None]] - lead[:, :w])
+               + r * prices[lo[idx, None] + end])
+        run[col > w - n] = np.inf
+        starts[2, idx] = lo[idx] + np.argmin(run, axis=1)
+    for n, idx in _chunks(charged, slots):
         h = prices[starts[:, idx, None] + np.arange(n)]
         products = h * rate[idx, None]
         products[:, :, -1] = h[:, :, -1] * remainder[idx]
-        cost = _row_fsums(products.reshape(-1, n)).reshape(len(runs), -1)
-        for j, k in enumerate(runs):
-            costs[k, idx] = cost[j]
+        costs[1:, idx] = _row_fsums(products.reshape(-1, n)).reshape(3, -1)
     return costs
 
 

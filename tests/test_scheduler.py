@@ -170,7 +170,7 @@ class TestInvariants:
         for strategy in ALL_STRATEGIES:
             assert schedule_for(s, np.array([1.5]), strategy).schedule.total_energy() == s.demand_kwh
         signals = HealthSeries(np.arange(1), np.array([[1000.0, 500.0]]))
-        costs = _session_costs(table([s]), signals, ALL_STRATEGIES)
+        costs = _session_costs(table([s]), signals)
         assert costs.tolist() == [[s.demand_kwh * 1.5]] * len(ALL_STRATEGIES)
 
     def test_demand_met_bit_exactly_when_divisible(self):
@@ -332,8 +332,9 @@ class TestFleet:
             evaluate_fleet(table([ChargingSession(0, 3, 1.0, 1.0)]), signals, [STRATEGY_FIRST])
 
 
-def engine_costs(sessions, signals, strategy):
-    return _session_costs(table(sessions), signals, [strategy])[0]
+def engine_costs(sessions, signals):
+    """{strategy: [engine cost per session]}, the rows of one `_session_costs` call."""
+    return dict(zip(ALL_STRATEGIES, _session_costs(table(sessions), signals).tolist()))
 
 
 def oracle_costs(sessions, signals):
@@ -396,10 +397,10 @@ class TestFleetEngine:
         sessions, signals = fleet
         prices, t0 = signal_to_slot_prices(signals)
         totals = evaluate_fleet(table(sessions), signals)
+        engine = engine_costs(sessions, signals)
         for strategy in ALL_STRATEGIES:
-            costs = engine_costs(sessions, signals, strategy)
             total = 0.0
-            for s, cost in zip(sessions, costs):
+            for s, cost in zip(sessions, engine[strategy]):
                 h = prices[s.arrival - t0:s.departure - t0 + 1]
                 scalar = schedule_for(s, h, strategy).total_cost
                 # results.csv writes repr, so the sign of a zero cost counts too
@@ -407,6 +408,9 @@ class TestFleetEngine:
                 assert math.copysign(1.0, cost) == math.copysign(1.0, scalar), (strategy, s)
                 total += scalar
             assert totals[strategy] == total
+            # a subset selects totals of the one computation
+            assert evaluate_fleet(table(sessions), signals, [strategy])[strategy] == total
+        assert evaluate_fleet(table(sessions), signals, ALL_STRATEGIES[::-1]) == totals
 
     def test_edge_sessions(self):
         signals = diurnal_signal(30, t0=17)
@@ -418,7 +422,7 @@ class TestFleetEngine:
             ChargingSession(30, 46, 5 * 11.0, 11.0, "exact-multiple"),
             ChargingSession(19, 40, 20.5, 3.6, "partial"),
         ]
-        costs = _session_costs(table(sessions), signals, ALL_STRATEGIES)
+        costs = _session_costs(table(sessions), signals)
         assert_matches_oracle(costs, oracle_costs(sessions, signals), sessions)
 
     def test_chunk_split_matches_scalar_oracle(self):
@@ -436,7 +440,7 @@ class TestFleetEngine:
             sessions.append(ChargingSession(arrival, arrival + width - 1, demand, rate, f"E{i}"))
         sessions.append(ChargingSession(100, 8599, 1234.5, 3.6, "long"))
         assert 300 * width > _BLOCK_ELEMENTS and _BLOCK_ELEMENTS < 8500 < hours
-        costs = _session_costs(table(sessions), signals, ALL_STRATEGIES)
+        costs = _session_costs(table(sessions), signals)
         assert_matches_oracle(costs, oracle_costs(sessions, signals), sessions)
 
     def test_cost_chunks_match_scalar_oracle(self):
@@ -457,7 +461,7 @@ class TestFleetEngine:
         sessions.append(ChargingSession(200, 8699, 8299.5 * 7.2, 7.2, "long-partial"))
         assert 300 * 40 > _BLOCK_ELEMENTS and _BLOCK_ELEMENTS < 8300
         assert {s.slots_needed for s in sessions} == {40, 8300}
-        costs = _session_costs(table(sessions), signals, ALL_STRATEGIES)
+        costs = _session_costs(table(sessions), signals)
         assert_matches_oracle(costs, oracle_costs(sessions, signals), sessions)
 
     def test_zero_demand_skips_fsum(self, monkeypatch):
@@ -483,7 +487,7 @@ class TestFleetEngine:
 
         def fsum_calls(sessions):
             calls.clear()
-            costs = _session_costs(table(sessions), signals, ALL_STRATEGIES)
+            costs = _session_costs(table(sessions), signals)
             return costs, len(calls)
 
         costs, count = fsum_calls(zero)
