@@ -35,9 +35,9 @@ from .forecaster import (
     beta_sweep,
     composite_loss,
     evaluate,
-    forecast_heldout,
-    forward,
+    forecast_at,
     nmae,
+    origins,
     train,
 )
 from .health import (
@@ -81,8 +81,8 @@ __all__ = [
     "apply_source_receptor", "build_plume_matrix", "fit_dispersion_layer",
     "EmissionFactorTable", "EmissionVector", "aggregate_plant_emissions", "emissions_from_mix",
     "Evaluation", "ForecastModel", "HealthConverterNet", "TradeoffPoint", "TrainConfig",
-    "TrainingData", "beta_sweep", "composite_loss", "evaluate", "forecast_heldout",
-    "forward", "nmae", "train",
+    "TrainingData", "beta_sweep", "composite_loss", "evaluate", "forecast_at", "nmae",
+    "origins", "train",
     "ConcentrationResponse", "HealthSeries", "HealthSignal", "HealthValuation", "PipelineConfig",
     "ReceptorProfile", "delta_health", "impact_per_mwh", "impacts", "monetize",
     "split_internal_external",

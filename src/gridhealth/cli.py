@@ -22,6 +22,7 @@ staging directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -42,7 +43,8 @@ except ImportError:     # not on Windows: the manifest then records no peak RSS
     resource = None
 
 from . import __version__
-from .errors import DatasetGap, DegenerateDistribution, GridHealthError, ShapeMismatch
+from .errors import (DatasetGap, DegenerateDistribution, GridHealthError, InsufficientData,
+                     ShapeMismatch)
 from .forecaster import (
     ATTENTION,
     LINEAR_BASELINE,
@@ -50,8 +52,9 @@ from .forecaster import (
     TrainingData,
     beta_sweep,
     build_models,
+    forecast_at,
     load_checkpoint,
-    forecast_heldout,
+    origins,
     save_checkpoint,
     train,
 )
@@ -220,6 +223,15 @@ def _load_training_data(args, ctx) -> TrainingData:
     return TrainingData.from_series(series, signals)
 
 
+@contextlib.contextmanager
+def _sized(path: str, hours: int):
+    """Name the dataset `path` and its hour count in an InsufficientData the block raises."""
+    try:
+        yield
+    except InsufficientData as exc:
+        raise InsufficientData(f"{path} has {hours} hours: {exc}") from None
+
+
 def _train_config(args) -> TrainConfig:
     # sweep has no --beta: beta_sweep sets the beta of each of its runs
     return TrainConfig(beta=getattr(args, "beta", TrainConfig.beta), window=args.window,
@@ -231,7 +243,8 @@ def cmd_train(args, ctx: CommandContext) -> None:
     data = _load_training_data(args, ctx)
     cfg = _train_config(args)
     model, converter = build_models(data.mixes.shape[1], cfg)
-    model, converter, history = train(model, converter, data, cfg)
+    with _sized(args.dataset, len(data)):
+        model, converter, history = train(model, converter, data, cfg)
     save_checkpoint(ctx.output("checkpoint.json"), model, converter)
     header = ["epoch", "train_loss", "val_loss"]
     write_table(ctx.output("loss_history.csv"), header,
@@ -246,7 +259,8 @@ def cmd_train(args, ctx: CommandContext) -> None:
 
 def cmd_sweep(args, ctx: CommandContext) -> None:
     data = _load_training_data(args, ctx)
-    points = beta_sweep(data, args.betas, _train_config(args))
+    with _sized(args.dataset, len(data)):
+        points = beta_sweep(data, args.betas, _train_config(args))
     header = ["beta", "fuel_nmae", "health_nmae"]
     write_table(ctx.output("tradeoff.csv"), header,
                 [[getattr(p, name) for p in points] for name in header])
@@ -263,9 +277,9 @@ def cmd_predict(args, ctx: CommandContext) -> None:
         raise ShapeMismatch(f"{args.dataset} has {len(series.fuel_names)} fuel columns; the "
                             f"checkpoint {args.checkpoint} forecasts {model.n_fuels}")
     ctx.config["window"] = model.window
-    # Evaluation protocol: non-overlapping windows tiling the held-out span.
-    _, pred_impacts, rows = forecast_heldout(model, converter, series.shares,
-                                             TrainConfig.test_fraction)
+    with _sized(args.dataset, len(series)):
+        starts = origins(len(series), model.window, TrainConfig.test_fraction)
+    _, pred_impacts, rows = forecast_at(model, converter, series.shares, starts)
     stamps = series.timestamps[rows]
     try:
         predicted = HealthSeries(stamps, pred_impacts)

@@ -81,7 +81,7 @@ class GraphReleased(GridHealthError):
 
 
 class ShortHistory(GridHealthError):
-    """Forecast input window is shorter than the model's context length."""
+    """A forecast's history window reaches outside the mixes it is taken from."""
 
 
 class ShapeMismatch(GridHealthError):
@@ -93,7 +93,7 @@ class BetaOutOfRange(GridHealthError):
 
 
 class InsufficientData(GridHealthError):
-    """Dataset too short to carve even one training window."""
+    """Dataset too short to carve even one training or held-out window."""
 
 
 class DivergedLoss(GridHealthError):

@@ -357,29 +357,6 @@ class ForecastModel:
         return logits.softmax(axis=-1)
 
 
-def forward(model: ForecastModel, history, horizon: int | None = None) -> np.ndarray:
-    """Predict the next `horizon` mixes from the trailing model window.
-
-    `history` is a FuelMixSeries or an (n, F) array with n >= model.window;
-    only the final window rows are consumed. Dropout is off, so the output
-    is a deterministic function of parameters and input.
-    """
-    shares = history.shares if isinstance(history, FuelMixSeries) else np.asarray(history)
-    if shares.ndim != 2 or shares.shape[1] != model.n_fuels:
-        raise ShapeMismatch(f"history must be (n, {model.n_fuels})")
-    if shares.shape[0] < model.window:
-        raise ShortHistory(
-            f"need at least {model.window} hours of history, have {shares.shape[0]}"
-        )
-    horizon = model.window if horizon is None else horizon
-    if not (1 <= horizon <= model.window):
-        raise ValueError(f"horizon must be in [1, {model.window}]")
-    x = Tensor(shares[-model.window:][None, :, :])
-    with autodiff.no_grad():
-        pred = model.forward_tensor(x, training=False)
-    return pred.data[0, :horizon]
-
-
 class HealthConverterNet:
     """3-layer perceptron mapping one mix to (internal, external) $/MWh,
     forced nonnegative by a softplus output."""
@@ -497,6 +474,11 @@ class WindowSplit:
     val: list[int] = field(default_factory=list)
 
 
+def _boundary(n_hours: int, test_fraction: float) -> int:
+    """The first held-out row: the test span is the last int(n_hours * test_fraction) hours."""
+    return n_hours - int(n_hours * test_fraction)
+
+
 def split_windows(n_hours: int, cfg: TrainConfig) -> WindowSplit:
     """Carve train/val window start indices, time ordered.
 
@@ -504,21 +486,24 @@ def split_windows(n_hours: int, cfg: TrainConfig) -> WindowSplit:
     the leading (1 - test_fraction) span; validation is the final
     val_fraction of those windows.
     """
-    t = cfg.window
-    n_test_hours = int(n_hours * cfg.test_fraction)
-    boundary = n_hours - n_test_hours
-    starts = list(range(0, boundary - 2 * t + 1))
+    starts = list(range(0, _boundary(n_hours, cfg.test_fraction) - 2 * cfg.window + 1))
     n_val = int(len(starts) * cfg.val_fraction)
     return WindowSplit(train=starts[: len(starts) - n_val], val=starts[len(starts) - n_val:])
 
 
-def _heldout_starts(n_hours: int, window: int, test_fraction: float) -> list[int]:
-    """Start indices of the windows whose targets tile the held-out span.
+def origins(n_hours: int, window: int, test_fraction: float) -> list[int]:
+    """Start rows of the held-out forecasts, in time order.
 
-    A history may reach back across the boundary.
+    Their targets tile the test span in non-overlapping windows of `window`
+    hours from the boundary on; a history may reach back across it. Raises
+    InsufficientData when the span holds no complete window.
     """
-    boundary = n_hours - int(n_hours * test_fraction)
-    return [q - window for q in range(boundary, n_hours - window + 1, window) if q >= window]
+    boundary = _boundary(n_hours, test_fraction)
+    starts = [q - window for q in range(boundary, n_hours - window + 1, window) if q >= window]
+    if not starts:
+        raise InsufficientData(f"test split of {n_hours - boundary} hours holds no complete"
+                               f" {window}-hour forecast window")
+    return starts
 
 
 def _window_rows(starts, t: int) -> np.ndarray:
@@ -751,13 +736,10 @@ def train(model: ForecastModel, converter: HealthConverterNet, data: TrainingDat
     raises GridHealthError naming the epoch; on any exception the helpers
     are killed.
     """
-    if len(data) < 2 * cfg.window:
-        raise InsufficientData(
-            f"dataset has {len(data)} hours; need at least {2 * cfg.window}"
-        )
     split = split_windows(len(data), cfg)
     if not split.train:
-        raise InsufficientData("no complete training window inside the train split")
+        raise InsufficientData(f"train split of {_boundary(len(data), cfg.test_fraction)} hours"
+                               f" holds no complete {2 * cfg.window}-hour training window")
 
     workers.retain_freed_heap()
     largest = _micro_batches(min(cfg.batch_size, len(split.train)), cfg.window)
@@ -788,29 +770,31 @@ class Evaluation:
 
 # as for train: the callers' finite checks report an overflowing forecast
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def forecast_heldout(model: ForecastModel, converter: HealthConverterNet, mixes: np.ndarray,
-                     test_fraction: float):
-    """Forecasts over the held-out span, non-overlapping windows of `model.window`.
+def forecast_at(model: ForecastModel, converter: HealthConverterNet, mixes: np.ndarray, starts):
+    """The forecast of the `model.window` hours after each history mixes[s:s + model.window].
 
-    Returns (pred_mixes, pred_impacts, rows): per-hour rows in time order,
-    and the row of `mixes` each one forecasts, to index truths and stamps by.
+    Returns (pred_mixes, pred_impacts, rows): per-hour rows, start by start,
+    and the row of `mixes` each one forecasts, to index truths and stamps by;
+    a row may lie past the end of `mixes`. Dropout is off, so the forecast
+    is a deterministic function of the parameters and the histories.
     """
     t = model.window
-    starts = _heldout_starts(len(mixes), t, test_fraction)
-    if not starts:
-        raise InsufficientData("test split holds no complete window")
     history = _window_rows(starts, t)
+    outside = history[(history[:, 0] < 0) | (history[:, -1] >= len(mixes))]
+    if len(outside):
+        raise ShortHistory(f"the forecast from row {outside[0, 0]} needs history rows"
+                           f" {outside[0, 0]}..{outside[0, -1]}; mixes has {len(mixes)} rows")
     with autodiff.no_grad():
         pred = model.forward_tensor(Tensor(mixes[history]), training=False)
-        pred_imp = converter.forward_tensor(pred.reshape(-1, model.n_fuels))
-    return pred.data.reshape(-1, model.n_fuels), pred_imp.data, (history + t).ravel()
+    pred_mixes = pred.data.reshape(-1, model.n_fuels)
+    return pred_mixes, converter.predict(pred_mixes), (history + t).ravel()
 
 
 def evaluate(model: ForecastModel, converter: HealthConverterNet, data: TrainingData,
              cfg: TrainConfig) -> Evaluation:
-    """Held-out-test NMAE of mixes and impacts, non-overlapping windows."""
-    pred_mixes, pred_impacts, rows = forecast_heldout(model, converter, data.mixes,
-                                                      cfg.test_fraction)
+    """Held-out-test NMAE of mixes and impacts, forecast from `origins`."""
+    pred_mixes, pred_impacts, rows = forecast_at(
+        model, converter, data.mixes, origins(len(data), model.window, cfg.test_fraction))
     truth_impacts = data.impacts[rows]
     return Evaluation(
         fuel_nmae=nmae(pred_mixes, data.mixes[rows]),
@@ -866,6 +850,7 @@ def beta_sweep(data: TrainingData, betas: list[float], cfg: TrainConfig) -> list
     if repeated is not None:
         raise GridHealthError(f"beta {repeated} is listed more than once")
     runs = [replace(cfg, beta=b) for b in betas]   # a bad beta fails before any training
+    origins(len(data), cfg.window, cfg.test_fraction)   # so does a test span with no window
     points = []
     for size in _wave_sizes(len(runs), workers.capacity()):
         wave = runs[len(points):len(points) + size]

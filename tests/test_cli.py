@@ -603,6 +603,26 @@ class TestTrainPredictSweep:
         assert snapshot(out) == {"manifest.json": b"an earlier run\n"}
         assert not list(tmp_path.glob(".out.*"))
 
+    @pytest.mark.parametrize("command, hours, problem", [
+        ("train", 40, "train split of 32 hours holds no complete 48-hour training window"),
+        ("train", 58, "train split of 47 hours holds no complete 48-hour training window"),
+        ("sweep", 100, "test split of 20 hours holds no complete 24-hour forecast window"),
+        ("predict", 100, "test split of 20 hours holds no complete 24-hour forecast window"),
+    ])
+    def test_short_dataset_named_with_its_hours(self, tmp_path, capsys, command, hours, problem):
+        data = tmp_path / "bundle"
+        assert run("synth", "--out", data, "--hours", hours) == 0
+        ckpt = tmp_path / "checkpoint.json"
+        save_checkpoint(ckpt, *build_models(8, TrainConfig(architecture="linear_baseline")))
+        inputs = (["--checkpoint", ckpt] if command == "predict"
+                  else ["--labels", data / "labels.csv", "--epochs", 1])
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(command, "--dataset", data / "fuel_mix.csv", "--out", out, *inputs) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data / 'fuel_mix.csv'} has {hours} hours: {problem}\n")
+        assert not out.exists()
+
     def test_non_utf8_dataset_rejected(self, bundle, tmp_path, capsys):
         dataset = tmp_path / "fuel_mix.csv"
         dataset.write_bytes((bundle / "fuel_mix.csv").read_bytes().replace(b"\n", b"\n\xe9", 1))

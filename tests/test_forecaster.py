@@ -34,16 +34,16 @@ from gridhealth.forecaster import (
     _MICRO_ROWS,
     _MaskRows,
     _dropout_mask,
-    _heldout_starts,
     _micro_batches,
     _skip,
     beta_sweep,
     build_models,
     composite_loss,
     evaluate,
-    forward,
+    forecast_at,
     load_checkpoint,
     nmae,
+    origins,
     save_checkpoint,
     split_windows,
     train,
@@ -56,6 +56,12 @@ rng = np.random.default_rng(7)
 def simplex(shape):
     x = np.abs(rng.normal(size=shape)) + 1e-3
     return x / x.sum(axis=-1, keepdims=True)
+
+
+def forecast_mixes(model, history, converter=None):
+    """The mixes `model` forecasts from the trailing window of `history`."""
+    converter = converter or HealthConverterNet(model.n_fuels, hidden=8, seed=0)
+    return forecast_at(model, converter, history, [len(history) - model.window])[0]
 
 
 class TestCompositeLoss:
@@ -129,7 +135,7 @@ class TestForward:
     def test_rows_on_simplex(self, arch):
         model = ForecastModel(arch, n_fuels=5, window=6, embed_dim=16, heads=2,
                               ff_dim=16, seed=3)
-        out = forward(model, simplex((9, 5)))
+        out = forecast_mixes(model, simplex((9, 5)))
         assert out.shape == (6, 5)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
         assert np.all(out >= 0)
@@ -138,21 +144,25 @@ class TestForward:
         model = ForecastModel(LINEAR_BASELINE, n_fuels=4, window=5, seed=0)
         model.init_persistence()
         history = simplex((5, 4))
-        out = forward(model, history)
+        out = forecast_mixes(model, history)
         for step in range(5):
             np.testing.assert_allclose(out[step], history[-1], rtol=1e-9)
 
     def test_short_history(self):
         model = ForecastModel(LINEAR_BASELINE, n_fuels=3, window=8, seed=0)
         with pytest.raises(ShortHistory):
-            forward(model, simplex((5, 3)))
+            forecast_mixes(model, simplex((5, 3)))
 
-    def test_horizon_slicing(self):
-        model = ForecastModel(LINEAR_BASELINE, n_fuels=3, window=6, seed=0)
-        h = simplex((6, 3))
-        head = forward(model, h, horizon=2)
-        assert head.shape == (2, 3)
-        np.testing.assert_array_equal(head, forward(model, h)[:2])
+    def test_start_outside_mixes(self):
+        model = ForecastModel(LINEAR_BASELINE, n_fuels=3, window=4, seed=0)
+        conv = HealthConverterNet(3, hidden=8, seed=0)
+        h = simplex((10, 3))
+        mixes, impacts, rows = forecast_at(model, conv, h, [0, 6])
+        assert mixes.shape == (8, 3) and impacts.shape == (8, 2)
+        np.testing.assert_array_equal(rows, [4, 5, 6, 7, 10, 11, 12, 13])
+        for starts in ([0, 7], [-1], [10]):
+            with pytest.raises(ShortHistory, match=f"from row {starts[-1]} "):
+                forecast_at(model, conv, h, starts)
 
     def test_attention_needs_a_decoder_block(self):
         # with none, the forecast would be the same for every history
@@ -165,7 +175,7 @@ class TestForward:
         model = ForecastModel(ATTENTION, n_fuels=4, window=6, embed_dim=16, heads=2,
                               ff_dim=16, dropout=0.5, seed=1)
         h = simplex((6, 4))
-        np.testing.assert_array_equal(forward(model, h), forward(model, h))
+        np.testing.assert_array_equal(forecast_mixes(model, h), forecast_mixes(model, h))
 
 
 def linear_impact_data(n_hours, n_fuels=4, seed=0):
@@ -228,7 +238,7 @@ class TestTrain:
                              val_fraction=0.0, batch_size=64)
         model, conv = self.small_models(cfg)
         train(model, conv, data, cfg)
-        pred = forward(model, mixes[:4])
+        pred = forecast_mixes(model, mixes[:4], conv)
         assert np.abs(pred - const).max() < 0.01
 
     def test_health_gradient_reaches_converter(self):
@@ -303,13 +313,23 @@ class TestSplitWindows:
         boundary = 1000 - 200
         assert max(split.train + split.val) + 48 <= boundary
         assert split.val == sorted(split.val)
-        assert all(s + 24 >= boundary for s in _heldout_starts(1000, 24, cfg.test_fraction))
+        assert all(s + 24 >= boundary for s in origins(1000, 24, cfg.test_fraction))
         assert split.val[0] > split.train[-1]
 
     def test_test_windows_tile_with_stride(self):
         cfg = TrainConfig(beta=0.5, window=24, epochs=1, seed=0)
-        targets = [s + 24 for s in _heldout_starts(1000, 24, cfg.test_fraction)]
+        targets = [s + 24 for s in origins(1000, 24, cfg.test_fraction)]
         assert np.all(np.diff(targets) == 24)
+
+    def test_origins_by_hand(self):
+        # the test span is hours 800..999; targets start at 800, 824, ..., 968
+        assert origins(1000, 24, 0.2) == [776, 800, 824, 848, 872, 896, 920, 944]
+
+    def test_no_origin_in_a_short_test_span(self):
+        with pytest.raises(InsufficientData,
+                           match=r"^test split of 23 hours holds no complete 24-hour forecast"):
+            origins(119, 24, 0.2)
+        assert origins(120, 24, 0.2) == [72]
 
 
 class TestSweep:
@@ -352,6 +372,14 @@ class TestSweep:
         cfg = TrainConfig(beta=0.5, window=24, epochs=0, seed=2)
         with pytest.raises(GridHealthError, match=r"^beta 0\.5 is listed more than once$"):
             beta_sweep(data, [0.5, 0.9, 0.5], cfg)
+
+    def test_short_test_span_fails_before_any_fork(self):
+        data = linear_impact_data(100)
+        cfg = TrainConfig(beta=0.5, window=24, epochs=1, seed=2)
+        forked = workers.forked_count()
+        with pytest.raises(InsufficientData, match=r"^test split of 20 hours holds no complete"):
+            beta_sweep(data, [0.5, 0.9], cfg)
+        assert workers.forked_count() == forked
 
     def test_worker_count_does_not_change_points(self, synth_bundle, monkeypatch, tmp_path):
         series, labels = synth_bundle
@@ -768,7 +796,8 @@ class TestCheckpoint:
                 assert new.params[name].data.flags.writeable
                 np.testing.assert_array_equal(new.params[name].data, tensor.data)
         h = simplex((6, 4))
-        np.testing.assert_array_equal(forward(model, h), forward(model2, h))
+        for old, new in zip(forecast_at(model, conv, h, [0]), forecast_at(model2, conv2, h, [0])):
+            np.testing.assert_array_equal(new, old)
         np.testing.assert_array_equal(conv.predict(h), conv2.predict(h))
 
     def test_rejects_foreign_file(self, tmp_path):
@@ -818,7 +847,7 @@ def test_converter_nonnegative_outputs():
 def test_window_72_contract():
     model = ForecastModel(ATTENTION, n_fuels=8, window=72, embed_dim=16, heads=2,
                           ff_dim=16, seed=1)
-    out = forward(model, simplex((72, 8)))
+    out = forecast_mixes(model, simplex((72, 8)))
     assert out.shape == (72, 8)
     np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
 
