@@ -220,7 +220,10 @@ def _load_training_data(args, ctx) -> TrainingData:
     ctx.register_input(args.labels)
     series = _load_canonical_mix(args.dataset)
     signals = load_signals_csv(args.labels)
-    return TrainingData.from_series(series, signals)
+    try:
+        return TrainingData.from_series(series, signals)
+    except InsufficientData as exc:
+        raise InsufficientData(f"{args.labels}: {exc} of {args.dataset}") from None
 
 
 @contextlib.contextmanager

@@ -44,6 +44,10 @@ SIGNAL_COLUMNS = [("timestamp", as_int), ("internal_usd_per_mwh", as_float),
 # (63 fraction bits) and IEEE binary128 (112); elsewhere every row uses fsum.
 _LONG_SUMS = np.finfo(np.longdouble).nmant in (63, 112)
 _LONG_U = np.finfo(np.longdouble).eps / 2     # unit roundoff of long double
+# Below this many units of a row's finest float64 spacing, every partial sum of
+# the row is exact in long double: 2**(nmant + 1) with a factor of 2 to spare for
+# sum|x| taken in float64.
+_LONG_EXACT = 2.0 ** np.finfo(np.longdouble).nmant
 _FSUM_SAFE = 2.0 ** 1023      # below this sum|x|, fsum cannot overflow on the way
 
 
@@ -56,12 +60,20 @@ def _row_fsums(block: np.ndarray) -> np.ndarray:
     B = 4 cols u sum|x| covers it and the roundings of sum|x| (taken in
     float64), B and S +- B. When S - B and S + B both lie strictly between
     the midpoints from r to its float64 neighbours (exact in long double),
-    the exact sum rounds to r, which is what fsum returns. Rows that fail
-    (sums within B of a midpoint, such as exact ties), zero sums, whose
-    sign fsum decides, rows whose sum|x| is 2**1023 or more (non-finite or
-    +-DBL_MAX sums, and every row on which fsum could overflow on the way),
-    and every row where long double is neither format above go to
-    `math.fsum`. So the result, or the OverflowError, is always fsum's.
+    the exact sum rounds to r, which is what fsum returns.
+
+    A row that fails that test, such as an exact tie, passes a second one
+    when sum|x| < `_LONG_EXACT` q, with q the float64 spacing at the row's
+    smallest non-zero |x|. Every term is then a multiple of q, and so is
+    every partial sum, each below 2**(nmant + 1) q in magnitude: all of
+    them are exact in long double, S is the exact sum, and r is S rounded
+    half to even, as fsum rounds it.
+
+    Rows that fail both, zero sums, whose sign fsum decides, rows whose
+    sum|x| is 2**1023 or more (non-finite or +-DBL_MAX sums, and every row
+    on which fsum could overflow on the way), and every row where long
+    double is neither format above go to `math.fsum`. So the result, or
+    the OverflowError, is always fsum's.
     """
     rows, cols = block.shape
     out = np.empty(rows)
@@ -75,7 +87,13 @@ def _row_fsums(block: np.ndarray) -> np.ndarray:
             near = r.astype(np.longdouble)
             below = (np.nextafter(r, -np.inf).astype(np.longdouble) + near) / 2
             above = (np.nextafter(r, np.inf).astype(np.longdouble) + near) / 2
-            ok = (s - bound > below) & (s + bound < above) & (r != 0) & (magnitude < _FSUM_SAFE)
+            ok = (s - bound > below) & (s + bound < above)
+            close = np.flatnonzero(~ok)
+            if close.size:
+                terms = np.abs(block[close])
+                finest = np.spacing(np.where(terms > 0, terms, np.inf).min(axis=1))
+                ok[close] = magnitude[close] < finest * _LONG_EXACT
+            ok &= (r != 0) & (magnitude < _FSUM_SAFE)
         out[ok] = r[ok]
         redo = np.flatnonzero(~ok)
     out[redo] = [math.fsum(row) for row in block[redo].tolist()]

@@ -16,15 +16,17 @@ expanding the day radius symmetrically until a donor is found.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
+import warnings
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -58,6 +60,13 @@ _LAST_ISO_HOUR = datetime(9999, 12, 31, 23)   # later hours print with 5-digit y
 _ISO_FORMS = ("%Y-%m-%dT%H:%M:%S", "%Y-%m-%d %H:%M:%S", "%Y-%m-%dT%H:%M", "%Y-%m-%d %H:%M",
               "%Y-%m-%dT%H", "%Y-%m-%d %H")
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
+# Bytes `_read_plain` leaves to csv.reader: a quote, CR and NUL, and the ASCII
+# separators 0x1c-0x1f, which numpy strips from a number as whitespace and
+# Python's `int` and `float` reject.
+_NOT_PLAIN = b'"\r\0\x1c\x1d\x1e\x1f'
+# `_read_plain` leaves a text column with a longer cell to csv.reader: numpy's
+# reader gives it a fixed-width array of its longest cell's length per row.
+_TEXT_BYTES = 64
 
 
 @contextmanager
@@ -84,7 +93,7 @@ class Table:
     path: str | Path
     header: tuple[str, ...]
     columns: list[np.ndarray]
-    lines: list[int]
+    lines: Sequence[int]
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.columns[self.header.index(name)]
@@ -114,16 +123,39 @@ def read_table(path: str | Path, columns: list[tuple[str, Callable]],
     bad cell. The first row with a wrong cell count or a bad cell, left to
     right, raises MalformedRow ``{path}:{line}: ...``; then the first row
     repeating a `key`.
+
+    A plain file (see `_read_plain`) takes its numbers from numpy's C text
+    reader; any other file, and any file that fails there, goes through
+    `csv.reader`. Values and errors do not depend on the path taken.
     """
+    t = _read_plain(path, columns, tail) or _read_rows(path, columns, tail)
+    keys = [t[name] for name in key]
+    if keys and _repeats(keys):
+        first: dict[tuple, int] = {}
+        for i, value in enumerate(zip(*(k.tolist() for k in keys))):
+            if (j := first.setdefault(value, i)) != i:
+                shown = value[0] if len(key) == 1 else value
+                raise t.error(i, f"{'/'.join(key)} {shown!r} already on line {t.lines[j]}")
+    return t
+
+
+def _header_fault(header: tuple[str, ...], names: tuple[str, ...], tail) -> str | None:
+    """Why `read_table` rejects the stripped `header` for column `names`, or None."""
+    if header[:len(names)] != names or (tail is None and len(header) != len(names)):
+        return f"expected header {','.join(names)}{',<columns...>' if tail else ''}"
+    repeated = next((name for name, n in Counter(header).items() if n > 1), None)
+    if repeated is not None:
+        return f"header label {repeated!r} appears more than once"
+    return None
+
+
+def _read_rows(path: str | Path, columns: list[tuple[str, Callable]], tail) -> Table:
+    """`read_table` through `csv.reader`: the path that takes any file and raises its errors."""
     names = tuple(name for name, _ in columns)
     with open_csv(path) as reader:
         header = tuple(c.strip() for c in next(reader, ()))
-        if header[:len(names)] != names or (tail is None and len(header) != len(names)):
-            raise MalformedRow(f"{path}: expected header "
-                               f"{','.join(names)}{',<columns...>' if tail else ''}")
-        repeated = next((name for name, n in Counter(header).items() if n > 1), None)
-        if repeated is not None:
-            raise MalformedRow(f"{path}: header label {repeated!r} appears more than once")
+        if (fault := _header_fault(header, names, tail)) is not None:
+            raise MalformedRow(f"{path}: {fault}")
         rows, lines = [], []
         for row in reader:
             rows.append(row)
@@ -138,12 +170,71 @@ def read_table(path: str | Path, columns: list[tuple[str, Callable]],
         raise t.error(*min(faults, key=lambda f: f[0]))
     if n < len(rows):
         raise t.error(n, f"expected {len(header)} cells, got {len(rows[n])}")
-    first: dict[tuple, int] = {}
-    for i, value in enumerate(zip(*(t[name].tolist() for name in key))):
-        if (j := first.setdefault(value, i)) != i:
-            shown = value[0] if len(key) == 1 else value
-            raise t.error(i, f"{'/'.join(key)} {shown!r} already on line {lines[j]}")
     return t
+
+
+def _read_plain(path: str | Path, columns: list[tuple[str, Callable]], tail) -> Table | None:
+    """`read_table`'s table of a plain file, from one call of numpy's C text reader.
+
+    Plain text has none of the `_NOT_PLAIN` bytes, no blank line or empty
+    cell, no cell of `csv.field_size_limit()` bytes or more, and the
+    header's cell count on every line, so `csv.reader` would split it at
+    each comma and LF and row i sits on line i + 2. A column whose parser
+    has a `dtype` (see `_numpy_reads`) is handed numpy's array of that
+    dtype; any other gets its cell texts, each at most `_TEXT_BYTES` bytes.
+    Any other file, a failed read, decode or numpy parse, a numpy warning
+    (older numpy warns when it reads an integer cell through float), a
+    parser's GridHealthError or fault all return None, and the caller reads
+    the file with `csv.reader`.
+    """
+    try:
+        data = Path(path).read_bytes()
+        if any(mark in data for mark in _NOT_PLAIN):
+            return None
+        data += b"" if data.endswith(b"\n") else b"\n"
+        raw = np.frombuffer(data, np.uint8)
+        is_end = (raw == ord(",")) | (raw == ord("\n"))   # a cell ends at each comma and LF
+        if is_end[0] or (is_end[1:] & is_end[:-1]).any():   # an empty cell or a blank line
+            return None
+        header = tuple(c.strip() for c in data[:data.index(b"\n")].decode("utf-8").split(","))
+        names = tuple(name for name, _ in columns)
+        ends = np.flatnonzero(is_end)
+        width = len(header)
+        if _header_fault(header, names, tail) is not None or len(ends) % width:
+            return None
+        kinds = raw[ends].reshape(-1, width)
+        lengths = (np.diff(ends, prepend=-1) - 1).reshape(-1, width)
+        n = len(kinds) - 1
+        if (n == 0 or (kinds[:, :-1] != ord(",")).any() or (kinds[:, -1] != ord("\n")).any()
+                or lengths.max() >= csv.field_size_limit()):
+            return None
+        parsers = [parse for _, parse in columns] + [tail] * (width - len(names))
+        widths = lengths[1:].max(axis=0)
+        texts = [j for j, parse in enumerate(parsers) if not hasattr(parse, "dtype")]
+        if any(widths[j] > _TEXT_BYTES for j in texts):
+            return None
+        dtype = [(f"c{j}", f"U{widths[j]}" if j in texts else parse.dtype)
+                 for j, parse in enumerate(parsers)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",", comments=None,
+                               quotechar=None, skiprows=1, ndmin=1, encoding="utf-8")
+        if len(table) != n:
+            return None
+        cells = [table[f"c{j}"].tolist() if j in texts else table[f"c{j}"].copy()
+                 for j in range(width)]
+        parsed = [parse(name, column) for name, parse, column in zip(header, parsers, cells)]
+    except (OSError, ValueError, Warning, GridHealthError):
+        return None   # the csv.reader path reads the file again and raises its own error
+    if any(fault for _, fault in parsed):
+        return None
+    return Table(path, header, [values for values, _ in parsed], range(2, n + 2))
+
+
+def _repeats(keys: list[np.ndarray]) -> bool:
+    """Whether two rows hold equal values in every one of the `keys` columns."""
+    order = np.lexsort(keys)
+    return bool(np.logical_and.reduce([k[order][1:] == k[order][:-1] for k in keys]).any())
 
 
 def write_table(path: str | Path, header: list[str], columns: list) -> None:
@@ -176,6 +267,21 @@ def _quote(text: str) -> str:
 _CELL_TEXT = {"f": repr, "i": str, "u": str, "U": _quote}
 
 
+def _numpy_reads(dtype: type):
+    """Mark a column parser that `_read_plain` may hand numpy's parse of its cells.
+
+    Such a parser takes, in place of the cell texts, the array of `dtype`
+    that numpy's C text reader made of them. It returns the array when the
+    texts would give those values, else a fault, and `read_table` then
+    parses the texts. numpy reads a number as Python's `int` or `float` reads
+    it and rejects the rest of what those take (`1_0`, non-ASCII digits).
+    """
+    def mark(parse):
+        parse.dtype = np.dtype(dtype)
+        return parse
+    return mark
+
+
 def as_str(name: str, cells: tuple[str, ...]):
     """The cells stripped of surrounding whitespace; none may hold NUL."""
     values = [c.strip() for c in cells]
@@ -185,8 +291,11 @@ def as_str(name: str, cells: tuple[str, ...]):
     return np.array(values, dtype=str), None
 
 
+@_numpy_reads(np.int64)
 def as_int(name: str, cells: tuple[str, ...]):
     """Python integers in the int64 range."""
+    if isinstance(cells, np.ndarray):
+        return cells, None
     values, fault = _convert(name, cells, int, "an integer")
     if fault:
         return None, fault
@@ -196,8 +305,11 @@ def as_int(name: str, cells: tuple[str, ...]):
     return np.array(values, dtype=np.int64), None
 
 
+@_numpy_reads(np.float64)
 def as_float(name: str, cells: tuple[str, ...]):
     """Anything Python's `float` reads, `nan` and `inf` included."""
+    if isinstance(cells, np.ndarray):
+        return cells, None
     values, fault = _convert(name, cells, float, "a number")
     return (None, fault) if fault else (np.array(values, dtype=np.float64), None)
 
@@ -355,14 +467,18 @@ def _parse_hour(text: str, first: int | datetime) -> int:
     return (stamp - first) // _HOUR
 
 
+@_numpy_reads(np.int64)
 def _as_hours(name: str, cells: tuple[str, ...]):
     """Column parser for fuel-mix stamps: one kind per file, ISO hours from the first row.
 
     A stamp whose stripped text is the canonical text of the hour it should
     hold (``str(first + i)``, or ISO ``YYYY-MM-DDTHH:MM:SS``) takes that
     hour without parsing; any other stamp goes through `_parse_hour`, so
-    every accepted form still loads.
+    every accepted form still loads. numpy reads integer stamps only, each
+    the `int` of its text, which is the hour this gives it.
     """
+    if isinstance(cells, np.ndarray):
+        return cells, None
     texts = [c.strip() for c in cells]
     hours = np.arange(len(texts), dtype=np.int64)
     if not texts:
@@ -388,8 +504,14 @@ def _as_hours(name: str, cells: tuple[str, ...]):
     return hours, None
 
 
+@_numpy_reads(np.float64)
 def _as_shares(name: str, cells: tuple[str, ...]):
     """Column parser for fuel-mix shares: nonnegative finite numbers, NaN for an empty cell."""
+    if isinstance(cells, np.ndarray):
+        bad = np.flatnonzero(~(np.isfinite(cells) & (cells >= 0)))
+        if bad.size:
+            return None, (int(bad[0]), f"{name} {cells[bad[0]]!r} is not a share")
+        return cells, None
     try:
         values = np.array([float(s) if (s := c.strip()) else math.nan for c in cells])
         suspects = np.flatnonzero(~np.isfinite(values) | (values < 0)).tolist()
@@ -417,6 +539,7 @@ def load_fuel_mix(path: str | Path, category_map: FuelCategoryMap) -> FuelMixSer
     """
     targets: dict[str, str] = {}
 
+    @_numpy_reads(np.float64)
     def as_share_or_skip(label: str, cells: tuple[str, ...]):
         try:
             targets[label] = category_map.lookup(label)

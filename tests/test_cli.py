@@ -623,6 +623,20 @@ class TestTrainPredictSweep:
             f"error: {data / 'fuel_mix.csv'} has {hours} hours: {problem}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_missing_label_hour_names_both_files(self, bundle, tmp_path, capsys, command):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("".join((bundle / "labels.csv").read_text().splitlines(True)[:5]))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text("an earlier run\n")
+        capsys.readouterr()
+        assert run(command, "--dataset", bundle / "fuel_mix.csv", "--labels", labels,
+                   "--out", out, "--epochs", 1) == 1
+        assert capsys.readouterr().err == (
+            f"error: {labels}: no health label for hour 4 of {bundle / 'fuel_mix.csv'}\n")
+        assert snapshot(out) == {"manifest.json": b"an earlier run\n"}
+
     def test_non_utf8_dataset_rejected(self, bundle, tmp_path, capsys):
         dataset = tmp_path / "fuel_mix.csv"
         dataset.write_bytes((bundle / "fuel_mix.csv").read_bytes().replace(b"\n", b"\n\xe9", 1))

@@ -330,6 +330,14 @@ def row_blocks():
     even = 1.0 + 2 * rng.integers(0, 2**51, size=200) * 2.0**-52
     tiny = rng.choice([-1.0, 1.0], size=200) * 2.0**-120
     yield "off-tie", np.column_stack([even, np.full(200, 2.0**-53), tiny])
+    # ties that a bit below long double's precision breaks: 2**s plus a term of
+    # exponent s - k, 13 <= k <= 51, that holds the float64 midpoint bit of 2**s and
+    # its own lowest bit; sum|x| is 2**(k + 52) times that term's spacing
+    s = rng.integers(-900, 900, 117)
+    k = np.arange(117) % 39 + 13
+    sign = rng.choice([-1.0, 1.0], size=117)
+    yield "broken ties", np.column_stack([
+        sign * np.ldexp(1.0, s), sign * np.ldexp(1 + np.ldexp(1.0, k - 53) + 2.0**-52, s - k)])
     # energy x price products of 72-slot windows, some slots unselected
     products = rng.uniform(0.0, 11.0, (300, 72)) * rng.uniform(0.0, 0.6, (300, 72))
     products[rng.random((300, 72)) < 0.3] = 0.0
@@ -379,10 +387,11 @@ class TestRowFsums:
         for name in ("off-tie", "72 terms", "72 terms, both signs", "cancellation",
                      "one large among tiny"):
             assert (blocks[name].sum(axis=1) != fsum_rows(blocks[name])).any(), name
-        # long double alone rounds the off-tie rows twice and misses too
-        off = blocks["off-tie"]
-        assert (off.sum(axis=1, dtype=np.longdouble).astype(np.float64)
-                != fsum_rows(off)).any()
+        # long double alone rounds these rows twice and misses too
+        for name in ("off-tie", "broken ties"):
+            rows = blocks[name]
+            assert (rows.sum(axis=1, dtype=np.longdouble).astype(np.float64)
+                    != fsum_rows(rows)).any(), name
         assert {math.copysign(1.0, x) for x in fsum_rows(blocks["zeros"]).tolist()} == {1.0}
         assert (fsum_rows(blocks["near DBL_MAX"]) == DBL_MAX).any()
 
@@ -413,6 +422,36 @@ class TestRowFsums:
         else:
             assert bits(_row_fsums(block)) == bits(want)
 
+    @given(st.integers(1, 8).flatmap(lambda cols: st.lists(st.lists(
+        st.builds(lambda k, e: k * 2.0 ** e, st.integers(-2**53, 2**53),
+                  st.integers(-1074, 960) | st.integers(-80, 10)),
+        min_size=cols, max_size=cols), min_size=1, max_size=8)))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_fsum_on_dyadic_rows(self, rows):
+        """Short-mantissa terms a few exponents apart: exact sums, many of them ties."""
+        block = np.array(rows, dtype=np.float64)
+        try:
+            want = fsum_rows(block)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _row_fsums(block)
+        else:
+            assert bits(_row_fsums(block)) == bits(want)
+
+    @given(st.lists(st.tuples(st.integers(2**52, 2**53 - 1), st.integers(0, 2**52 - 1),
+                              st.integers(-1074, 900), st.sampled_from([-1.0, 1.0])),
+                    min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fsum_on_midpoint_rows(self, cases):
+        """An odd-ulp term plus half its ulp, split across a row: the exact sum is a tie."""
+        rows = []
+        for big, small, e, sign in cases:
+            half = 2.0 ** (e - 1)       # half an ulp of big * 2**e
+            rows.append([sign * big * 2.0 ** e, sign * small * half, sign * half,
+                         -sign * small * half])
+        block = np.array(rows, dtype=np.float64)
+        assert bits(_row_fsums(block)) == bits(fsum_rows(block))
+
     def fsum_calls(self, monkeypatch, blocks):
         """Rows `_row_fsums` passes to math.fsum over `blocks`, checking each result."""
         calls = []
@@ -430,6 +469,8 @@ class TestRowFsums:
         blocks = dict(row_blocks())
         assert self.fsum_calls(monkeypatch, [blocks["72 terms"]]) < 300 // 2
         assert self.fsum_calls(monkeypatch, [blocks["subnormals"]]) == 0
+        # exact ties: every partial sum is exact in long double
+        assert self.fsum_calls(monkeypatch, [blocks["two-term ties"]]) == 0
         # fsum decides the sign of a zero sum
         assert self.fsum_calls(monkeypatch, [blocks["zeros"]]) == len(blocks["zeros"])
 

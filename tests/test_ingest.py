@@ -1,5 +1,6 @@
 """Loading, imputation, normalization, and capacity-proportional allocation."""
 
+import contextlib
 import csv
 import math
 import tempfile
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridhealth import ingest
+from gridhealth import dispersion, emissions, health, ingest, scheduler
 from gridhealth.errors import (
     GridHealthError,
     MalformedRow,
@@ -50,6 +51,7 @@ from gridhealth.health import (
 from gridhealth.scheduler import SESSION_COLUMNS, load_sessions
 
 from conftest import make_record, make_series
+import reference_table
 from reference_ingest import impute_missing_loop, load_fuel_mix_rowwise
 
 
@@ -749,3 +751,157 @@ def test_csv_loaders_return_data_or_raise_gridhealth_error(request, load, header
         lambda edits: [dict(edits).get(j, v) for j, v in enumerate(valid)])
     rows = data.draw(st.lists(edited | st.lists(cell, max_size=len(valid) + 1), max_size=5))
     _load_or_gridhealth_error(load, header, rows)
+
+
+# The package's column parsers and their copies in reference_table.py.
+REFERENCE_PARSERS = {getattr(ingest, name): getattr(reference_table, name)
+                     for name in ("as_str", "as_int", "as_float", "_as_hours", "_as_shares")}
+# The modules whose loaders call read_table.
+TABLE_READERS = (ingest, health, emissions, dispersion, scheduler)
+# Cells that numpy's reader and Python's int and float may read differently:
+# underscores, non-ASCII digits, Unicode and ASCII whitespace padding, signs,
+# every nan and inf spelling, the int64 edges, float extremes, hex, and words.
+TABLE_TOKENS = (
+    "0", "1", "-1", "+1", "-0", "+0", "007", " 7", "7 ", "\t7\t", "\xa07", "7\xa0", "\x0b7",
+    "7\x0c", "\u20037\u2003", "\x1c7", "7\x1f", "\x857", "1_0", "1_0.5", "\u0661", "\u0661\u0662",
+    "\u0663.\u0665", "\uff17", "nan", "NaN", "-nan", "+nan", "NAN", "nan(1)", "inf", "-inf",
+    "+inf", "Inf", "infinity", "-Infinity", "+INFINITY", "iNfInItY", "infinit",
+    "9223372036854775807", "-9223372036854775808", "9223372036854775808",
+    "-9223372036854775809", "99999999999999999999", "1e308", "1.7976931348623157e308",
+    "1.7976931348623159e308", "1e309", "-1e309", "4.9e-324", "5e-324", "2.5e-324",
+    "2.4703282292062328e-324", "1e-400", "2.2250738585072014e-308", "2.225073858507201e-308",
+    "-0.0", "0.1", "1.5", "1e3", "1E+3", "1.0", ".5", "5.", "0x10", "1e", "e5", "- 1", "1 5",
+    "abc", "true", "linear", "log_linear", "COL", "R1", "SO2", "mortality", "x" * 70)
+TABLE_CELLS = st.one_of(
+    st.sampled_from(TABLE_TOKENS),
+    st.floats().map(repr),                                  # 17 digits, subnormals, nan, -0.0
+    st.floats(allow_nan=False).map(lambda x: f"{x:.16e}"),
+    st.integers(-2**63 - 2, 2**63 + 1).map(str))
+
+
+@st.composite
+def table_texts(draw, valid):
+    """Rows of the accepted row with cells replaced, keys made distinct or not; then
+    edits: CRLF, a quote, a blank line, an empty cell or a wrong cell count, which
+    make the text not plain, and no final newline, which does not."""
+    rows = []
+    for i in range(draw(st.integers(1, 4))):
+        row = valid.split(",")
+        if draw(st.booleans()):
+            row[0] += str(i)
+        for j in draw(st.lists(st.integers(0, len(row) - 1), max_size=3)):
+            row[j] = draw(TABLE_CELLS)
+        rows.append(row)
+    edits = draw(st.lists(st.sampled_from(
+        ["crlf", "quote", "blank", "empty", "short", "long", "no_newline"]), max_size=2))
+    i = draw(st.integers(0, len(rows) - 1))
+    j = draw(st.integers(0, len(rows[i]) - 1))
+    if "quote" in edits:
+        rows[i][j] = f'"{rows[i][j]}"'
+    if "empty" in edits:
+        rows[i][j] = ""
+    if "short" in edits:
+        rows[i] = rows[i][:-1]
+    if "long" in edits:
+        rows[i] = rows[i] + ["1"]
+    lines = [",".join(row) for row in rows]
+    if "blank" in edits:
+        lines.insert(i, "")
+    end = "\r\n" if "crlf" in edits else "\n"
+    return end.join(lines) + ("" if "no_newline" in edits else end)
+
+
+def _table_or_exception(read):
+    try:
+        return read()
+    except Exception as exc:
+        return exc
+
+
+def _same_outcome(got, want) -> bool:
+    """Equal header, lines, dtypes and bits, or equal exception type and message."""
+    if isinstance(got, Exception) or isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    return (got.header == want.header and list(got.lines) == list(want.lines)
+            and len(got.columns) == len(want.columns)
+            and all(a is b if a is None or b is None
+                    else a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                    for a, b in zip(got.columns, want.columns)))
+
+
+@contextlib.contextmanager
+def read_tables_twice(outcomes):
+    """Every loader's read_table also runs reference_table's; (got, want) go to `outcomes`."""
+    real = ingest.read_table
+
+    def both(path, columns, tail=None, key=()):
+        got = _table_or_exception(lambda: real(path, columns, tail, key))
+        # load_fuel_mix's tail calls `_as_shares` by its module name
+        with mock.patch.object(ingest, "_as_shares", reference_table._as_shares):
+            want = _table_or_exception(lambda: reference_table.read_table(
+                path, [(name, REFERENCE_PARSERS.get(parse, parse)) for name, parse in columns],
+                REFERENCE_PARSERS.get(tail, tail), key))
+        outcomes.append((got, want))
+        if isinstance(got, Exception):
+            raise got
+        return got
+
+    with contextlib.ExitStack() as stack:
+        for module in TABLE_READERS:
+            stack.enter_context(mock.patch.object(module, "read_table", both))
+        yield
+
+
+@pytest.mark.parametrize("load, header", [c[1:] for c in CSV_LOADERS],
+                         ids=[c[0] for c in CSV_LOADERS])
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_read_table_matches_csv_reader_reference(request, load, header, data):
+    """Plain texts take numpy's reader, the rest csv.reader: the table or error is the same."""
+    text = data.draw(table_texts(VALID_ROWS[request.node.callspec.id]))
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp, read_tables_twice(outcomes):
+        path = Path(tmp) / "input.csv"
+        path.write_bytes(f"{header}\n{text}".encode())
+        try:
+            load(path)
+        except GridHealthError:
+            pass
+    assert len(outcomes) == 1
+    got, want = outcomes[0]
+    assert _same_outcome(got, want), (text, got, want)
+
+
+@pytest.mark.parametrize("load, header", [c[1:] for c in CSV_LOADERS],
+                         ids=[c[0] for c in CSV_LOADERS])
+def test_read_table_matches_reference_on_every_token(request, tmp_path, load, header):
+    """Each cell of the accepted row replaced by each token: same table or error."""
+    valid = VALID_ROWS[request.node.callspec.id].split(",")
+    path = tmp_path / "input.csv"
+    outcomes = []
+    with read_tables_twice(outcomes):
+        for j in range(len(valid)):
+            for token in TABLE_TOKENS:
+                path.write_text(f"{header}\n{','.join(valid[:j] + [token] + valid[j + 1:])}\n")
+                try:
+                    load(path)
+                except GridHealthError:
+                    pass
+    assert len(outcomes) == len(valid) * len(TABLE_TOKENS)
+    for got, want in outcomes:
+        assert _same_outcome(got, want), (got, want)
+
+
+def test_plain_sessions_never_reach_csv_reader(tmp_path):
+    """A sessions file as `write_sessions` writes it takes numpy's reader; its CRLF copy does not."""
+    path = tmp_path / "sessions.csv"
+    rows = [f"s{i},{i},{i + 71},{i * 0.7!r},{[3.6, 7.2, 11.0][i % 3]!r}" for i in range(50)]
+    path.write_text("session_id,arrival,departure,demand_kwh,rate_kw\n" + "\n".join(rows) + "\n")
+    with mock.patch.object(ingest.csv, "reader", side_effect=AssertionError("csv.reader")):
+        sessions = load_sessions(path)
+        assert sessions.session_id.tolist() == [f"s{i}" for i in range(50)]
+        assert sessions.demand_kwh.tolist() == [i * 0.7 for i in range(50)]
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        with pytest.raises(AssertionError, match="csv.reader"):
+            load_sessions(crlf)
