@@ -330,14 +330,6 @@ def row_blocks():
     even = 1.0 + 2 * rng.integers(0, 2**51, size=200) * 2.0**-52
     tiny = rng.choice([-1.0, 1.0], size=200) * 2.0**-120
     yield "off-tie", np.column_stack([even, np.full(200, 2.0**-53), tiny])
-    # ties that a bit below long double's precision breaks: 2**s plus a term of
-    # exponent s - k, 13 <= k <= 51, that holds the float64 midpoint bit of 2**s and
-    # its own lowest bit; sum|x| is 2**(k + 52) times that term's spacing
-    s = rng.integers(-900, 900, 117)
-    k = np.arange(117) % 39 + 13
-    sign = rng.choice([-1.0, 1.0], size=117)
-    yield "broken ties", np.column_stack([
-        sign * np.ldexp(1.0, s), sign * np.ldexp(1 + np.ldexp(1.0, k - 53) + 2.0**-52, s - k)])
     # energy x price products of 72-slot windows, some slots unselected
     products = rng.uniform(0.0, 11.0, (300, 72)) * rng.uniform(0.0, 0.6, (300, 72))
     products[rng.random((300, 72)) < 0.3] = 0.0
@@ -369,6 +361,14 @@ def row_blocks():
     large = np.full((72, 72), 1.1e-16) * rng.choice([-1.0, 1.0], size=(72, 72))
     large[np.arange(72), np.arange(72)] = 1.0
     yield "one large among tiny", large
+    # ties that a bit below long double's precision breaks: 2**s plus a term of
+    # exponent s - k, 13 <= k <= 51, that holds the float64 midpoint bit of 2**s and
+    # its own lowest bit; sum|x| is 2**(k + 52) times that term's spacing
+    s = rng.integers(-900, 900, 117)
+    k = np.arange(117) % 39 + 13
+    sign = rng.choice([-1.0, 1.0], size=117)
+    yield "broken ties", np.column_stack([
+        sign * np.ldexp(1.0, s), sign * np.ldexp(1 + np.ldexp(1.0, k - 53) + 2.0**-52, s - k)])
 
 
 class TestRowFsums:
