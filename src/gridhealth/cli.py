@@ -66,7 +66,6 @@ from .ingest import (
     impute_missing,
     load_fuel_mix,
     normalize_mix,
-    open_csv,
     read_json_object,
     write_fuel_mix_csv,
     write_table,
@@ -164,10 +163,7 @@ class CommandContext:
 
 def _load_canonical_mix(path: str | Path):
     """Load a dataset CSV whose columns are already canonical fuels, with no gap."""
-    with open_csv(path) as reader:
-        header = next(reader, [])
-    identity = FuelCategoryMap({name: name for name in header[1:]})
-    series = load_fuel_mix(path, identity)
+    series = load_fuel_mix(path)
     if (series.flags == MISSING).any():
         t, f = np.argwhere(series.flags == MISSING)[0]
         raise DatasetGap(f"{path}: no {series.fuel_names[f]} share at hour "
@@ -215,13 +211,14 @@ def cmd_synth(args, ctx: CommandContext) -> None:
               f"max={column.max():.3f}")
 
 
-def _load_training_data(args, ctx) -> TrainingData:
+def _load_training_data(args, ctx) -> tuple[tuple[str, ...], TrainingData]:
+    """The dataset's fuel names, and its hours paired with their labels."""
     ctx.register_input(args.dataset)
     ctx.register_input(args.labels)
     series = _load_canonical_mix(args.dataset)
     signals = load_signals_csv(args.labels)
     try:
-        return TrainingData.from_series(series, signals)
+        return series.fuel_names, TrainingData.from_series(series, signals)
     except InsufficientData as exc:
         raise InsufficientData(f"{args.labels}: {exc} of {args.dataset}") from None
 
@@ -243,12 +240,12 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_train(args, ctx: CommandContext) -> None:
-    data = _load_training_data(args, ctx)
+    fuels, data = _load_training_data(args, ctx)
     cfg = _train_config(args)
-    model, converter = build_models(data.mixes.shape[1], cfg)
+    model, converter = build_models(len(fuels), cfg)
     with _sized(args.dataset, len(data)):
         model, converter, history = train(model, converter, data, cfg)
-    save_checkpoint(ctx.output("checkpoint.json"), model, converter)
+    save_checkpoint(ctx.output("checkpoint.json"), model, converter, fuels)
     header = ["epoch", "train_loss", "val_loss"]
     write_table(ctx.output("loss_history.csv"), header,
                 [[h[name] for h in history] for name in header])
@@ -261,7 +258,7 @@ def cmd_train(args, ctx: CommandContext) -> None:
 
 
 def cmd_sweep(args, ctx: CommandContext) -> None:
-    data = _load_training_data(args, ctx)
+    _, data = _load_training_data(args, ctx)
     with _sized(args.dataset, len(data)):
         points = beta_sweep(data, args.betas, _train_config(args))
     header = ["beta", "fuel_nmae", "health_nmae"]
@@ -275,14 +272,16 @@ def cmd_predict(args, ctx: CommandContext) -> None:
     ctx.register_input(args.dataset)
     ctx.register_input(args.checkpoint)
     series = _load_canonical_mix(args.dataset)
-    model, converter = load_checkpoint(args.checkpoint)
-    if len(series.fuel_names) != model.n_fuels:
-        raise ShapeMismatch(f"{args.dataset} has {len(series.fuel_names)} fuel columns; the "
-                            f"checkpoint {args.checkpoint} forecasts {model.n_fuels}")
+    model, converter, fuels = load_checkpoint(args.checkpoint)
+    if set(series.fuel_names) != set(fuels):
+        raise ShapeMismatch(f"{args.dataset} has fuel columns {','.join(series.fuel_names)}; "
+                            f"the checkpoint {args.checkpoint} forecasts {','.join(fuels)}")
     ctx.config["window"] = model.window
     with _sized(args.dataset, len(series)):
         starts = origins(len(series), model.window, TrainConfig.test_fraction)
-    _, pred_impacts, rows = forecast_at(model, converter, series.shares, starts)
+    # the checkpoint's fuel order, whatever the dataset's column order
+    mixes = series.shares[:, [series.fuel_names.index(name) for name in fuels]]
+    _, pred_impacts, rows = forecast_at(model, converter, mixes, starts)
     stamps = series.timestamps[rows]
     try:
         predicted = HealthSeries(stamps, pred_impacts)

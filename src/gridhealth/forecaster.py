@@ -868,12 +868,12 @@ def beta_sweep(data: TrainingData, betas: list[float], cfg: TrainConfig) -> list
 
 # -- checkpointing -------------------------------------------------------------
 
-CHECKPOINT_FORMAT = "gridhealth-checkpoint-v2"
+CHECKPOINT_FORMAT = "gridhealth-checkpoint-v3"
 _DTYPE = "<f8"
-# the header of each network: its constructor's arguments, stored as its attributes
-_MODEL_FIELDS = ("architecture", "n_fuels", "window", "embed_dim", "heads", "encoder_layers",
+# each network's header: its constructor's arguments but n_fuels, stored as its attributes
+_MODEL_FIELDS = ("architecture", "window", "embed_dim", "heads", "encoder_layers",
                  "decoder_layers", "ff_dim", "dropout", "seed")
-_CONVERTER_FIELDS = ("n_fuels", "hidden", "seed")
+_CONVERTER_FIELDS = ("hidden", "seed")
 
 
 def _encode(a: np.ndarray) -> dict:
@@ -883,15 +883,20 @@ def _encode(a: np.ndarray) -> dict:
             "data": base64.b64encode(raw).decode("ascii")}
 
 
-def save_checkpoint(path: str | Path, model: ForecastModel,
-                    converter: HealthConverterNet) -> None:
-    """Write both networks to a self-describing JSON container.
+def save_checkpoint(path: str | Path, model: ForecastModel, converter: HealthConverterNet,
+                    fuels: tuple[str, ...]) -> None:
+    """Write both networks and the names of their `fuels`, in order, to a JSON container.
 
     The header is plain JSON; each parameter is stored as little-endian
-    float64 bytes in base64, so a save and load round trip is exact.
+    float64 bytes in base64, so a save and load round trip is exact. A
+    name count other than both networks' `n_fuels` raises ShapeMismatch.
     """
+    if not len(fuels) == model.n_fuels == converter.n_fuels:
+        raise ShapeMismatch(f"{len(fuels)} fuel names for a model of {model.n_fuels} fuels "
+                            f"and a converter of {converter.n_fuels}")
     payload = {
         "format": CHECKPOINT_FORMAT,
+        "fuels": list(fuels),
         "model": {k: getattr(model, k) for k in _MODEL_FIELDS},
         "converter": {k: getattr(converter, k) for k in _CONVERTER_FIELDS},
         "params": {k: _encode(v.data) for k, v in model.params.items()},
@@ -935,12 +940,13 @@ def _restore_params(path: str | Path, section: str, stored, params: dict[str, Te
                               tensor.data.shape)
 
 
-def load_checkpoint(path: str | Path) -> tuple[ForecastModel, HealthConverterNet]:
-    """Rebuild both networks from `save_checkpoint` output.
+def load_checkpoint(path: str | Path) -> tuple[ForecastModel, HealthConverterNet,
+                                               tuple[str, ...]]:
+    """Rebuild both networks from `save_checkpoint` output, with their fuel names.
 
-    Every parameter must be present under its exact name, dtype tag and
-    shape, with exactly its byte count of finite values, and the converter
-    must take the model's `n_fuels`; anything else raises CorruptCheckpoint
+    `fuels` must be a nonempty list of distinct strings, and every parameter
+    must be present under its exact name, dtype tag and shape, with exactly
+    its byte count of finite values; anything else raises CorruptCheckpoint
     naming the path and the key. Files of any other format, earlier
     versions included, are rejected.
     """
@@ -950,16 +956,19 @@ def load_checkpoint(path: str | Path) -> tuple[ForecastModel, HealthConverterNet
         raise CorruptCheckpoint(f"{path}: not a JSON checkpoint ({exc})") from exc
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise CorruptCheckpoint(f"{path}: key 'format' is not {CHECKPOINT_FORMAT!r}")
+    fuels = payload.get("fuels")
+    if not (isinstance(fuels, list) and fuels and all(isinstance(f, str) for f in fuels)
+            and len(set(fuels)) == len(fuels)):
+        raise CorruptCheckpoint(f"{path}: key 'fuels' is not a nonempty list of distinct names")
     try:
-        model = ForecastModel(**{k: payload["model"][k] for k in _MODEL_FIELDS})
-        converter = HealthConverterNet(**{k: payload["converter"][k] for k in _CONVERTER_FIELDS})
+        model = ForecastModel(n_fuels=len(fuels),
+                              **{k: payload["model"][k] for k in _MODEL_FIELDS})
+        converter = HealthConverterNet(len(fuels),
+                                       **{k: payload["converter"][k] for k in _CONVERTER_FIELDS})
     except KeyError as exc:
         raise CorruptCheckpoint(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise CorruptCheckpoint(f"{path}: bad network description ({exc})") from exc
-    if converter.n_fuels != model.n_fuels:
-        raise CorruptCheckpoint(f"{path}: converter key 'n_fuels' is {converter.n_fuels!r},"
-                                f" the model's is {model.n_fuels!r}")
     _restore_params(path, "params", payload.get("params"), model.params)
     _restore_params(path, "converter_params", payload.get("converter_params"), converter.params)
-    return model, converter
+    return model, converter, tuple(fuels)

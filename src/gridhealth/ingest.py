@@ -530,19 +530,21 @@ def _as_shares(name: str, cells: tuple[str, ...]):
     return values, None
 
 
-def load_fuel_mix(path: str | Path, category_map: FuelCategoryMap) -> FuelMixSeries:
+def load_fuel_mix(path: str | Path,
+                  category_map: FuelCategoryMap | None = None) -> FuelMixSeries:
     """Load a raw fuel-mix CSV into a series; no imputation or normalization.
 
     Columns mapped to the same canonical fuel are summed; a canonical entry
     is flagged missing if any of its contributing cells is empty. Columns
-    mapped to EXCLUDED are dropped unparsed.
+    mapped to EXCLUDED are dropped unparsed. Without a `category_map`, each
+    column is the fuel of its own (stripped) header name.
     """
     targets: dict[str, str] = {}
 
     @_numpy_reads(np.float64)
     def as_share_or_skip(label: str, cells: tuple[str, ...]):
         try:
-            targets[label] = category_map.lookup(label)
+            targets[label] = label if category_map is None else category_map.lookup(label)
         except UnmappedLabel as exc:
             raise UnmappedLabel(f"{path}: {exc}") from None
         return (None, None) if targets[label] == EXCLUDED else _as_shares(label, cells)

@@ -23,7 +23,7 @@ from gridhealth.errors import DivergedLoss
 from gridhealth.forecaster import TrainConfig, build_models, load_checkpoint, save_checkpoint
 from gridhealth.health import load_signals_csv
 from gridhealth.synth import CONFIG_FILES, default_config_path, load_config_dir, oracle_labels
-from gridhealth.ingest import FuelCategoryMap, load_fuel_mix
+from gridhealth.ingest import CANONICAL_FUELS, load_fuel_mix
 
 
 def run(*argv):
@@ -33,6 +33,17 @@ def run(*argv):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def linear_checkpoint(path):
+    """An untrained linear-baseline checkpoint for the synthetic bundle's fuels."""
+    save_checkpoint(path, *build_models(8, TrainConfig(architecture="linear_baseline")),
+                    CANONICAL_FUELS)
+
+
+def write_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def snapshot(directory):
@@ -85,10 +96,7 @@ class TestSynth:
 
     def test_labels_recomputable_exactly(self, bundle):
         config = load_config_dir(bundle)
-        series = load_fuel_mix(bundle / "fuel_mix.csv",
-                               FuelCategoryMap({f: f for f in
-                                                ("COL", "NG", "OIL", "NUC", "WAT",
-                                                 "WND", "SUN", "OTH")}))
+        series = load_fuel_mix(bundle / "fuel_mix.csv")
         recomputed = oracle_labels(series, config)
         stored = load_signals_csv(bundle / "labels.csv")
         assert len(stored) == len(recomputed)
@@ -283,7 +291,8 @@ class TestTrainPredictSweep:
                    "--labels", bundle / "labels.csv", "--out", out,
                    "--epochs", 0, "--seed", 4) == 0
         from gridhealth.forecaster import load_checkpoint
-        model, conv = load_checkpoint(out / "checkpoint.json")
+        model, conv, fuels = load_checkpoint(out / "checkpoint.json")
+        assert fuels == CANONICAL_FUELS
         fresh_model, fresh_conv = build_models(8, TrainConfig(beta=0.5, window=24,
                                                               epochs=0, seed=4))
         for k in fresh_model.params:
@@ -560,15 +569,46 @@ class TestTrainPredictSweep:
                    "--labels", bundle / "labels.csv", "--out", train_out,
                    "--epochs", 1, "--seed", 2) == 0
         first = train_out / "checkpoint.json"
-        model, converter = load_checkpoint(first)
         second = tmp_path / "checkpoint.json"
-        save_checkpoint(second, model, converter)
+        save_checkpoint(second, *load_checkpoint(first))
         assert second.read_bytes() == first.read_bytes()
         for ckpt, out in ((first, tmp_path / "p1"), (second, tmp_path / "p2")):
             assert run("predict", "--dataset", bundle / "fuel_mix.csv",
                        "--checkpoint", ckpt, "--out", out) == 0
         assert ((tmp_path / "p1" / "predicted_signal.csv").read_bytes()
                 == (tmp_path / "p2" / "predicted_signal.csv").read_bytes())
+
+    def test_predict_reads_fuel_columns_by_name(self, bundle, tmp_path):
+        # COL and NG swapped: the same fuels in another column order forecast the same bytes
+        train_out = tmp_path / "train"
+        assert run("train", "--dataset", bundle / "fuel_mix.csv",
+                   "--labels", bundle / "labels.csv", "--out", train_out,
+                   "--epochs", 0, "--seed", 2) == 0
+        swapped = tmp_path / "swapped.csv"
+        write_rows(swapped, ([row[0], row[2], row[1], *row[3:]]
+                             for row in read_rows(bundle / "fuel_mix.csv")))
+        for dataset, out in ((bundle / "fuel_mix.csv", "p1"), (swapped, "p2")):
+            assert run("predict", "--dataset", dataset, "--checkpoint",
+                       train_out / "checkpoint.json", "--out", tmp_path / out) == 0
+        assert ((tmp_path / "p1" / "predicted_signal.csv").read_bytes()
+                == (tmp_path / "p2" / "predicted_signal.csv").read_bytes())
+
+    def test_dataset_header_cells_stripped(self, bundle, tmp_path):
+        # `timestamp, COL,NG,...,OTH `: the fuels are `fuel_mix.csv`'s own
+        rows = read_rows(bundle / "fuel_mix.csv")
+        rows[0][1], rows[0][-1] = " " + rows[0][1], rows[0][-1] + " "
+        spaced = tmp_path / "spaced.csv"
+        write_rows(spaced, rows)
+        for dataset, name in ((bundle / "fuel_mix.csv", "plain"), (spaced, "spaced")):
+            assert run("train", "--dataset", dataset, "--labels", bundle / "labels.csv",
+                       "--out", tmp_path / f"train-{name}", "--epochs", 0,
+                       "--arch", "linear_baseline") == 0
+            assert run("predict", "--dataset", dataset, "--checkpoint",
+                       tmp_path / "train-plain" / "checkpoint.json",
+                       "--out", tmp_path / f"pred-{name}") == 0
+        for out, name in (("train", "checkpoint.json"), ("pred", "predicted_signal.csv")):
+            assert ((tmp_path / f"{out}-plain" / name).read_bytes()
+                    == (tmp_path / f"{out}-spaced" / name).read_bytes())
 
     def test_diverged_training_rejected(self, tmp_path, capsys):
         data = tmp_path / "bundle"
@@ -588,7 +628,7 @@ class TestTrainPredictSweep:
         with open(dataset, "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
         ckpt = tmp_path / "checkpoint.json"
-        save_checkpoint(ckpt, *build_models(8, TrainConfig(architecture="linear_baseline")))
+        linear_checkpoint(ckpt)
         out = tmp_path / "out"
         out.mkdir()
         (out / "manifest.json").write_text("an earlier run\n")
@@ -613,7 +653,7 @@ class TestTrainPredictSweep:
         data = tmp_path / "bundle"
         assert run("synth", "--out", data, "--hours", hours) == 0
         ckpt = tmp_path / "checkpoint.json"
-        save_checkpoint(ckpt, *build_models(8, TrainConfig(architecture="linear_baseline")))
+        linear_checkpoint(ckpt)
         inputs = (["--checkpoint", ckpt] if command == "predict"
                   else ["--labels", data / "labels.csv", "--epochs", 1])
         out = tmp_path / "out"
@@ -724,19 +764,33 @@ class TestCorruptCheckpoint:
         assert not (out / "predicted_signal.csv").exists()
 
     def test_predict_rejects_other_fuel_count(self, bundle, tmp_path, capsys):
-        rows = read_rows(bundle / "fuel_mix.csv")
-        dataset = tmp_path / "four_fuels.csv"
-        with open(dataset, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(row[:5] for row in rows)
+        # the dataset lacks the last four fuels
+        self.assert_rejects_fuels(bundle, tmp_path, capsys, lambda row: row[:5])
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda row: ["COAL" if cell == "COL" else cell for cell in row],    # renamed
+        lambda row: [*row, "BAT" if row[0] == "timestamp" else "0.0"],      # extra
+    ], ids=["renamed", "extra"])
+    def test_predict_rejects_other_fuel_names(self, bundle, tmp_path, capsys, rewrite):
+        self.assert_rejects_fuels(bundle, tmp_path, capsys, rewrite)
+
+    @staticmethod
+    def assert_rejects_fuels(bundle, tmp_path, capsys, rewrite):
+        """predict on the bundle with each row rewritten fails, naming both fuel lists."""
+        rows = [rewrite(row) for row in read_rows(bundle / "fuel_mix.csv")]
+        dataset = tmp_path / "other_fuels.csv"
+        write_rows(dataset, rows)
         ckpt = tmp_path / "checkpoint.json"
-        save_checkpoint(ckpt, *build_models(8, TrainConfig(architecture="linear_baseline")))
+        linear_checkpoint(ckpt)
         out = tmp_path / "pred"
         out.mkdir()
         (out / "manifest.json").write_text("an earlier run\n")
         assert run("predict", "--dataset", dataset, "--checkpoint", ckpt, "--out", out) == 1
-        assert capsys.readouterr().err == (f"error: {dataset} has 4 fuel columns; "
-                                           f"the checkpoint {ckpt} forecasts 8\n")
+        assert capsys.readouterr().err == (
+            f"error: {dataset} has fuel columns {','.join(rows[0][1:])}; "
+            f"the checkpoint {ckpt} forecasts {','.join(CANONICAL_FUELS)}\n")
         assert snapshot(out) == {"manifest.json": b"an earlier run\n"}
+        assert not list(tmp_path.glob(".pred.*"))
 
     def test_predict_rejects_non_finite_prediction(self, bundle, payload, tmp_path, capsys):
         # finite converter weights whose products overflow make the predicted costs inf

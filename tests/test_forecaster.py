@@ -728,6 +728,9 @@ class TestDataParallelTrain:
         assert multiprocessing.active_children() == []
 
 
+SMALL_FUELS = ("COL", "NG", "WND", "SUN")
+
+
 def _small_networks():
     model = ForecastModel(ATTENTION, n_fuels=4, window=6, embed_dim=16, heads=2,
                           ff_dim=16, seed=9)
@@ -766,12 +769,35 @@ def _nan_value(p):
     _set_data(entry, values.tobytes())
 
 
-def _converter_of_other_fuels(p):
-    # a converter for 5 fuels, consistent in itself, beside a model for 4
-    p["converter"]["n_fuels"] = 5
-    entry = p["converter_params"]["w1"]
-    entry["shape"][0] = 5
-    _set_data(entry, bytes(5 * entry["shape"][1] * 8))
+def _no_fuels(p):
+    del p["fuels"]
+
+
+def _fuels_not_list(p):
+    p["fuels"] = ",".join(p["fuels"])
+
+
+def _empty_fuels(p):
+    p["fuels"] = []
+
+
+def _non_string_fuel(p):
+    p["fuels"][2] = 7
+
+
+def _repeated_fuel(p):
+    p["fuels"][2] = p["fuels"][0]
+
+
+def _fuel_count_off_width(p):
+    # one name more than the tensors' width: the model's first fuel-wide tensor disagrees
+    p["fuels"].append("OTH")
+
+
+def _version_2(p):
+    # the v2 header: each network's fuel count, and no fuel names
+    p["format"] = "gridhealth-checkpoint-v2"
+    p["model"]["n_fuels"] = p["converter"]["n_fuels"] = len(p.pop("fuels"))
 
 
 def _version_1(p):
@@ -787,8 +813,9 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         model, conv = _small_networks()
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, model, conv)
-        model2, conv2 = load_checkpoint(path)
+        save_checkpoint(path, model, conv, SMALL_FUELS)
+        model2, conv2, fuels = load_checkpoint(path)
+        assert fuels == SMALL_FUELS
         for old, new in ((model, model2), (conv, conv2)):
             assert list(new.params) == list(old.params)
             for name, tensor in old.params.items():
@@ -809,11 +836,13 @@ class TestCheckpoint:
     @pytest.mark.parametrize("corrupt, key", [
         (_bad_base64, "out_w"), (_short_bytes, "out_w"), (_transposed_shape, "out_w"),
         (_wrong_dtype, "out_w"), (_nan_value, "out_w"), (_version_1, "format"),
-        (_converter_of_other_fuels, "n_fuels"),
+        (_no_fuels, "fuels"), (_fuels_not_list, "fuels"), (_empty_fuels, "fuels"),
+        (_non_string_fuel, "fuels"), (_repeated_fuel, "fuels"),
+        (_fuel_count_off_width, "embed_w"), (_version_2, "format"),
     ])
     def test_rejects_corrupt_tensor(self, tmp_path, corrupt, key):
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, *_small_networks())
+        save_checkpoint(path, *_small_networks(), SMALL_FUELS)
         payload = json.loads(path.read_text())
         corrupt(payload)
         path.write_text(json.dumps(payload))
@@ -821,6 +850,13 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(path) in str(info.value) and repr(key) in str(info.value)
 
+
+    @pytest.mark.parametrize("fuels", [SMALL_FUELS[:3], (*SMALL_FUELS, "OTH")])
+    def test_save_rejects_other_fuel_count(self, tmp_path, fuels):
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(ShapeMismatch):
+            save_checkpoint(path, *_small_networks(), fuels)
+        assert not path.exists()
 
 def test_attention_has_no_key_biases():
     # softmax cancels a bias shared by all of a query's scores; none is kept

@@ -74,6 +74,13 @@ class TestLoad:
         assert np.all(series.flags == OBSERVED)
         np.testing.assert_allclose(series.shares[1], [0.6, 0.4])
 
+    def test_without_map_each_column_is_its_stripped_name(self, tmp_path):
+        p = tmp_path / "mix.csv"
+        write_csv(p, [["timestamp", " COL", "NG "], [0, 0.5, 0.5], [1, 0.6, 0.4]])
+        series = load_fuel_mix(p)
+        assert series.fuel_names == ("COL", "NG")
+        np.testing.assert_array_equal(series.shares, [[0.5, 0.5], [0.6, 0.4]])
+
     def test_missing_cell_flagged(self, tmp_path):
         p = tmp_path / "mix.csv"
         write_csv(p, [["timestamp", "coal", "gas"], [0, 0.5, ""], [1, 0.6, 0.4]])
@@ -177,7 +184,7 @@ class TestLoad:
         series = make_series([[0.5, 0.5], [0.3, 0.7]], ("COL", "NG"))
         p = tmp_path / "out.csv"
         write_fuel_mix_csv(p, series)
-        again = load_fuel_mix(p, FuelCategoryMap({"COL": "COL", "NG": "NG"}))
+        again = load_fuel_mix(p)
         np.testing.assert_array_equal(again.shares, series.shares)
 
 
