@@ -64,6 +64,7 @@ from .ingest import (
     MISSING,
     FuelCategoryMap,
     impute_missing,
+    json_number,
     load_fuel_mix,
     normalize_mix,
     read_json_object,
@@ -294,30 +295,18 @@ def cmd_predict(args, ctx: CommandContext) -> None:
 
 def _sampled_fleet(path: str, signals: HealthSeries, seed: int) -> SessionTable:
     """The fleet a --sample-config JSON file describes, starting at the signal's first hour."""
-    spec = read_json_object(path)
-    for key in ("count", "arrival_hist", "departure_hist", "demand", "rate_kw"):
-        if key not in spec:
-            raise GridHealthError(f"{path}: missing key {key!r}")
-
-    def number(key, convert, default=None):
-        value = spec.get(key, default)
-        what = "an integer >= 1" if convert is int else "a finite positive number"
-        try:
-            if (convert is int and type(value) is not int) or not 0 < convert(value) < math.inf:
-                raise ValueError(f"{json.dumps(value)} is not {what}")
-            return convert(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise GridHealthError(f"{path}: bad value for key {key!r}: {exc}") from exc
-
+    spec = read_json_object(path, ("count", "arrival_hist", "departure_hist", "demand",
+                                   "rate_kw"), optional=("days",))
     try:
         return sample_sessions(
-            count=number("count", int),
+            count=json_number(path, spec, "count", int, positive=True),
             arrival_dist=spec["arrival_hist"],
             departure_dist=spec["departure_hist"],
             demand_dist=spec["demand"],
-            rate=number("rate_kw", float),
+            rate=json_number(path, spec, "rate_kw", positive=True),
             seed=seed,
-            days=number("days", int, max(1, len(signals) // 24 - 1)),
+            days=json_number(path, spec, "days", int, positive=True,
+                             default=max(1, len(signals) // 24 - 1)),
             start_hour=int(signals.timestamps[0]) if len(signals) else 0,
         )
     except DegenerateDistribution as exc:
@@ -463,7 +452,6 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     known, _ = probe.parse_known_args(argv)
     if not known.config:
         return argv
-    overrides = read_json_object(known.config)
     # locate the subparser for the invoked command
     command = next((a for a in argv if not a.startswith("-")), None)
     for action in parser._subparsers._group_actions:  # noqa: SLF001
@@ -472,9 +460,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
             # the subcommand's own value flags; --help takes no value, --config names this file
             flags = {a.dest: a for a in sub._actions  # noqa: SLF001
                      if a.nargs != 0 and a.dest != "config"}
-            unknown = set(overrides) - set(flags)
-            if unknown:
-                raise GridHealthError(f"unknown config keys: {sorted(unknown)}")
+            overrides = read_json_object(known.config, optional=flags)
             for key, value in overrides.items():
                 # a JSON string's text is its own, any other value's its JSON text
                 text = value if isinstance(value, str) else json.dumps(value)

@@ -51,6 +51,12 @@ class SourceReceptorMatrix:
             raise DimensionMismatch("gain matrix shape does not match id lists")
         if np.any(self.gains < 0):
             raise ValueError("source-receptor gains must be nonnegative")
+        for kind, names in (("receptor id", self.receptor_ids), ("pollutant", self.pollutant_names)):
+            for i, name in enumerate(names):
+                if not isinstance(name, str):
+                    raise InvalidParams(f"{kind} {name!r} is not a string")
+                if name in names[:i]:
+                    raise InvalidParams(f"{kind} {name!r} is repeated")
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "SourceReceptorMatrix":

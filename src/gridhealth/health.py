@@ -43,7 +43,6 @@ SIGNAL_COLUMNS = [("timestamp", as_int), ("internal_usd_per_mwh", as_float),
 # `_row_fsums` certifies long-double sums only for the x87 80-bit format
 # (63 fraction bits) and IEEE binary128 (112); elsewhere every row uses fsum.
 _LONG_SUMS = np.finfo(np.longdouble).nmant in (63, 112)
-_LONG_U = np.finfo(np.longdouble).eps / 2     # unit roundoff of long double
 # Below this many units of a row's finest float64 spacing, every partial sum of
 # the row is exact in long double: 2**(nmant + 1) with a factor of 2 to spare for
 # sum|x| taken in float64.
@@ -55,45 +54,27 @@ def _row_fsums(block: np.ndarray) -> np.ndarray:
     """`math.fsum` of each row of a 2-d float64 block, without a Python float per cell.
 
     Each row is summed in long double, in any order, to S and rounded to
-    float64 r. The exact sum lies within about (cols - 1) u sum|x| of S
-    (Higham 2002, ch. 4; u is long double's unit roundoff), so
-    B = 4 cols u sum|x| covers it and the roundings of sum|x| (taken in
-    float64), B and S +- B. When S - B and S + B both lie strictly between
-    the midpoints from r to its float64 neighbours (exact in long double),
-    the exact sum rounds to r, which is what fsum returns.
-
-    A row that fails that test, such as an exact tie, passes a second one
-    when sum|x| < `_LONG_EXACT` q, with q the float64 spacing at the row's
-    smallest non-zero |x|. Every term is then a multiple of q, and so is
-    every partial sum, each below 2**(nmant + 1) q in magnitude: all of
+    float64 r. When sum|x| < `_LONG_EXACT` q, with q the float64 spacing at
+    the row's smallest non-zero |x|, every term is a multiple of q, and so
+    is every partial sum, each below 2**(nmant + 1) q in magnitude: all of
     them are exact in long double, S is the exact sum, and r is S rounded
     half to even, as fsum rounds it.
 
-    Rows that fail both, zero sums, whose sign fsum decides, rows whose
+    Rows that fail that test, zero sums, whose sign fsum decides, rows whose
     sum|x| is 2**1023 or more (non-finite or +-DBL_MAX sums, and every row
     on which fsum could overflow on the way), and every row where long
     double is neither format above go to `math.fsum`. So the result, or
     the OverflowError, is always fsum's.
     """
-    rows, cols = block.shape
-    out = np.empty(rows)
-    redo = np.arange(rows)
-    if _LONG_SUMS and rows:
+    out = np.empty(len(block))
+    redo = np.arange(len(block))
+    if _LONG_SUMS and len(block):
         with np.errstate(over="ignore", invalid="ignore"):
-            s = block.sum(axis=1, dtype=np.longdouble)
-            magnitude = np.abs(block).sum(axis=1)
-            bound = magnitude * (4 * cols * _LONG_U)
-            r = s.astype(np.float64)
-            near = r.astype(np.longdouble)
-            below = (np.nextafter(r, -np.inf).astype(np.longdouble) + near) / 2
-            above = (np.nextafter(r, np.inf).astype(np.longdouble) + near) / 2
-            ok = (s - bound > below) & (s + bound < above)
-            close = np.flatnonzero(~ok)
-            if close.size:
-                terms = np.abs(block[close])
-                finest = np.spacing(np.where(terms > 0, terms, np.inf).min(axis=1))
-                ok[close] = magnitude[close] < finest * _LONG_EXACT
-            ok &= (r != 0) & (magnitude < _FSUM_SAFE)
+            r = block.sum(axis=1, dtype=np.longdouble).astype(np.float64)
+            terms = np.abs(block)
+            magnitude = terms.sum(axis=1)
+            finest = np.spacing(np.where(terms > 0, terms, np.inf).min(axis=1, initial=np.inf))
+            ok = (magnitude < finest * _LONG_EXACT) & (r != 0) & (magnitude < _FSUM_SAFE)
         out[ok] = r[ok]
         redo = np.flatnonzero(~ok)
     out[redo] = [math.fsum(row) for row in block[redo].tolist()]
@@ -328,10 +309,9 @@ def impacts(shares: np.ndarray, fuel_names: tuple[str, ...],
     reordered to `fuel_names` (F, K), gains (K, M), alpha (E, K), base
     rate x population (M, E), valuations (E,) and the internal-receptor
     mask (M,). Each bucket is the exactly-rounded sum (math.fsum) of its
-    receptors' dollars, as in `split_internal_external`: `_row_fsums` takes
-    a certified long-double sum per hour where long double is x87 80-bit or
-    IEEE binary128, and math.fsum for the hours that fail its check and on
-    every other platform.
+    receptors' dollars, as in `split_internal_external`: `_row_fsums` keeps
+    an hour's long-double sum when every partial sum is exact, and takes
+    math.fsum for the other hours.
     """
     dollars, internal = _receptor_dollars(shares, fuel_names, config)
     return np.column_stack([_row_fsums(dollars[:, internal]), _row_fsums(dollars[:, ~internal])])

@@ -20,6 +20,7 @@ import io
 import json
 import math
 import re
+import sys
 import warnings
 from collections import Counter
 from contextlib import contextmanager
@@ -32,6 +33,7 @@ import numpy as np
 
 from .errors import (
     GridHealthError,
+    InvalidParams,
     MalformedRow,
     NegativeShare,
     NonMonotonicTimestamp,
@@ -326,19 +328,44 @@ def _convert(name: str, cells: tuple[str, ...], kind: type, what: str):
                 return [], (i, f"{name} {cell.strip()!r} is not {what}")
 
 
-def read_json_object(path: str | Path) -> dict:
-    """The JSON object in the UTF-8 file `path`.
+def read_json_object(path: str | Path, required=(), optional=()) -> dict:
+    """The JSON object in the UTF-8 file `path`, checked by `json_object`.
 
-    Text that is not UTF-8, not JSON, or JSON other than an object raises
-    GridHealthError naming the path.
-    """
+    Text that is not UTF-8 or not JSON raises GridHealthError naming the path."""
     try:
         value = json.loads(Path(path).read_bytes().decode("utf-8"))
     except (ValueError, RecursionError) as exc:   # JSON and UTF-8 decode errors are ValueErrors
         raise GridHealthError(f"{path}: not a JSON file ({exc})") from exc
+    return json_object(path, value, required, optional)
+
+
+def json_object(where: str | Path, value, required=(), optional=()) -> dict:
+    """`value`, a JSON object with every key of `required` and no key outside both lists.
+
+    Anything else raises InvalidParams naming `where` and the first such key."""
     if not isinstance(value, dict):
-        raise GridHealthError(f"{path}: expected a JSON object")
+        raise InvalidParams(f"{where}: expected a JSON object")
+    for key in value:
+        if key not in required and key not in optional:
+            raise InvalidParams(f"{where}: unknown key {key!r}")
+    for key in required:
+        if key not in value:
+            raise InvalidParams(f"{where}: missing key {key!r}")
     return value
+
+
+def json_number(where: str | Path, spec: dict, key: str, kind: type = float,
+                positive: bool = False, default=None):
+    """`spec[key]`, or `default` if absent, as `kind`: a finite JSON number, an integer for int.
+
+    With `positive` it must be above 0. Anything else, a bool or a string
+    too, raises InvalidParams naming `where` and the key."""
+    value = spec.get(key, default)
+    numeric = type(value) is int or (kind is float and type(value) is float)
+    if numeric and (kind is int or abs(value) <= sys.float_info.max) and (value > 0 or not positive):
+        return kind(value)
+    what = ("an integer" if kind is int else "a finite number") + (" > 0" if positive else "")
+    raise InvalidParams(f"{where}: bad value for key {key!r}: {json.dumps(value)} is not {what}")
 
 
 @dataclass

@@ -25,10 +25,9 @@ session's cost is the `math.fsum` of the energy x price products
 `Schedule.cost` adds, so it is equal with `==`; the products of unselected
 slots are zeros, which fsum skips, so the engine sums only the charged ones.
 The engine gets that value from `health._row_fsums` without a Python float
-per product: a long-double row sum, certified to round to the exact sum,
-where long double is x87 80-bit (x86-64 Linux) or IEEE binary128 (64-bit ARM
-Linux), and `math.fsum` for the rows that fail the check and on every other
-platform.
+per product: a long-double row sum where every partial sum is exact in it
+(x87 80-bit on x86-64 Linux, IEEE binary128 on 64-bit ARM Linux), and
+`math.fsum` for the other rows and on every other platform.
 
 Costs are in dollars: h carries $/kWh per slot and energies are kWh.
 """
@@ -384,9 +383,8 @@ def _session_costs(sessions: SessionTable, signals: HealthSeries) -> np.ndarray:
       prices: each run's n charged prices are gathered and weighted by the
       rate, the last one by the remainder.
 
-    One `_row_fsums` call sums each chunk's rows: a certified long-double sum
-    per row where long double is x87 80-bit or IEEE binary128, and
-    `math.fsum` for the rows that fail its check and on other platforms.
+    One `_row_fsums` call sums each chunk's rows: in long double where every
+    partial sum is exact in it, else with `math.fsum`.
     """
     prices, t0 = signal_to_slot_prices(signals)
     lo = sessions.arrival - t0

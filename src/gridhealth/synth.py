@@ -27,7 +27,8 @@ from .health import (
     load_receptor_profiles,
     load_valuations,
 )
-from .ingest import CANONICAL_FUELS, OBSERVED, FuelMixSeries, read_json_object
+from .ingest import (CANONICAL_FUELS, OBSERVED, FuelMixSeries, json_number, json_object,
+                     read_json_object)
 
 CONFIG_FILES = (
     "emission_factors.csv",
@@ -43,24 +44,26 @@ def default_config_path(name: str) -> Path:
     return Path(resources.files("gridhealth").joinpath("data", name))
 
 
+_PLUME_NUMBERS = ("wind_speed", "effective_height", "sigma_y_coeff", "sigma_z_coeff")
+
+
 def _plume_matrix(path: Path, pollutant_names: tuple[str, ...]) -> SourceReceptorMatrix:
     """The plume-kernel matrix of the JSON spec at `path`, one row per pollutant."""
-    raw = read_json_object(path)
+    raw = read_json_object(path, (*_PLUME_NUMBERS, "receptors"))
+    if not isinstance(raw["receptors"], list):
+        raise InvalidParams(f"{path}: bad value for key 'receptors': not a list")
+    offsets, ids = [], []
+    for i, r in enumerate(raw["receptors"]):
+        where = f"{path}: receptors[{i}]"
+        json_object(where, r, ("id", "downwind_x", "crosswind_y"))
+        offsets.append((json_number(where, r, "downwind_x"), json_number(where, r, "crosswind_y")))
+        ids.append(r["id"])
+    params = PlumeParams(**{key: json_number(path, raw, key) for key in _PLUME_NUMBERS},
+                         receptor_offsets=offsets)
     try:
-        receptors = raw["receptors"]
-        params = PlumeParams(
-            wind_speed=float(raw["wind_speed"]),
-            effective_height=float(raw["effective_height"]),
-            sigma_y_coeff=float(raw["sigma_y_coeff"]),
-            sigma_z_coeff=float(raw["sigma_z_coeff"]),
-            receptor_offsets=[
-                (float(r["downwind_x"]), float(r["crosswind_y"])) for r in receptors
-            ],
-        )
-        ids = tuple(r["id"] for r in receptors)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidParams(f"{path}: malformed plume spec ({exc})") from exc
-    return build_plume_matrix(params, pollutant_names, receptor_ids=ids)
+        return build_plume_matrix(params, pollutant_names, tuple(ids))
+    except InvalidParams as exc:
+        raise InvalidParams(f"{path}: {exc}") from exc
 
 
 def load_config_dir(directory: str | Path, from_plume: bool = False) -> PipelineConfig:

@@ -132,6 +132,52 @@ class TestSynth:
         assert capsys.readouterr().err.startswith(f"error: {cdir / 'plume.json'}: ")
         assert not list(out.glob("*"))
 
+    @staticmethod
+    def plume_config_dir(tmp_path, old, new):
+        """A copy of the packaged config directory with `old` replaced by `new` in plume.json."""
+        cdir = tmp_path / "conf"
+        cdir.mkdir()
+        for name in CONFIG_FILES:
+            (cdir / name).write_bytes((default_config_path(".") / name).read_bytes())
+        text = (cdir / "plume.json").read_text()
+        assert old in text
+        (cdir / "plume.json").write_text(text.replace(old, new, 1))
+        return cdir
+
+    @pytest.mark.parametrize("old, new, key", [
+        ('"wind_speed": 4.5', '"wind_speed": true', "key 'wind_speed'"),
+        ('"wind_speed": 4.5', '"wind_speed": "4.5"', "key 'wind_speed'"),
+        ('"wind_speed": 4.5', '"wind_speed": 1e400', "key 'wind_speed'"),      # inf
+        ('"wind_speed": 4.5', '"wind_speed": 1' + "0" * 400, "key 'wind_speed'"),
+        ('"sigma_z_coeff": 0.28', '"sigma_z_coeff": -0.28', "sigma coefficients"),
+        ('"wind_speed": 4.5', '"wind_speed": 4.5, "stability": "D"', "unknown key 'stability'"),
+        ('"downwind_x": 18000.0', '"downwind_x": "18000"', "receptors[0]: bad value for key "
+                                                           "'downwind_x'"),
+        ('"crosswind_y": 0.0}', '"crosswind_y": NaN}', "receptors[0]: bad value for key "
+                                                       "'crosswind_y'"),
+        ('"crosswind_y": 0.0}', '"crosswind_y": 0.0, "z": 2}', "receptors[0]: unknown key 'z'"),
+        ('"id": "METRO", ', "", "receptors[0]: missing key 'id'"),
+        ('"id": "METRO"', '"id": 5', "receptor id 5 is not a string"),
+    ], ids=["bool", "string", "inf", "past_float64", "negative_sigma", "extra_key",
+            "string_x", "nan_y", "receptor_extra_key", "no_id", "number_id"])
+    def test_bad_plume_spec_names_key(self, tmp_path, capsys, old, new, key):
+        cdir = self.plume_config_dir(tmp_path, old, new)
+        out = tmp_path / "out"
+        assert run("synth", "--out", out, "--hours", 48, "--config-dir", cdir) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cdir / 'plume.json'}: ") and key in err
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["conf"]
+
+    def test_repeated_receptor_id_rejected(self, tmp_path, capsys):
+        # it used to price VALLEY's position with METRO's profile
+        cdir = self.plume_config_dir(tmp_path, '"id": "VALLEY"', '"id": "METRO"')
+        out = tmp_path / "out"
+        assert run("synth", "--out", out, "--hours", 48, "--config-dir", cdir) == 1
+        assert capsys.readouterr().err == (f"error: {cdir / 'plume.json'}: "
+                                           "receptor id 'METRO' is repeated\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["conf"]
+
     def test_permuted_response_columns_rejected(self, tmp_path, capsys):
         # the same coefficients under a VOC,SO2,NOX,PM2.5 header used to load by position
         src = default_config_path(".")
@@ -966,6 +1012,15 @@ class TestSchedule:
         assert err.startswith(f"error: {spec_path}: ") and repr(key) in err
         assert not (out / "sessions.csv").exists() and not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [("dayz", 3), ("long_fraction", 0.5)])
+    def test_unknown_sample_config_key_rejected(self, tmp_path, capsys, key, value):
+        sig, spec_path, out = tmp_path / "sig.csv", tmp_path / "fleet.json", tmp_path / "out"
+        self.write_signal(sig, hours=240)
+        spec_path.write_text(json.dumps({**readme_fleet_spec(), key: value}))
+        assert run("schedule", "--signal", sig, "--sample-config", spec_path, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {spec_path}: unknown key {key!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fleet.json", "sig.csv"]
+
     def test_missing_sessions_and_sample_config(self, tmp_path, capsys):
         sig = tmp_path / "sig.csv"
         self.write_signal(sig)
@@ -1016,7 +1071,7 @@ def test_sweep_takes_no_beta(bundle, tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"beta": 0.5}))
     assert run(*_argv("sweep", bundle, tmp_path), "--config", conf) == 1
-    assert capsys.readouterr().err == "error: unknown config keys: ['beta']\n"
+    assert capsys.readouterr().err == f"error: {conf}: unknown key 'beta'\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -1067,5 +1122,5 @@ class TestConfigFile:
         conf.write_text(json.dumps({"help": True, "config": "elsewhere.json"}))
         out = tmp_path / "out"
         assert run("synth", "--out", out, "--hours", "48", "--config", conf) == 1
-        assert capsys.readouterr().err == "error: unknown config keys: ['config', 'help']\n"
+        assert capsys.readouterr().err == f"error: {conf}: unknown key 'help'\n"
         assert not out.exists()

@@ -1,6 +1,7 @@
 """Linear source-receptor transport, the plume oracle, and the learnable layer."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,15 @@ def test_zero_emissions_zero_concentrations():
     m = SourceReceptorMatrix([[0.4, 0.2], [0.1, 0.9]], RID, POLL)
     out = apply_source_receptor(ev([0.0, 0.0]), m)
     np.testing.assert_array_equal(out.delta, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("receptors, pollutants, message", [
+    (("A", "A"), POLL, "receptor id 'A' is repeated"),
+    (RID, ("SO2", "SO2"), "pollutant 'SO2' is repeated"),
+    (("A", 5), POLL, "receptor id 5 is not a string")])
+def test_names_are_distinct_strings(receptors, pollutants, message):
+    with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+        SourceReceptorMatrix(np.ones((2, 2)), receptors, pollutants)
 
 
 def test_identity_like_gain():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridhealth import health
+from gridhealth import health, scheduler
 from gridhealth.dispersion import SourceReceptorMatrix, apply_source_receptor
 from gridhealth.emissions import EmissionFactorTable, emissions_from_mix
 from gridhealth.errors import (
@@ -37,6 +37,7 @@ from gridhealth.health import (
     split_internal_external,
 )
 from gridhealth.ingest import CANONICAL_FUELS, ZERO_EMISSION_FUELS
+from gridhealth.synth import default_pipeline_config, oracle_labels, synthetic_mix_series
 
 from conftest import make_record
 
@@ -467,7 +468,17 @@ class TestRowFsums:
         if not health._LONG_SUMS:
             pytest.skip("long double is neither x87 80-bit nor IEEE binary128 here")
         blocks = dict(row_blocks())
-        assert self.fsum_calls(monkeypatch, [blocks["72 terms"]]) < 300 // 2
+        # fleet traffic: the charged rows of 2,000 sampled sessions on a 720 h synth signal
+        signals = oracle_labels(synthetic_mix_series(720, 0), default_pipeline_config())
+        sessions = scheduler.sample_sessions(
+            2000, {"17": 0.2, "18": 0.4, "19": 0.4}, {"6": 0.4, "7": 0.6},
+            {"kind": "uniform", "low": 10, "high": 36}, 7.2, seed=0, days=29)
+        rows, calls, real = [], [], math.fsum
+        monkeypatch.setattr(scheduler, "_row_fsums", lambda b: rows.append(len(b)) or _row_fsums(b))
+        monkeypatch.setattr(math, "fsum", lambda row: calls.append(1) or real(row))
+        scheduler._session_costs(sessions, signals)
+        monkeypatch.undo()
+        assert len(calls) < 0.02 * sum(rows)
         assert self.fsum_calls(monkeypatch, [blocks["subnormals"]]) == 0
         # exact ties: every partial sum is exact in long double
         assert self.fsum_calls(monkeypatch, [blocks["two-term ties"]]) == 0
