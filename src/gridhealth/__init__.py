@@ -19,12 +19,7 @@ from .dispersion import (
     build_plume_matrix,
     fit_dispersion_layer,
 )
-from .emissions import (
-    EmissionFactorTable,
-    EmissionVector,
-    aggregate_plant_emissions,
-    emissions_from_mix,
-)
+from .emissions import EmissionFactorTable, EmissionVector, emissions_from_mix
 from .forecaster import (
     Evaluation,
     ForecastModel,
@@ -79,7 +74,7 @@ __all__ = [
     "Tensor", "grad_check", "no_grad",
     "DispersionLayer", "PlumeParams", "ReceptorConcentrations", "SourceReceptorMatrix",
     "apply_source_receptor", "build_plume_matrix", "fit_dispersion_layer",
-    "EmissionFactorTable", "EmissionVector", "aggregate_plant_emissions", "emissions_from_mix",
+    "EmissionFactorTable", "EmissionVector", "emissions_from_mix",
     "Evaluation", "ForecastModel", "HealthConverterNet", "TradeoffPoint", "TrainConfig",
     "TrainingData", "beta_sweep", "composite_loss", "evaluate", "forecast_at", "nmae",
     "origins", "train",

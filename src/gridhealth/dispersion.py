@@ -120,6 +120,8 @@ class PlumeParams:
     receptor_offsets: list[tuple[float, float]] = field(default_factory=list)
 
     def validate(self) -> None:
+        if not self.receptor_offsets:
+            raise InvalidParams("'receptors' is empty: the plume needs at least one receptor")
         if self.wind_speed <= 0:
             raise InvalidParams("wind_speed must be positive")
         if self.sigma_y_coeff <= 0 or self.sigma_z_coeff <= 0:
@@ -154,10 +156,18 @@ def build_plume_matrix(
 
     One column per receptor offset, named `R0`, `R1`, ... unless
     `receptor_ids` names them, and one row per pollutant. The kernel ignores
-    pollutant identity, so all K rows are identical.
+    pollutant identity, so all K rows are identical. A gain that overflows,
+    divides by zero or is not finite raises InvalidParams naming its receptor.
     """
     params.validate()
-    row = np.array([plume_gain(params, x, y) for x, y in params.receptor_offsets])
+    row = np.empty(len(params.receptor_offsets))
+    for i, (x, y) in enumerate(params.receptor_offsets):
+        try:
+            row[i] = plume_gain(params, x, y)
+        except ArithmeticError:   # OverflowError, ZeroDivisionError
+            row[i] = math.nan
+        if not math.isfinite(row[i]):
+            raise InvalidParams(f"receptors[{i}]: the plume gain is not a finite number")
     gains = np.tile(row, (len(pollutant_names), 1))
     if receptor_ids is None:
         receptor_ids = tuple(f"R{i}" for i in range(len(row)))
@@ -205,12 +215,6 @@ class DispersionLayer:
         n, k = emissions.shape
         scaled = gains.reshape(1, k, -1) * emissions.reshape(n, k, 1)  # (N, K, M)
         return scaled.transpose(0, 2, 1)
-
-    def predict(self, emissions: EmissionVector) -> np.ndarray:
-        """Concentration deltas (M, K) for one emission vector."""
-        with autodiff.no_grad():
-            e = Tensor(emissions.quantities.reshape(1, -1))
-            return self._predict(e).data[0]
 
     def mse(self, emission_array: np.ndarray, delta_array: np.ndarray) -> float:
         with autodiff.no_grad():

@@ -7,11 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, MalformedRow, UnknownPlant
-from .ingest import (ZERO_EMISSION_FUELS, FuelMixRecord, PlantRecord, as_float, as_str,
-                     read_table)
-
-POLLUTANTS = ("PM2.5", "SO2", "NOX", "VOC")
+from .errors import DimensionMismatch, MalformedRow
+from .ingest import ZERO_EMISSION_FUELS, FuelMixRecord, as_float, as_str, read_table
 
 
 @dataclass
@@ -75,27 +72,3 @@ def emissions_from_mix(
     rows = np.vstack([table.row(fuel) for fuel in mix.fuel_names])
     quantities = demand_mwh * (mix.shares @ rows)
     return EmissionVector(quantities, table.pollutant_names)
-
-
-def aggregate_plant_emissions(
-    allocation: dict[str, float], plants: list[PlantRecord]
-) -> EmissionVector:
-    """Sum plant-level emissions over an allocation of MWh to plants."""
-    by_id = {p.plant_id: p for p in plants}
-    pollutant_names: tuple[str, ...] | None = None
-    for p in plants:
-        names = tuple(p.emission_rates.keys())
-        if pollutant_names is None:
-            pollutant_names = names
-        elif set(names) != set(pollutant_names):
-            raise DimensionMismatch(f"plant {p.plant_id} has a different pollutant set")
-    if pollutant_names is None:
-        pollutant_names = POLLUTANTS
-
-    quantities = np.zeros(len(pollutant_names))
-    for plant_id, mwh in allocation.items():
-        if plant_id not in by_id:
-            raise UnknownPlant(f"allocation references unknown plant {plant_id!r}")
-        rates = by_id[plant_id].emission_rates
-        quantities += mwh * np.array([rates[k] for k in pollutant_names])
-    return EmissionVector(quantities, pollutant_names)

@@ -50,10 +50,6 @@ class DimensionMismatch(GridHealthError):
     """Vector/matrix dimensions or pollutant orderings do not agree."""
 
 
-class UnknownPlant(GridHealthError):
-    """An allocation references a plant id that is not in the registry."""
-
-
 class InvalidParams(GridHealthError):
     """Plume, synthesis or health-chain parameters violate their invariants."""
 

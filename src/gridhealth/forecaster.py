@@ -37,12 +37,13 @@ from .errors import (
     DivergedLoss,
     GridHealthError,
     InsufficientData,
+    InvalidParams,
     ShapeMismatch,
     ShortHistory,
     ZeroNormalizer,
 )
 from .health import HealthSeries
-from .ingest import FuelMixSeries
+from .ingest import FuelMixSeries, json_number, json_object
 
 BETA_MAX = 0.998
 
@@ -263,18 +264,6 @@ class ForecastModel:
         f, t = self.n_fuels, self.window
         self._add("lin_w", (t * f, t * f), rng)
         self._add_zeros("lin_b", (t * f,))
-
-    def init_persistence(self):
-        """Set the linear baseline to repeat the last observed record."""
-        if self.architecture != LINEAR_BASELINE:
-            raise ValueError("persistence init applies to the linear baseline only")
-        f, t = self.n_fuels, self.window
-        w = np.zeros((t * f, t * f))
-        for step in range(t):
-            for j in range(f):
-                w[(t - 1) * f + j, step * f + j] = 1.0
-        self.params["lin_w"].data = w
-        self.params["lin_b"].data = np.zeros(t * f)
 
     # -- forward -------------------------------------------------------------
 
@@ -870,10 +859,13 @@ def beta_sweep(data: TrainingData, betas: list[float], cfg: TrainConfig) -> list
 
 CHECKPOINT_FORMAT = "gridhealth-checkpoint-v3"
 _DTYPE = "<f8"
-# each network's header: its constructor's arguments but n_fuels, stored as its attributes
-_MODEL_FIELDS = ("architecture", "window", "embed_dim", "heads", "encoder_layers",
-                 "decoder_layers", "ff_dim", "dropout", "seed")
-_CONVERTER_FIELDS = ("hidden", "seed")
+# each network's header: its constructor's arguments but n_fuels, stored as its attributes,
+# with the JSON kind each must have (str is left to the constructor's own check)
+_MODEL_FIELDS = {"architecture": str, "window": int, "embed_dim": int, "heads": int,
+                 "encoder_layers": int, "decoder_layers": int, "ff_dim": int, "dropout": float,
+                 "seed": int}
+_CONVERTER_FIELDS = {"hidden": int, "seed": int}
+_TOP_KEYS = ("format", "fuels", "model", "converter", "params", "converter_params")
 
 
 def _encode(a: np.ndarray) -> dict:
@@ -940,15 +932,25 @@ def _restore_params(path: str | Path, section: str, stored, params: dict[str, Te
                               tensor.data.shape)
 
 
+def _header(path: str | Path, payload: dict, section: str, fields: dict) -> dict:
+    """The network arguments under `section`: exactly `fields`, numbers as `json_number` reads."""
+    where = f"{path}: {section}"
+    spec = json_object(where, payload[section], fields)
+    return {k: spec[k] if kind is str else json_number(where, spec, k, kind)
+            for k, kind in fields.items()}
+
+
 def load_checkpoint(path: str | Path) -> tuple[ForecastModel, HealthConverterNet,
                                                tuple[str, ...]]:
     """Rebuild both networks from `save_checkpoint` output, with their fuel names.
 
-    `fuels` must be a nonempty list of distinct strings, and every parameter
-    must be present under its exact name, dtype tag and shape, with exactly
-    its byte count of finite values; anything else raises CorruptCheckpoint
-    naming the path and the key. Files of any other format, earlier
-    versions included, are rejected.
+    The file and each network header must hold exactly their keys
+    (`json_object`), each header number a JSON number of its kind
+    (`json_number`: `"heads": true` is not an integer), `fuels` a nonempty
+    list of distinct strings, and every parameter must be present under its
+    exact name, dtype tag and shape, with exactly its byte count of finite
+    values; anything else raises CorruptCheckpoint naming the path and the
+    key. Files of any other format, earlier versions included, are rejected.
     """
     try:
         payload = json.loads(Path(path).read_text())
@@ -956,19 +958,21 @@ def load_checkpoint(path: str | Path) -> tuple[ForecastModel, HealthConverterNet
         raise CorruptCheckpoint(f"{path}: not a JSON checkpoint ({exc})") from exc
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise CorruptCheckpoint(f"{path}: key 'format' is not {CHECKPOINT_FORMAT!r}")
-    fuels = payload.get("fuels")
+    try:
+        json_object(path, payload, _TOP_KEYS)
+        model_args = _header(path, payload, "model", _MODEL_FIELDS)
+        converter_args = _header(path, payload, "converter", _CONVERTER_FIELDS)
+    except InvalidParams as exc:
+        raise CorruptCheckpoint(str(exc)) from exc
+    fuels = payload["fuels"]
     if not (isinstance(fuels, list) and fuels and all(isinstance(f, str) for f in fuels)
             and len(set(fuels)) == len(fuels)):
         raise CorruptCheckpoint(f"{path}: key 'fuels' is not a nonempty list of distinct names")
     try:
-        model = ForecastModel(n_fuels=len(fuels),
-                              **{k: payload["model"][k] for k in _MODEL_FIELDS})
-        converter = HealthConverterNet(len(fuels),
-                                       **{k: payload["converter"][k] for k in _CONVERTER_FIELDS})
-    except KeyError as exc:
-        raise CorruptCheckpoint(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+        model = ForecastModel(n_fuels=len(fuels), **model_args)
+        converter = HealthConverterNet(len(fuels), **converter_args)
+    except ValueError as exc:
         raise CorruptCheckpoint(f"{path}: bad network description ({exc})") from exc
-    _restore_params(path, "params", payload.get("params"), model.params)
-    _restore_params(path, "converter_params", payload.get("converter_params"), converter.params)
+    _restore_params(path, "params", payload["params"], model.params)
+    _restore_params(path, "converter_params", payload["converter_params"], converter.params)
     return model, converter, tuple(fuels)

@@ -331,13 +331,22 @@ def impact_per_mwh(mix: FuelMixRecord, config: PipelineConfig) -> HealthSignal:
 
 # --- config file loaders ----------------------------------------------------
 
+_INTERNAL = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _internal(text: str) -> bool:
+    """A receptors.csv `internal` cell; ValueError unless a `_INTERNAL` word in any case."""
+    if text.lower() not in _INTERNAL:
+        raise ValueError(f"internal {text!r} is not 1, 0, true, false, yes or no")
+    return _INTERNAL[text.lower()]
+
+
 def load_receptor_profiles(path: str | Path, endpoints: list[str]) -> list[ReceptorProfile]:
     """Read `receptor_id,population,internal,<rate per endpoint...>` rows."""
     t = read_table(path, [("receptor_id", as_str), ("population", as_float), ("internal", as_str),
                           *((e, as_float) for e in endpoints)], key=("receptor_id",))
     return t.records(lambda receptor, population, internal, *rates: ReceptorProfile(
-        receptor, population, dict(zip(endpoints, rates)),
-        internal.lower() in ("1", "true", "yes")))
+        receptor, population, dict(zip(endpoints, rates)), _internal(internal)))
 
 
 def load_concentration_responses(path: str | Path,

@@ -458,14 +458,6 @@ class PlantRecord:
                 raise ValueError(f"plant {self.plant_id}: negative rate for {k}")
 
 
-def load_plants(path: str | Path) -> list[PlantRecord]:
-    """Read a plant registry CSV: plant_id,region_id,fuel,capacity_basis,<pollutants...>."""
-    t = read_table(path, [("plant_id", as_str), ("region_id", as_str), ("fuel", as_str),
-                          ("capacity_basis", as_float)], tail=as_float)
-    return t.records(lambda plant, region, fuel, basis, *rates: PlantRecord(
-        plant, region, fuel, basis, dict(zip(t.header[4:], rates))))
-
-
 def _parse_stamp(text: str) -> int | datetime:
     """An integer hour in the int64 range, or an ISO hour; ValueError names the fault."""
     try:

@@ -133,7 +133,7 @@ class TestSynth:
         assert not list(out.glob("*"))
 
     @staticmethod
-    def plume_config_dir(tmp_path, old, new):
+    def plume_config_dir(tmp_path, old="", new=""):
         """A copy of the packaged config directory with `old` replaced by `new` in plume.json."""
         cdir = tmp_path / "conf"
         cdir.mkdir()
@@ -158,8 +158,16 @@ class TestSynth:
         ('"crosswind_y": 0.0}', '"crosswind_y": 0.0, "z": 2}', "receptors[0]: unknown key 'z'"),
         ('"id": "METRO", ', "", "receptors[0]: missing key 'id'"),
         ('"id": "METRO"', '"id": 5', "receptor id 5 is not a string"),
+        # finite but extreme: an OverflowError, a ZeroDivisionError and inf gains before
+        ('"crosswind_y": 9000.0}', '"crosswind_y": 1e200}', "receptors[1]: the plume gain "
+                                                           "is not a finite number"),
+        ('"downwind_x": 18000.0', '"downwind_x": 1e-300', "receptors[0]: the plume gain "
+                                                         "is not a finite number"),
+        ('"wind_speed": 4.5', '"wind_speed": 1e-320', "receptors[0]: the plume gain "
+                                                     "is not a finite number"),
     ], ids=["bool", "string", "inf", "past_float64", "negative_sigma", "extra_key",
-            "string_x", "nan_y", "receptor_extra_key", "no_id", "number_id"])
+            "string_x", "nan_y", "receptor_extra_key", "no_id", "number_id", "huge_y",
+            "tiny_x", "tiny_wind"])
     def test_bad_plume_spec_names_key(self, tmp_path, capsys, old, new, key):
         cdir = self.plume_config_dir(tmp_path, old, new)
         out = tmp_path / "out"
@@ -167,6 +175,31 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cdir / 'plume.json'}: ") and key in err
         assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["conf"]
+
+    def test_no_receptor_rejected(self, tmp_path, capsys):
+        # it used to write all-zero labels and a bundle its own reader rejects
+        cdir = self.plume_config_dir(tmp_path)
+        spec = json.loads((cdir / "plume.json").read_text())
+        spec["receptors"] = []
+        (cdir / "plume.json").write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert run("synth", "--out", out, "--hours", 48, "--config-dir", cdir) == 1
+        assert capsys.readouterr().err == (f"error: {cdir / 'plume.json'}: 'receptors' is "
+                                           "empty: the plume needs at least one receptor\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["conf"]
+
+    def test_misspelled_internal_flag_rejected(self, tmp_path, capsys):
+        # 'ture' used to read as external and move the internal signal
+        cdir = self.plume_config_dir(tmp_path)
+        text = (cdir / "receptors.csv").read_text()
+        assert "VALLEY,900000,true," in text
+        (cdir / "receptors.csv").write_text(text.replace("VALLEY,900000,true,",
+                                                         "VALLEY,900000,ture,"))
+        out = tmp_path / "out"
+        assert run("synth", "--out", out, "--hours", 48, "--config-dir", cdir) == 1
+        assert capsys.readouterr().err == (f"error: {cdir / 'receptors.csv'}:3: internal 'ture' "
+                                           "is not 1, 0, true, false, yes or no\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["conf"]
 
     def test_repeated_receptor_id_rejected(self, tmp_path, capsys):
@@ -758,6 +791,19 @@ def _missing_header_key(p):
     del p["model"]["window"]
 
 
+def _bool_header_number(p):
+    # a bool used to pass as the integer 1; an attention model then failed with a TypeError
+    p["model"]["heads"] = True
+
+
+def _unknown_key(p):
+    p["comment"] = "ignored before"
+
+
+def _unknown_header_key(p):
+    p["model"]["stride"] = 2
+
+
 class TestCorruptCheckpoint:
     @pytest.fixture(scope="class")
     def payload(self, bundle, tmp_path_factory):
@@ -770,6 +816,8 @@ class TestCorruptCheckpoint:
     @pytest.mark.parametrize("corrupt, key", [
         (_bad_format, "format"), (_missing_param, "lin_b"), (_extra_param, "w4"),
         (_misshapen_param, "lin_w"), (_missing_header_key, "window"),
+        (_bool_header_number, "heads"), (_unknown_key, "comment"),
+        (_unknown_header_key, "stride"),
     ])
     def test_predict_rejects(self, bundle, payload, tmp_path, capsys, corrupt, key):
         data = json.loads(payload)
@@ -781,6 +829,7 @@ class TestCorruptCheckpoint:
                    "--checkpoint", ckpt, "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(ckpt) in err and repr(key) in err
+        assert err.count("\n") == 1
         assert not (out / "predicted_signal.csv").exists()
 
     @pytest.mark.parametrize("key, value", [("heads", 0), ("embed_dim", 0), ("heads", -4),

@@ -107,7 +107,12 @@ class TestPlume:
         np.testing.assert_array_equal(m.gains[0], m.gains[2])
 
     @pytest.mark.parametrize("kw", [dict(wind_speed=0.0), dict(sigma_y_coeff=-1.0),
-                                    dict(receptor_offsets=[(-5.0, 0.0)])])
+                                    dict(receptor_offsets=[(-5.0, 0.0)]),
+                                    dict(receptor_offsets=[]),
+                                    # an OverflowError, a ZeroDivisionError, an infinite gain
+                                    dict(receptor_offsets=[(1e4, 0.0), (1e4, 1e200)]),
+                                    dict(receptor_offsets=[(1e-300, 0.0)]),
+                                    dict(wind_speed=1e-320)])
     def test_invalid_params(self, kw):
         with pytest.raises(InvalidParams):
             build_plume_matrix(_params(**kw), ("A",))
@@ -182,9 +187,3 @@ class TestFit:
         bad = (ev([1.0, 1.0]), ReceptorConcentrations(np.zeros((3, 2)), ("A", "B", "C"), POLL))
         with pytest.raises(DimensionMismatch):
             fit_dispersion_layer([good, bad], epochs=1, step_size=0.1)
-
-    def test_predict_shape(self):
-        layer = DispersionLayer(2, 3, init_gain=0.7)
-        out = layer.predict(ev([1.0, 2.0]))
-        assert out.shape == (3, 2)
-        np.testing.assert_allclose(out[:, 0], 0.7, rtol=1e-9)

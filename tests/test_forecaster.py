@@ -140,14 +140,6 @@ class TestForward:
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
         assert np.all(out >= 0)
 
-    def test_persistence_identity(self):
-        model = ForecastModel(LINEAR_BASELINE, n_fuels=4, window=5, seed=0)
-        model.init_persistence()
-        history = simplex((5, 4))
-        out = forecast_mixes(model, history)
-        for step in range(5):
-            np.testing.assert_allclose(out[step], history[-1], rtol=1e-9)
-
     def test_short_history(self):
         model = ForecastModel(LINEAR_BASELINE, n_fuels=3, window=8, seed=0)
         with pytest.raises(ShortHistory):

@@ -31,6 +31,7 @@ from gridhealth.health import (
     delta_health,
     impact_per_mwh,
     impacts,
+    load_receptor_profiles,
     load_signals_csv,
     monetize,
     receptor_costs,
@@ -543,3 +544,14 @@ def test_load_signals_names_path_and_line(tmp_path, cells):
                  + cells + "\n")
     with pytest.raises(MalformedRow, match=re.escape(f"{p}:3: ")):
         load_signals_csv(p)
+
+
+def test_internal_flag_takes_six_words_in_any_case(tmp_path):
+    p = tmp_path / "receptors.csv"
+    words = ["1", "0", "TRUE", "False", "yes", "NO"]
+    p.write_text("receptor_id,population,internal,ep\n"
+                 + "".join(f"R{i},10,{w},0.1\n" for i, w in enumerate(words)))
+    assert [r.internal for r in load_receptor_profiles(p, ["ep"])] == [True, False] * 3
+    p.write_text("receptor_id,population,internal,ep\nR0,10,true,0.1\nR1,10,y,0.1\n")
+    with pytest.raises(MalformedRow, match=re.escape(f"{p}:3: internal 'y' is not ")):
+        load_receptor_profiles(p, ["ep"])

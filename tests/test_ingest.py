@@ -33,7 +33,6 @@ from gridhealth.ingest import (
     allocate_generation,
     impute_missing,
     load_fuel_mix,
-    load_plants,
     normalize_mix,
     write_fuel_mix_csv,
     write_table,
@@ -602,29 +601,9 @@ class TestAllocate:
         assert math.fsum(alloc.values()) == pytest.approx(demand, abs=max(1e-9, demand * 1e-12))
 
 
-def test_load_plants_csv(tmp_path):
-    p = tmp_path / "plants.csv"
-    write_csv(p, [["plant_id", "region_id", "fuel", "capacity_basis", "SO2", "NOX"],
-                  ["p1", "BA1", "COL", "1200", "1.4", "0.9"],
-                  ["p2", "BA1", "NG", "800", "0.01", "0.5"]])
-    plants = load_plants(p)
-    assert [pl.plant_id for pl in plants] == ["p1", "p2"]
-    assert plants[0].emission_rates == {"SO2": 1.4, "NOX": 0.9}
-    assert plants[1].capacity_share_basis == 800.0
-
-
-def test_load_plants_rejects_bad_rows(tmp_path):
-    p = tmp_path / "plants.csv"
-    write_csv(p, [["plant_id", "region_id", "fuel", "capacity_basis", "SO2"],
-                  ["p1", "BA1", "COL", "oops", "1.4"]])
-    with pytest.raises(MalformedRow):
-        load_plants(p)
-
-
 # Every csv.reader-based loader, with a header it accepts.
 CSV_LOADERS = [
     ("category_map", FuelCategoryMap.from_csv, "raw_label,canonical"),
-    ("plants", load_plants, "plant_id,region_id,fuel,capacity_basis,SO2"),
     ("fuel_mix", lambda p: load_fuel_mix(p, IDENTITY2), "timestamp,coal,gas"),
     ("emission_factors", EmissionFactorTable.from_csv, "fuel,SO2"),
     ("sr_matrix", SourceReceptorMatrix.from_csv, "pollutant,receptor_id,gain"),
@@ -691,7 +670,6 @@ def test_sr_matrix_needs_every_pair(tmp_path):
 # One row each loader accepts; the fuzz gate edits its cells.
 VALID_ROWS = {
     "category_map": "coal,COL",
-    "plants": "p1,BA,COL,1.0,0.5",
     "fuel_mix": "0,0.5,0.5",
     "emission_factors": "COL,1.0",
     "sr_matrix": "SO2,R1,0.5",
