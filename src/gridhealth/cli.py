@@ -255,7 +255,7 @@ def cmd_train(args, ctx: CommandContext) -> None:
         print(f"final_train_loss: {history[-1]['train_loss']:.6g}")
         print(f"final_val_loss: {history[-1]['val_loss']:.6g}")
     else:
-        print("epochs: 0 (checkpoint equals initialization)")
+        print("epochs: 0 (no SGD step)")
 
 
 def cmd_sweep(args, ctx: CommandContext) -> None:

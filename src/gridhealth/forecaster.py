@@ -1,10 +1,11 @@
 """Fuel-mix forecasting with a health-weighted composite objective.
 
 Two architectures share one interface: a small attention encoder-decoder
-(embedding, one encoder and one decoder block, four attention heads) and a
-linear baseline operating on log-shares so that persistence is exactly
-representable. Both end in a normalized-exponential map, so every emitted
-row is a probability vector over fuels.
+(embedding, one encoder and one decoder block, four attention heads) that
+ends in a normalized-exponential map, and a linear baseline: one affine map
+from the history's shares to the forecast's, fitted in closed form by ridge
+regression, clipped at 0 and renormalized. Every emitted row is a
+probability vector over fuels.
 
 The composite objective weighs fuel-mix error against the error of the
 monetized health impacts predicted from the forecast mix by a 3-layer
@@ -50,7 +51,8 @@ BETA_MAX = 0.998
 ATTENTION = "attention_encoder_decoder"
 LINEAR_BASELINE = "linear_baseline"
 
-_LOG_FLOOR = 1e-12
+# the linear baseline's ridge penalty per training window
+_RIDGE = 1e-3
 # hours of windows per training micro-batch. At window 24 that is 32 windows,
 # whose largest activations, (32, 4, 24, 24) float64, take 0.6 MB and stay in
 # a 2 MB per-core L2 cache; a 128-window batch's take 2.4 MB and do not.
@@ -217,7 +219,7 @@ class ForecastModel:
         if architecture == ATTENTION:
             self._init_attention(rng)
         else:
-            self._init_linear(rng)
+            self._init_linear()
 
     # -- parameter construction ----------------------------------------------
 
@@ -260,10 +262,24 @@ class ForecastModel:
         self._add_ones(f"{prefix}_ff_ln_g", (d,))
         self._add_zeros(f"{prefix}_ff_ln_b", (d,))
 
-    def _init_linear(self, rng):
-        f, t = self.n_fuels, self.window
-        self._add("lin_w", (t * f, t * f), rng)
-        self._add_zeros("lin_b", (t * f,))
+    def _init_linear(self):
+        # no gradient: `train` fits the map in closed form; unfitted, it forecasts a uniform mix
+        tf = self.window * self.n_fuels
+        self.params["lin_w"] = Tensor(np.zeros((tf, tf)))
+        self.params["lin_b"] = Tensor(np.full(tf, 1.0 / self.n_fuels))
+
+    def _fit_linear(self, hist: np.ndarray, target: np.ndarray) -> None:
+        """Set `lin_w` to the ridge fit W of the `target` windows on the `hist` windows.
+
+        Solves (XcᵀXc + λ·n·I) W = XcᵀYc on the n centred windows and sets `lin_b`
+        to ȳ − x̄W. The intercept is not penalized, so each forecast hour sums to 1.
+        """
+        x, y = hist.reshape(len(hist), -1), target.reshape(len(target), -1)
+        x_mean, y_mean = x.mean(axis=0), y.mean(axis=0)
+        xc = x - x_mean
+        w = np.linalg.solve(xc.T @ xc + _RIDGE * len(x) * np.eye(x.shape[1]),
+                            xc.T @ (y - y_mean))
+        self.params["lin_w"].data, self.params["lin_b"].data = w, y_mean - x_mean @ w
 
     # -- forward -------------------------------------------------------------
 
@@ -310,12 +326,10 @@ class ForecastModel:
         return self._forward_attention(x, training, rng)
 
     def _forward_linear(self, x: Tensor) -> Tensor:
-        b = x.shape[0]
-        t, f = self.window, self.n_fuels
-        feats = Tensor(np.log(np.maximum(x.data, _LOG_FLOOR)))
-        flat = feats.reshape(b, t * f)
-        logits = flat.linear(self.params["lin_w"], self.params["lin_b"])
-        return logits.reshape(b, t, f).softmax(axis=-1)
+        b, t, f = x.shape
+        flat = x.data.reshape(b, t * f) @ self.params["lin_w"].data + self.params["lin_b"].data
+        out = np.maximum(flat, 0.0).reshape(b, t, f)
+        return Tensor(out / out.sum(axis=-1, keepdims=True))
 
     def _forward_attention(self, x, training, rng):
         p = self.params
@@ -556,7 +570,8 @@ class _TrainRun:
         self.rng = np.random.default_rng(cfg.seed)
         self.masks = np.random.default_rng(0)   # its state is set before each draw
         self.draws = (0, 0)     # a forward's mask draws per window and shared
-        self.optimizer = SGD({**{f"m.{k}": v for k, v in model.params.items()},
+        # a linear baseline's map is fitted, not stepped: SGD takes what requires a gradient
+        self.optimizer = SGD({**{f"m.{k}": v for k, v in model.params.items() if v.requires_grad},
                               **{f"c.{k}": v for k, v in converter.params.items()}},
                              lr=cfg.step_size)
         self.train_arrays = _gather(data, split.train, cfg.window)
@@ -707,8 +722,9 @@ def train(model: ForecastModel, converter: HealthConverterNet, data: TrainingDat
     """SGD training of the forecaster and converter, end to end.
 
     The health term's gradient flows through the converter into the mix
-    predictor, so both learn jointly. Returns the models plus a per-epoch
-    history of mean train loss and validation loss.
+    predictor, so both learn jointly; a linear baseline's map is fitted in
+    closed form first, and SGD trains its converter alone. Returns the
+    models plus a per-epoch history of mean train loss and validation loss.
 
     Each batch runs forward and backward in `_micro_batches`, each loss
     weighted by its share of the batch, and their gradients are summed for
@@ -735,14 +751,16 @@ def train(model: ForecastModel, converter: HealthConverterNet, data: TrainingDat
     processes = min(workers.capacity(), len(largest)) if cfg.epochs else 1
     run = _TrainRun(model, converter, data, cfg, split, processes)
     history = []
-    with workers.one_blas_thread(), workers.forked(
-            _train_helper, [(run, rank) for rank in range(1, processes)]) as links:
-        for epoch in range(cfg.epochs):
-            try:
-                history.append(run.epoch(epoch, links))
-            except (EOFError, ConnectionError):
-                raise GridHealthError("a train helper process ended abruptly at epoch"
-                                      f" {epoch}") from None
+    with workers.one_blas_thread():
+        if model.architecture == LINEAR_BASELINE:     # before the helpers fork, who inherit it
+            model._fit_linear(*run.train_arrays[:2])
+        with workers.forked(_train_helper, [(run, rank) for rank in range(1, processes)]) as links:
+            for epoch in range(cfg.epochs):
+                try:
+                    history.append(run.epoch(epoch, links))
+                except (EOFError, ConnectionError):
+                    raise GridHealthError("a train helper process ended abruptly at epoch"
+                                          f" {epoch}") from None
     return model, converter, history
 
 
@@ -857,7 +875,7 @@ def beta_sweep(data: TrainingData, betas: list[float], cfg: TrainConfig) -> list
 
 # -- checkpointing -------------------------------------------------------------
 
-CHECKPOINT_FORMAT = "gridhealth-checkpoint-v3"
+CHECKPOINT_FORMAT = "gridhealth-checkpoint-v4"
 _DTYPE = "<f8"
 # each network's header: its constructor's arguments but n_fuels, stored as its attributes,
 # with the JSON kind each must have (str is left to the constructor's own check)

@@ -57,6 +57,12 @@ def readme_fleet_spec():
     return json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
 
 
+# A stalled-process script's first step before `cli.main`: a process started with SIGINT
+# ignored, as a job started with `&` from a non-interactive shell is, passes that on to
+# its children, and Python then installs no KeyboardInterrupt handler for a test to reach.
+DEFAULT_SIGINT = "signal.signal(signal.SIGINT, signal.default_int_handler)"
+
+
 @contextlib.contextmanager
 def catching_sigterm():
     """Record each SIGTERM in a list instead of dying of it; yields (list, handler)."""
@@ -497,13 +503,14 @@ class TestTrainPredictSweep:
         # a real process, so that SIGINT arrives while the caller waits on a pipe
         script = tmp_path / "stalled_sweep.py"
         script.write_text(
-            "import os, sys, time\n"
+            "import os, signal, sys, time\n"
             "from pathlib import Path\n"
             "from gridhealth import cli, forecaster\n"
             "def stall(*args):\n"
             "    Path(sys.argv[1], str(os.getpid())).touch()\n"
             "    time.sleep(60)\n"
             "forecaster.train = stall\n"
+            f"{DEFAULT_SIGINT}\n"
             "sys.exit(cli.main(sys.argv[2:]))\n")
         started = tmp_path / "started"
         started.mkdir()
@@ -541,7 +548,7 @@ class TestTrainPredictSweep:
         # a real process, so that the signal arrives while the caller trains or waits
         script = tmp_path / "helped_train.py"
         script.write_text(
-            "import os, sys\n"
+            "import os, signal, sys\n"
             "from pathlib import Path\n"
             "from gridhealth import cli, forecaster, workers\n"
             "helper = forecaster._train_helper\n"
@@ -550,6 +557,7 @@ class TestTrainPredictSweep:
             "    helper(*args)\n"
             "forecaster._train_helper = noted\n"
             "workers.usable_cpus = lambda: 2\n"
+            f"{DEFAULT_SIGINT}\n"
             "sys.exit(cli.main(sys.argv[2:]))\n")
         started = tmp_path / "started"
         started.mkdir()
@@ -581,7 +589,8 @@ class TestTrainPredictSweep:
                 os.kill(pid, 0)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["helped_train.py", "started"]
 
-    def test_checkpoint_does_not_depend_on_blas_threads(self, tmp_path):
+    @pytest.mark.parametrize("arch", ["attention_encoder_decoder", "linear_baseline"])
+    def test_checkpoint_does_not_depend_on_blas_threads(self, tmp_path, arch):
         if workers.blas_thread_calls() is None:
             pytest.skip("no way to pin the BLAS threads")
         assert run("synth", "--out", tmp_path / "b", "--hours", 2160, "--seed", 0) == 0
@@ -592,7 +601,7 @@ class TestTrainPredictSweep:
             subprocess.run(
                 [sys.executable, "-m", "gridhealth.cli", "train", "--dataset",
                  tmp_path / "b" / "fuel_mix.csv", "--labels", tmp_path / "b" / "labels.csv",
-                 "--out", tmp_path / threads, "--epochs", "1"], env=env, check=True,
+                 "--out", tmp_path / threads, "--epochs", "1", "--arch", arch], env=env, check=True,
                 stdout=subprocess.DEVNULL)
         for name in ("checkpoint.json", "loss_history.csv"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()

@@ -131,10 +131,16 @@ class TestCompositeLoss:
 
 
 class TestForward:
-    @pytest.mark.parametrize("arch", [ATTENTION, LINEAR_BASELINE])
+    @pytest.mark.parametrize("arch", [ATTENTION, LINEAR_BASELINE, f"fitted_{LINEAR_BASELINE}"])
     def test_rows_on_simplex(self, arch):
-        model = ForecastModel(arch, n_fuels=5, window=6, embed_dim=16, heads=2,
-                              ff_dim=16, seed=3)
+        model = ForecastModel(arch.removeprefix("fitted_"), n_fuels=5, window=6, embed_dim=16,
+                              heads=2, ff_dim=16, seed=3)
+        if arch.startswith("fitted_"):
+            # fitted on other mixes than it forecasts from, so its clip at 0 can act
+            mixes = simplex((80, 5))
+            train(model, HealthConverterNet(5, hidden=8, seed=0),
+                  TrainingData(mixes, np.zeros((80, 2)), np.arange(80)),
+                  TrainConfig(window=6, epochs=0))
         out = forecast_mixes(model, simplex((9, 5)))
         assert out.shape == (6, 5)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
@@ -192,15 +198,22 @@ class TestTrain:
         converter = HealthConverterNet(n_fuels, hidden=16, seed=cfg.seed + 1)
         return model, converter
 
-    def test_zero_epochs_bit_identical(self):
+    @pytest.mark.parametrize("arch", [ATTENTION, LINEAR_BASELINE])
+    def test_zero_epochs_bit_identical(self, arch):
+        # no SGD step: the converter and an attention model stay as built, and a
+        # linear baseline holds its closed-form fit
         data = linear_impact_data(80)
         cfg = self.small_cfg(epochs=0)
-        model, conv = self.small_models(cfg)
-        before = {k: v.data.copy() for k, v in model.params.items()}
+        model, conv = self.small_models(cfg, arch=arch)
+        expected, _ = self.small_models(cfg, arch=arch)
+        if arch == LINEAR_BASELINE:
+            train_windows = forecaster._gather(data, split_windows(len(data), cfg).train,
+                                               cfg.window)
+            expected._fit_linear(*train_windows[:2])
         cbefore = {k: v.data.copy() for k, v in conv.params.items()}
         train(model, conv, data, cfg)
-        for k in before:
-            np.testing.assert_array_equal(model.params[k].data, before[k])
+        for k in expected.params:
+            np.testing.assert_array_equal(model.params[k].data, expected.params[k].data)
         for k in cbefore:
             np.testing.assert_array_equal(conv.params[k].data, cbefore[k])
 
@@ -265,6 +278,30 @@ class TestTrain:
         model, conv = self.small_models(cfg)
         with pytest.raises(InsufficientData):
             train(model, conv, data, cfg)
+
+    @pytest.mark.parametrize("window", [24, 72])
+    def test_linear_fit_is_ridge_least_squares(self, synth_bundle, window):
+        # the ridge solution is the least-squares solution of [Xc; sqrt(λn) I] W = [Yc; 0]
+        data = TrainingData.from_series(*synth_bundle)
+        cfg = TrainConfig(window=window, epochs=0, architecture=LINEAR_BASELINE)
+        model, conv = build_models(data.mixes.shape[1], cfg)
+        train(model, conv, data, cfg)
+        rows = np.array(split_windows(len(data), cfg).train)[:, None] + np.arange(window)
+        x = data.mixes[rows].reshape(len(rows), -1)
+        y = data.mixes[rows + window].reshape(len(rows), -1)
+        xc, yc = x - x.mean(axis=0), y - y.mean(axis=0)
+        penalty = np.sqrt(forecaster._RIDGE * len(x)) * np.eye(x.shape[1])
+        w = np.linalg.lstsq(np.vstack([xc, penalty]), np.vstack([yc, np.zeros_like(penalty)]),
+                            rcond=None)[0]
+        b = y.mean(axis=0) - x.mean(axis=0) @ w
+        for got, want in ((model.params["lin_w"].data, w), (model.params["lin_b"].data, b)):
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        # each forecast hour's shares sum to 1 before clipping, whatever the history
+        f = data.mixes.shape[1]
+        np.testing.assert_allclose(model.params["lin_w"].data.reshape(-1, window, f).sum(-1),
+                                   0.0, atol=1e-12)
+        np.testing.assert_allclose(model.params["lin_b"].data.reshape(window, f).sum(-1),
+                                   1.0, rtol=1e-12)
 
     def test_attention_trains_end_to_end(self):
         data = linear_impact_data(90)
@@ -343,6 +380,19 @@ class TestSweep:
             # both trained with one BLAS thread, here in one or more processes
             assert points[0].fuel_nmae == ev.fuel_nmae
             assert points[0].health_nmae == ev.health_nmae
+
+    def test_linear_baseline_beats_seasonal_naive_whatever_beta_and_seed(self, synth_bundle):
+        # the fit depends on the data and the window alone, and beats the 24 h seasonal
+        # naive, whose forecast of each hour is the hour a day before it
+        data = TrainingData.from_series(*synth_bundle)
+        rows = (np.array(origins(len(data), 24, 0.2))[:, None] + np.arange(24, 48)).ravel()
+        naive = nmae(data.mixes[rows - 24], data.mixes[rows])
+        fuel = set()
+        for seed in (0, 1):
+            cfg = TrainConfig(window=24, epochs=12, step_size=0.004, batch_size=128, seed=seed,
+                              architecture=LINEAR_BASELINE)
+            fuel.update(p.fuel_nmae for p in beta_sweep(data, [0.5, 0.998], cfg))
+        assert len(fuel) == 1 and fuel.pop() < naive
 
     def test_points_in_beta_order(self, synth_bundle):
         series, labels = synth_bundle
@@ -792,6 +842,11 @@ def _version_2(p):
     p["model"]["n_fuels"] = p["converter"]["n_fuels"] = len(p.pop("fuels"))
 
 
+def _version_3(p):
+    # the v3 layout, whose lin_w and lin_b were a log-share map trained by SGD
+    p["format"] = "gridhealth-checkpoint-v3"
+
+
 def _version_1(p):
     # the v1 layout: nested lists of floats under the v1 tag
     p["format"] = "gridhealth-checkpoint-v1"
@@ -830,7 +885,7 @@ class TestCheckpoint:
         (_wrong_dtype, "out_w"), (_nan_value, "out_w"), (_version_1, "format"),
         (_no_fuels, "fuels"), (_fuels_not_list, "fuels"), (_empty_fuels, "fuels"),
         (_non_string_fuel, "fuels"), (_repeated_fuel, "fuels"),
-        (_fuel_count_off_width, "embed_w"), (_version_2, "format"),
+        (_fuel_count_off_width, "embed_w"), (_version_2, "format"), (_version_3, "format"),
     ])
     def test_rejects_corrupt_tensor(self, tmp_path, corrupt, key):
         path = tmp_path / "ckpt.json"
